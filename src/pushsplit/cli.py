@@ -31,7 +31,7 @@ from . import adjunction, pullback, splitting, varieties
 from .endomorphism import load_endomorphism, power_map, random_endomorphism, \
     validate_finite
 from .errors import InputError, IntegrityError, PushsplitError, TableRangeError
-from .exactla import DEFAULT_PRIMES, is_prime
+from .exactla import DEFAULT_PRIMES, PRIME_LIMIT, is_prime
 
 REPORT_VERSION = "1"
 
@@ -128,6 +128,9 @@ def _resolve_primes(spec: str | None) -> tuple[int, ...]:
     for p in primes:
         if not is_prime(p):
             raise InputError(f"{p} is not prime")
+        if p >= PRIME_LIMIT:
+            raise InputError(
+                f"prime {p} is not below the limit 2**26 = {PRIME_LIMIT}")
     return primes
 
 

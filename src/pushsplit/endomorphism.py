@@ -6,8 +6,8 @@ the quotient ring vanishes past the socle degree (n+1)(k-1), so it
 suffices that every monomial of degree D = (n+1)(k-1)+1 lies in the ideal,
 i.e. that the multiplication matrix (+)_i S'_{D-k} -> S'_D has full row
 rank.  Full rank modulo a single prime already certifies FINITE (modular
-rank never exceeds rational rank); a NOT_FINITE verdict is confirmed over
-the rationals unless the caller opts out.
+rank never exceeds rational rank).  Without full rank, primes that
+disagree escalate to a rational rank, and so does an explicit request.
 """
 
 from __future__ import annotations
@@ -112,9 +112,10 @@ def validate_finite(e: Endomorphism, primes=DEFAULT_PRIMES,
     """Decide finiteness by the socle-degree rank test and cache the result.
 
     FINITE as soon as one prime shows full row rank (that alone is a
-    certificate).  When no prime does, the verdict is NOT_FINITE: exact in
-    rational arithmetic when ``exact`` is set, otherwise resting on the
-    given primes, which can only err by under-reporting rank.
+    certificate).  When no prime does, the rank is computed in rational
+    arithmetic if ``exact`` is set or the primes disagree, and decides the
+    verdict.  Otherwise the verdict is NOT_FINITE, resting on primes that
+    agree and can only err by under-reporting rank.
     """
     if e.finiteness is not None:
         return e.finiteness
@@ -131,7 +132,7 @@ def validate_finite(e: Endomorphism, primes=DEFAULT_PRIMES,
             break
     rational = None
     if verdict is None:
-        if exact:
+        if exact or len({r for _, r in modular}) > 1:
             rational = rank_rational(matrix)
             verdict = FINITE if rational == required else NOT_FINITE
         else:

@@ -1,17 +1,26 @@
-"""Exact scalars and dense matrices with rank computation over Q and Z/p.
+"""Exact sparse matrices with rank computation over Q and Z/p.
 
-Scalars are plain Python objects: a rational entry is an ``int`` or a
-``fractions.Fraction`` (always in lowest terms with positive denominator),
-a prime-field entry is an ``int`` residue in ``[0, p)``.  The field is a
-run-scoped parameter: rational matrices carry ``modulus=None``, prime-field
-matrices carry the prime.
+A matrix keeps its nonzero entries as coordinate (COO) triples: numpy
+arrays of row and column indices and an array of values, each position
+at most once.  Values are ``int64`` when every one fits and Python
+objects otherwise: an ``int`` of any size, or a ``fractions.Fraction``
+in rational mode.  Rational matrices carry ``modulus=None``; prime-field
+matrices carry the prime and residues in ``[0, p)``.  The dense
+row-major ``entries`` tuple is built only on request.
 
 Rank over Q uses fraction-free (Bareiss) elimination, so intermediate
-values stay integral and never grow past minor size.  Rank over Z/p uses
-vectorized Gaussian elimination; it is a lower bound for the rational rank
-of an integer matrix, with equality for all primes outside a finite bad
-set.  ``rank_verified`` packages the two-prime default mode together with
-the optional exact confirmation pass.
+values stay integral and never grow past minor size.  Rank over Z/p
+reduces every value modulo p (as a Python int when it does not fit
+int64), scatters the residues into one dense array and eliminates it in
+column panels: each panel is reduced by a plain row-reduction loop, and
+the columns to its right are then updated by one float64 matrix product
+whose accumulation is exact, so reduction modulo p happens once per
+panel (the delayed reduction of FFLAS-FFPACK; Dumas, Giorgi and Pernet,
+2008).  The modular
+rank is a lower bound for the rational rank of an integer matrix, with
+equality for all primes outside a finite bad set.  ``rank_verified``
+packages the two-prime default mode together with the optional exact
+confirmation pass.
 """
 
 from __future__ import annotations
@@ -27,9 +36,16 @@ import numpy as np
 # additionally have to miss.
 DEFAULT_PRIMES = (1048583, 1048589)
 
+# rank_mod accepts primes below this.  Exactness of its float64 updates
+# needs (p-1)**2 + p <= 2**53; below 2**26 every panel has width >= 2.
+PRIME_LIMIT = 1 << 26
+
 ExactScalar = int | Fraction
 
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_INT64 = np.iinfo(np.int64)
+_PANEL_CAP = 64
+_CHUNK_CELLS = 1 << 20
 
 
 def is_prime(n: int) -> bool:
@@ -63,26 +79,53 @@ def binomial(a: int, b: int) -> int:
     return math.comb(a, b)
 
 
-@dataclass(frozen=True)
-class ExactMatrix:
-    """Dense matrix; ``entries`` is row-major of length rows*cols.
+def value_array(values) -> np.ndarray:
+    """Matrix values as ``int64`` when all are ints that fit, else objects."""
+    values = list(values)
+    if all(type(v) is int and _INT64.min <= v <= _INT64.max for v in values):
+        return np.array(values, dtype=np.int64)
+    out = np.empty(len(values), dtype=object)
+    out[:] = values
+    return out
 
-    ``modulus=None`` means rational mode; otherwise entries are residues
-    modulo the given prime.  Immutable after construction.
+
+@dataclass(frozen=True, eq=False)
+class ExactMatrix:
+    """Sparse matrix held as COO triples; see the module docstring.
+
+    ``row_index`` and ``col_index`` are ``int64`` arrays naming each
+    stored position once; ``values`` holds the entries there.  Immutable
+    after construction.
     """
 
     rows: int
     cols: int
-    entries: tuple
+    row_index: np.ndarray
+    col_index: np.ndarray
+    values: np.ndarray
     modulus: int | None = None
 
     def __post_init__(self):
         if self.rows < 0 or self.cols < 0:
             raise ValueError("negative matrix dimensions")
-        if len(self.entries) != self.rows * self.cols:
-            raise ValueError(
-                f"entries length {len(self.entries)} != {self.rows}x{self.cols}"
-            )
+        if not len(self.row_index) == len(self.col_index) == len(self.values):
+            raise ValueError("COO arrays differ in length")
+
+    @classmethod
+    def from_coo(cls, rows: int, cols: int, triples, modulus: int | None = None) -> "ExactMatrix":
+        """Build from (row, col, value) triples; repeated positions add."""
+        summed: dict[tuple[int, int], ExactScalar] = {}
+        for r, c, v in triples:
+            if not (0 <= r < rows and 0 <= c < cols):
+                raise ValueError(f"position ({r}, {c}) outside {rows}x{cols}")
+            summed[(r, c)] = summed.get((r, c), 0) + v
+        if modulus is not None:
+            summed = {rc: int(v) % modulus for rc, v in summed.items()}
+        kept = [(rc, v) for rc, v in summed.items() if v != 0]
+        return cls(rows, cols,
+                   np.array([r for (r, _), _ in kept], dtype=np.int64),
+                   np.array([c for (_, c), _ in kept], dtype=np.int64),
+                   value_array(v for _, v in kept), modulus)
 
     @classmethod
     def from_rows(cls, rows_list, modulus: int | None = None,
@@ -94,35 +137,25 @@ class ExactMatrix:
             cols = len(rows_list[0])
         else:
             cols = cols or 0
-        flat = []
         for row in rows_list:
             if len(row) != cols:
                 raise ValueError("ragged rows")
-            flat.extend(row)
-        if modulus is not None:
-            flat = [int(x) % modulus for x in flat]
-        return cls(rows, cols, tuple(flat), modulus)
+        return cls.from_coo(rows, cols, ((r, c, x)
+                                         for r, row in enumerate(rows_list)
+                                         for c, x in enumerate(row)), modulus)
 
-    @classmethod
-    def from_coo(cls, rows: int, cols: int, triples, modulus: int | None = None) -> "ExactMatrix":
-        """Build from (row, col, value) triples; repeated positions add."""
-        flat = [0] * (rows * cols)
-        for r, c, v in triples:
-            flat[r * cols + c] += v
-        if modulus is not None:
-            flat = [x % modulus for x in flat]
-        return cls(rows, cols, tuple(flat), modulus)
-
-    def entry(self, r: int, c: int):
-        return self.entries[r * self.cols + c]
+    @property
+    def entries(self) -> tuple:
+        """Dense row-major entries, of length rows*cols, built on each call."""
+        flat = [0] * (self.rows * self.cols)
+        for r, c, v in zip(self.row_index.tolist(), self.col_index.tolist(),
+                           self.values.tolist()):
+            flat[r * self.cols + c] = v
+        return tuple(flat)
 
     def is_integer(self) -> bool:
-        return all(isinstance(x, int) or x.denominator == 1 for x in self.entries)
-
-    def transpose(self) -> "ExactMatrix":
-        flat = [self.entries[r * self.cols + c]
-                for c in range(self.cols) for r in range(self.rows)]
-        return ExactMatrix(self.cols, self.rows, tuple(flat), self.modulus)
+        return self.values.dtype != object or all(
+            isinstance(x, int) or x.denominator == 1 for x in self.values)
 
 
 def rank(m: ExactMatrix) -> int:
@@ -142,14 +175,34 @@ def rank_rational(m: ExactMatrix) -> int:
 
 
 def rank_mod(m: ExactMatrix, p: int) -> int:
-    """Rank over Z/p; for integer matrices this is <= the rational rank."""
+    """Rank over Z/p of an integer matrix; never more than the rational rank.
+
+    ``p`` must be a prime below ``PRIME_LIMIT`` (2**26), else ValueError.
+    Columns are eliminated in panels of width b.  The rows touching a
+    panel are row-reduced in int64, tracking each as a combination of the
+    panel's pivot rows; one float64 product of those combinations with
+    the pivot rows then updates every column right of the panel.  Every
+    term of that product is a non-negative integer, so it is exact when
+    ``b*(p-1)**2 + p <= 2**53``: b is the largest width meeting this
+    bound, capped at 64 (64 for every p below about 1.19e7, 2 just below
+    2**26).
+    """
     if not is_prime(p):
         raise ValueError(f"modulus {p} is not prime")
+    if p >= PRIME_LIMIT:
+        raise ValueError(f"modulus {p} is not below the prime limit 2**26")
+    if not m.is_integer():
+        raise ValueError("rank_mod requires integer entries")
     if m.rows == 0 or m.cols == 0:
         return 0
-    if p < (1 << 31):
-        return _rank_mod_numpy(_to_numpy_mod(m, p), p)
-    return _rank_mod_python(_residue_rows(m, p), p)
+    if m.values.dtype == object:
+        residues = np.array([int(v) % p for v in m.values], dtype=np.int64)
+    else:
+        residues = m.values % p
+    a = np.zeros((m.rows, m.cols), dtype=np.int32)
+    a[m.row_index, m.col_index] = residues
+    width = min(_PANEL_CAP, ((1 << 53) - p) // (p - 1) ** 2)
+    return _rank_panels(a, p, width)
 
 
 @dataclass(frozen=True)
@@ -196,107 +249,106 @@ def rank_verified(m: ExactMatrix, primes=DEFAULT_PRIMES, exact: bool = False) ->
     return result
 
 
-def rank_with_target(m: ExactMatrix, target: int, primes=DEFAULT_PRIMES,
-                     exact: bool = False) -> RankResult:
-    """Like rank_verified, but stops early once a modular rank hits ``target``.
-
-    A modular rank equal to ``target`` already certifies the rational rank
-    when ``target`` is an upper bound (e.g. full row rank), since modular
-    rank never exceeds rational rank.
-    """
-    if not m.is_integer():
-        raise ValueError("rank_with_target requires integer entries")
-    modular = []
-    for p in primes:
-        r = rank_mod(m, p)
-        modular.append((p, r))
-        if r >= target:
-            return RankResult(modular=tuple(modular))
-    rational = rank_rational(m) if exact else None
-    return RankResult(modular=tuple(modular), rational=rational)
-
-
 # ---------------------------------------------------------------------------
 # internals
 
 
 def _integer_rows(m: ExactMatrix) -> list[list[int]]:
-    """Rows as integers; Fraction rows are scaled by their denominator lcm."""
-    rows = []
-    for r in range(m.rows):
-        row = list(m.entries[r * m.cols:(r + 1) * m.cols])
+    """Dense rows as integers; Fraction rows are scaled by their denominator lcm."""
+    rows = [[0] * m.cols for _ in range(m.rows)]
+    for r, c, v in zip(m.row_index.tolist(), m.col_index.tolist(),
+                       m.values.tolist()):
+        rows[r][c] = v
+    for r, row in enumerate(rows):
         if any(isinstance(x, Fraction) for x in row):
             scale = math.lcm(*(x.denominator if isinstance(x, Fraction) else 1
                                for x in row))
-            row = [int(x * scale) for x in row]
-        rows.append([int(x) for x in row])
+            rows[r] = [int(x * scale) for x in row]
     return rows
 
 
-def _residue_rows(m: ExactMatrix, p: int) -> list[list[int]]:
-    rows = []
-    for r in range(m.rows):
-        row = []
-        for x in m.entries[r * m.cols:(r + 1) * m.cols]:
-            if isinstance(x, Fraction) and x.denominator != 1:
-                den = x.denominator % p
-                if den == 0:
-                    raise ValueError(f"prime {p} divides a denominator")
-                row.append(x.numerator % p * pow(den, p - 2, p) % p)
-            else:
-                row.append(int(x) % p)
-        rows.append(row)
-    return rows
+def _rank_panels(a: np.ndarray, p: int, width: int) -> int:
+    """Rank modulo p of the residues in ``a``, overwriting ``a``.
 
-
-def _to_numpy_mod(m: ExactMatrix, p: int) -> np.ndarray:
-    if m.is_integer():
-        a = np.array(m.entries, dtype=np.int64).reshape(m.rows, m.cols)
-        return np.mod(a, p)
-    return np.array(_residue_rows(m, p), dtype=np.int64)
-
-
-def _rank_mod_numpy(a: np.ndarray, p: int) -> int:
-    # entries stay in [0, p); products bounded by p**2 < 2**62, safe in int64
+    ``a`` holds residues in [0, p) as int32; the eliminations run in int64
+    and the updates in float64.  Invariant: ``a[r:]`` holds the rows still
+    to be reduced, and only their columns from the current panel on are
+    read again; the r rows already used as pivots are dropped.
+    """
     nrows, ncols = a.shape
     r = 0
-    for c in range(ncols):
+    for c0 in range(0, ncols, width):
         if r == nrows:
             break
-        nz = np.nonzero(a[r:, c])[0]
-        if nz.size == 0:
+        if ncols - c0 <= width:
+            return r + _eliminate(a[r:, c0:].astype(np.int64), p)
+        c1 = c0 + width
+        touched = r + np.flatnonzero(a[r:, c0:c1].any(axis=1))
+        if touched.size == 0:
             continue
-        i = r + int(nz[0])
-        if i != r:
-            a[[r, i], c:] = a[[i, r], c:]
-        inv = pow(int(a[r, c]), p - 2, p)
-        a[r, c:] = a[r, c:] * inv % p
-        below = a[r + 1:, c]
-        nzb = np.nonzero(below)[0]
-        if nzb.size:
-            idx = r + 1 + nzb
-            a[idx, c:] = (a[idx, c:] - below[nzb, None] * a[r, c:]) % p
-        r += 1
+        block = np.zeros((touched.size, 2 * width), dtype=np.int64)
+        block[:, :width] = a[touched, c0:c1]
+        t = _eliminate(block, p, width, touched)
+        pivots, rest = touched[:t], touched[t:]
+        if rest.size:
+            # rest row i becomes row_i + sum_j block[i, width+j] * pivot_j;
+            # terms are in [0, p), so the float64 sums below are exact
+            top = a[pivots, c1:].astype(np.float64)
+            combos = (block[t:, width:width + t] % p).astype(np.float64)
+            step = max(1, _CHUNK_CELLS // top.shape[1])
+            for s in range(0, rest.size, step):
+                rows = rest[s:s + step]
+                update = (combos[s:s + step] @ top).astype(np.int64)
+                update += a[rows, c1:]
+                np.remainder(update, p, out=update)
+                a[rows, c1:] = update
+        # move the rows that the pivots displace out of a[r:r+t]
+        front = np.arange(r, r + t)
+        a[np.setdiff1d(pivots, front), c1:] = a[np.setdiff1d(front, pivots), c1:]
+        r += t
     return r
 
 
-def _rank_mod_python(rows: list[list[int]], p: int) -> int:
-    nrows = len(rows)
-    ncols = len(rows[0]) if nrows else 0
+def _eliminate(a: np.ndarray, p: int, width: int | None = None,
+               order: np.ndarray | None = None) -> int:
+    """Row-reduce the first ``width`` (at most 64) columns of ``a`` modulo p.
+
+    Works in place and returns the pivot count t.  The pivot rows end up
+    first, and ``order``, if given, is permuted along with the rows.
+    When columns follow the first ``width``, column width+j of the j-th
+    pivot row is set to 1 as it is chosen, so those columns record every
+    row as a combination of the original pivot rows.  Reduction modulo p
+    is delayed: only a column about to be searched and a chosen pivot row
+    are reduced.  Every other entry takes at most 64 updates below p**2,
+    so it stays below 2**59 in magnitude, and afterwards is correct only
+    modulo p.
+    """
+    nrows = a.shape[0]
+    if width is None:
+        width = a.shape[1]
+    track = width < a.shape[1]
     r = 0
-    for c in range(ncols):
+    for c in range(width):
         if r == nrows:
             break
-        piv = next((i for i in range(r, nrows) if rows[i][c] % p), None)
-        if piv is None:
+        column = a[r:, c] % p
+        nz = column.nonzero()[0]
+        if nz.size == 0:
             continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        inv = pow(rows[r][c] % p, p - 2, p)
-        rows[r] = [x * inv % p for x in rows[r]]
-        for i in range(r + 1, nrows):
-            f = rows[i][c] % p
-            if f:
-                rows[i] = [(x - f * y) % p for x, y in zip(rows[i], rows[r])]
+        end = width + r + 1 if track else a.shape[1]
+        i = r + int(nz[0])
+        if i != r:
+            a[[r, i], c:end] = a[[i, r], c:end]
+            if order is not None:
+                order[[r, i]] = order[[i, r]]
+        a[r, c:end] %= p
+        if track:
+            a[r, width + r] = 1
+        if nz.size > 1:
+            # after the swap the rows below r that meet column c are r + nz[1:]
+            idx = r + nz[1:]
+            factors = column[nz[1:]] * pow(int(column[nz[0]]), p - 2, p) % p
+            a[idx, c + 1:end] -= factors[:, None] * a[r, c + 1:end]
         r += 1
     return r
 

@@ -16,8 +16,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
+import numpy as np
+
 from .errors import FormSyntaxError, InputError
-from .exactla import ExactMatrix, binomial
+from .exactla import ExactMatrix, binomial, value_array
 
 Monomial = tuple[int, ...]
 
@@ -231,6 +233,7 @@ def multiplication_matrix(forms, source_degree: int) -> ExactMatrix:
     Rows: canonical monomials of degree source_degree + k.  Columns:
     pairs (i, canonical monomial of degree source_degree), i outermost.
     Degrees below zero give empty graded pieces, hence zero columns.
+    Built as COO arrays, one triple per (column, term of forms[i]).
     """
     forms = tuple(forms)
     if not forms:
@@ -240,19 +243,38 @@ def multiplication_matrix(forms, source_degree: int) -> ExactMatrix:
     for f in forms:
         if f.degree != k or f.num_vars != v:
             raise InputError("forms must share degree and variable count")
-    source = monomials_of_degree(v, source_degree)
+    source = np.array(monomials_of_degree(v, source_degree),
+                      dtype=np.int64).reshape(-1, v)
     target_degree = source_degree + k
     nrows = graded_dim(v, target_degree)
     ncols = len(forms) * len(source)
-    row_of = _index_map(v, target_degree) if nrows else {}
-    triples = []
+    row_parts, col_parts, value_parts = [], [], []
     for i, f in enumerate(forms):
-        base = i * len(source)
-        for j, g in enumerate(source):
-            for mono, coeff in f.terms:
-                prod = tuple(a + b for a, b in zip(mono, g))
-                triples.append((row_of[prod], base + j, coeff))
-    return ExactMatrix.from_coo(nrows, ncols, triples)
+        exps = np.array([mono for mono, _ in f.terms], dtype=np.int64).reshape(-1, v)
+        products = (source[:, None, :] + exps[None, :, :]).reshape(-1, v)
+        row_parts.append(_monomial_rank(products, target_degree))
+        col_parts.append(np.repeat(np.arange(i * len(source), (i + 1) * len(source)),
+                                   len(f.terms)))
+        value_parts.append(np.tile(value_array(c for _, c in f.terms), len(source)))
+    return ExactMatrix(nrows, ncols, np.concatenate(row_parts),
+                       np.concatenate(col_parts), np.concatenate(value_parts))
+
+
+def _monomial_rank(exps: np.ndarray, degree: int) -> np.ndarray:
+    """Position of each row of ``exps`` in monomials_of_degree(v, degree).
+
+    In descending lex order, the monomials before (e_0, ..., e_{v-1}) are,
+    for each position i < v-1, those that agree with it before i and have
+    a larger exponent at i.  There are graded_dim(v - i, d_i - e_i - 1) of
+    them, where d_i = degree - e_0 - ... - e_{i-1}.
+    """
+    v = exps.shape[1]
+    # counts[u, s] = graded_dim(u, s - 1): monomials of degree s-1 in u variables
+    counts = np.array([[0] * (degree + 1)] + [
+        [graded_dim(u, s - 1) for s in range(degree + 1)] for u in range(1, v + 1)],
+        dtype=np.int64)
+    remaining = degree - np.cumsum(exps[:, :-1], axis=1)
+    return counts[np.arange(v, 1, -1), remaining].sum(axis=1)
 
 
 # ---------------------------------------------------------------------------

@@ -349,7 +349,11 @@ def parse_table(text: str, source: str = "<string>") -> tuple[ExplicitTable, dic
     if "omega_twist" not in headers:
         raise InputError(f"{source}: missing header 'omega_twist='")
     omega_raw = headers["omega_twist"]
-    omega_twist = None if omega_raw == "none" else int(omega_raw)
+    try:
+        omega_twist = None if omega_raw == "none" else int(omega_raw)
+    except ValueError:
+        raise InputError(f"{source}: header omega_twist={omega_raw!r} is "
+                         "neither an integer nor 'none'") from None
     if "trange" not in headers:
         raise InputError(f"{source}: missing header 'trange='")
     trange_raw = headers["trange"]

@@ -8,6 +8,7 @@ import pytest
 
 from pushsplit.cli import main
 from pushsplit.errors import IntegrityError
+from pushsplit.exactla import PRIME_LIMIT, is_prime
 
 
 def run(capsys, *argv):
@@ -148,6 +149,47 @@ def test_verify_endo_primes_flag(capsys):
     assert code == 0
     primes = [p for p, _ in json.loads(out)["modular_ranks"]]
     assert primes == [101]  # full rank at the first prime certifies
+
+
+def test_primes_at_or_above_the_limit_are_refused(capsys):
+    p = PRIME_LIMIT
+    while not is_prime(p):
+        p += 1
+    code, _, err = run(capsys, "verify-endo", "--endo",
+                       "tests/fixtures/power42.endo", "--primes", f"101,{p}")
+    assert code == 2
+    assert "2**26" in err
+
+
+def test_verify_endo_disagreeing_primes_escalate(capsys):
+    code, out, _ = run(capsys, "verify-endo", "--endo",
+                       "tests/fixtures/disagree23.endo", "--primes", "2,3",
+                       "--json")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["modular_ranks"] == [[2, 2], [3, 3]]
+    assert payload["rational_rank"] == 4
+    assert payload["verdict"] == "FINITE"
+
+
+def test_verify_endo_huge_coefficient(capsys, tmp_path):
+    endo = tmp_path / "huge.endo"
+    endo.write_text("n = 1\nk = 2\n"
+                    "f0 = y0^2 + 100000000000000000000000*y0*y1\n"
+                    "f1 = y1^2\n")
+    code, out, _ = run(capsys, "verify-endo", "--endo", str(endo), "--json")
+    assert code == 0
+    assert json.loads(out)["verdict"] == "FINITE"
+
+
+def test_table_with_bad_omega_twist_is_an_input_error(capsys, tmp_path):
+    table = tmp_path / "bad.table"
+    table.write_text("n=3\ndim=1\ndegree=2\nomega_twist=abc\n"
+                     "trange=-1..1\n")
+    code, _, err = run(capsys, "pullback", "--model", f"table:{table}",
+                       "--k", "2")
+    assert code == 2
+    assert "omega_twist" in err
 
 
 def test_primes_environment_variable(capsys, monkeypatch):

@@ -145,6 +145,21 @@ def test_degenerate_map_not_finite():
         e.require_finite()
 
 
+def test_disagreeing_primes_escalate_to_rational_rank():
+    e = load_endomorphism("tests/fixtures/disagree23.endo")
+    report = validate_finite(e, primes=(2, 3))
+    assert report.modular_ranks == ((2, 2), (3, 3))
+    assert report.rational_rank == 4
+    assert report.verdict == FINITE
+
+
+def test_agreeing_primes_do_not_escalate():
+    e = Endomorphism(1, 2, (parse_form("y0^2", 2), parse_form("y0*y1", 2)))
+    report = validate_finite(e)
+    assert report.verdict == NOT_FINITE
+    assert report.rational_rank is None
+
+
 def test_perturbed_squaring_map_finite():
     e = load_endomorphism("tests/fixtures/perturbed22.endo")
     assert validate_finite(e, exact=True).verdict == FINITE

@@ -24,7 +24,7 @@ def random_poly(rng, num_vars, degree):
     terms = {m: rng.randrange(-3, 4) for m in rng.sample(monos, k=min(3, len(monos)))}
     poly = HomogPoly.from_dict(num_vars, degree, terms)
     if poly.is_zero():
-        return HomogPoly.monomial(num_vars, monos[0])
+        return HomogPoly.monomial(monos[0])
     return poly
 
 
@@ -120,8 +120,35 @@ def test_multiplication_matrix_column_convention():
     m = multiplication_matrix(forms, 1)
     basis3 = graded_basis(2, 3)
     # col 0 = f0 * y0 = y0^3, col 3 = f1 * y1 = y0*y1^2
-    assert m.entry(basis3.index((3, 0)), 0) == 1
-    assert m.entry(basis3.index((1, 2)), 3) == 1
+    assert m.entries[basis3.index((3, 0)) * m.cols + 0] == 1
+    assert m.entries[basis3.index((1, 2)) * m.cols + 3] == 1
+
+
+def direct_multiplication_matrix(forms, source_degree):
+    """Dense rows of the multiplication matrix, one term at a time."""
+    v, k = forms[0].num_vars, forms[0].degree
+    source = monomials_of_degree(v, source_degree)
+    target = graded_basis(v, source_degree + k)
+    rows = [[0] * (len(forms) * len(source)) for _ in range(len(target))]
+    for i, f in enumerate(forms):
+        for j, g in enumerate(source):
+            for mono, coeff in f.terms:
+                prod = tuple(a + b for a, b in zip(mono, g))
+                rows[target.index(prod)][i * len(source) + j] += coeff
+    return rows
+
+
+def test_multiplication_matrix_matches_direct_build():
+    rng = random.Random(5)
+    for num_vars, k in [(1, 3), (2, 2), (3, 3), (4, 2), (5, 1)]:
+        forms = [random_poly(rng, num_vars, k) for _ in range(num_vars)]
+        forms[0] = forms[0] + HomogPoly.monomial((k,) + (0,) * (num_vars - 1),
+                                                 10 ** 25)
+        for source_degree in range(-1, 4):
+            m = multiplication_matrix(forms, source_degree)
+            rows = direct_multiplication_matrix(forms, source_degree)
+            assert (m.rows, m.cols) == (len(rows), len(rows[0]) if rows else 0)
+            assert m.entries == tuple(x for row in rows for x in row)
 
 
 def test_parse_form_examples():

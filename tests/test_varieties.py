@@ -241,6 +241,9 @@ def test_parse_table_errors():
             "n=2\ndim=0\ndegree=1\nomega_twist=none\nbogus=1\ntrange=0..0\n"
             "h 0 0 1\n"
         )
+    with pytest.raises(InputError, match="omega_twist"):
+        parse_table("n=2\ndim=0\ndegree=1\nomega_twist=abc\ntrange=0..0\n"
+                    "h 0 0 1\n")
 
 
 def test_dump_table_round_trip():
