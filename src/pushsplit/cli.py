@@ -153,11 +153,24 @@ def _emit(payload: dict, text_lines: list, args_format: str, out: str | None,
         rendered = buffer.getvalue()
     else:
         rendered = "\n".join(text_lines) + "\n"
-    if out:
-        with open(out, "w", encoding="utf-8") as handle:
-            handle.write(rendered)
-    else:
+    if not out:
         sys.stdout.write(rendered)
+        return
+    # write beside the target and rename, so a failed write never leaves a
+    # truncated or half-written --out file
+    temp = f"{out}.{os.getpid()}.tmp"
+    try:
+        with open(temp, "w", encoding="utf-8") as handle:
+            handle.write(rendered)
+        os.replace(temp, out)
+    except BaseException as exc:
+        try:
+            os.unlink(temp)
+        except OSError:
+            pass
+        if isinstance(exc, OSError):
+            raise InputError(f"cannot write output file {out}: {exc}") from None
+        raise
 
 
 def _verdict_payload(v: pullback.Verdict) -> dict:
@@ -506,7 +519,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="upper twist for the Hilbert identity check")
     split.add_argument("--primes", help="comma-separated modular primes")
     split.add_argument("--exact", action="store_const", const=True,
-                       help="force rational-arithmetic ranks")
+                       help="certified ranks over Q (kernel vectors checked over "
+                            "the integers, Bareiss as fallback) instead of "
+                            "modular ranks")
     _add_common(split)
     split.set_defaults(func=_cmd_split)
 
@@ -521,7 +536,9 @@ def build_parser() -> argparse.ArgumentParser:
                         help="seed for --random (default 0)")
     verify.add_argument("--primes", help="comma-separated modular primes")
     verify.add_argument("--exact", action="store_const", const=True,
-                        help="confirm a NOT_FINITE verdict rationally")
+                        help="confirm a NOT_FINITE verdict by a certified rank "
+                             "over Q (kernel vectors checked over the "
+                             "integers, Bareiss as fallback)")
     _add_common(verify)
     verify.set_defaults(func=_cmd_verify_endo)
 

@@ -8,23 +8,30 @@ in rational mode.  Rational matrices carry ``modulus=None``; prime-field
 matrices carry the prime and residues in ``[0, p)``.  The dense
 row-major ``entries`` tuple is built only on request.
 
-Rank over Q uses fraction-free (Bareiss) elimination, so intermediate
-values stay integral and never grow past minor size.  Rank over Z/p
-reduces every value modulo p (as a Python int when it does not fit
-int64), scatters the residues into one dense array and eliminates it in
-column panels: each panel is reduced by a plain row-reduction loop, and
-the columns to its right are then updated by one float64 matrix product
-whose accumulation is exact, so reduction modulo p happens once per
-panel (the delayed reduction of FFLAS-FFPACK; Dumas, Giorgi and Pernet,
-2008).  The modular
-rank is a lower bound for the rational rank of an integer matrix, with
-equality for all primes outside a finite bad set.  ``rank_verified``
-packages the two-prime default mode together with the optional exact
-confirmation pass.
+Rank over Z/p reduces every value modulo p (as a Python int when it does
+not fit int64), scatters the residues into one dense array and eliminates
+it in column panels: each panel is reduced by a plain row-reduction loop,
+and the columns to its right are then updated by one float64 matrix
+product whose accumulation is exact, so reduction modulo p happens once
+per panel (the delayed reduction of FFLAS-FFPACK; Dumas, Giorgi and
+Pernet, 2008).  The modular rank is a lower bound for the rational rank
+of an integer matrix, with equality for all primes outside a finite bad
+set.
+
+Rank over Q is certified rather than eliminated: left-kernel vectors
+computed modulo a few primes are combined by CRT, rationally
+reconstructed (Wang 1981) and checked to annihilate the matrix in
+integer arithmetic.  The modular rank then bounds the rank from below,
+the codimension of the checked vectors' span bounds it from above, and
+the two agree.  Only when a bounded number of primes gives no
+such certificate does fraction-free (Bareiss) elimination decide.
+``rank_verified`` packages the two-prime default mode together with the
+optional exact confirmation pass.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -168,10 +175,45 @@ def rank(m: ExactMatrix) -> int:
 
 
 def rank_rational(m: ExactMatrix) -> int:
-    """True rank over Q by fraction-free elimination."""
+    """True rank over Q, returned only together with its proof.
+
+    The matrix is scaled to integers (each Fraction row by its
+    denominators' lcm) and transposed when it has more rows than
+    columns; call the result A, n x c with n <= c.  For each prime of
+    ``_certificate_primes`` in turn, the reduced echelon form of A^T
+    modulo p gives a rank r and the m = n - r left-kernel vectors of A
+    that are 1 at one free coordinate and 0 at the others.  Only primes
+    with the largest rank and, among those, the lexicographically first
+    pivot set are combined by CRT; a better prime restarts the
+    combination.  The combined residues are rationally reconstructed,
+    denominators are cleared, and each vector y is checked to satisfy
+    y^T A = 0 in integer arithmetic.  When all m pass, the rank is
+    n - m: the vectors are independent (look at their free coordinates),
+    so rank <= n - m, and the modular rank gives rank >= r = n - m.
+    After ``_prime_budget`` primes without such a proof, fraction-free
+    (Bareiss) elimination decides instead.
+    """
     if m.rows == 0 or m.cols == 0:
         return 0
-    return _rank_bareiss(_integer_rows(m))
+    rows, cols, values = _integer_coo(m)
+    n, c = m.rows, m.cols
+    if n > c:
+        rows, cols, n, c = cols, rows, c, n
+    best = None
+    for p in itertools.islice(_certificate_primes(),
+                              _prime_budget(rows, cols, values, n, c)):
+        pivots, block = _left_kernel_mod(rows, cols, values, n, c, p)
+        key = (-len(pivots), pivots)
+        if best is None or key < best:
+            best, residues, modulus = key, block.astype(object), p
+        elif key != best:
+            continue
+        else:
+            residues, modulus = _crt(residues, modulus, block, p), modulus * p
+        kernel = _lift(residues, modulus, pivots, n)
+        if kernel is not None and _annihilates(kernel, rows, cols, values, c):
+            return n - len(kernel)
+    return _rank_bareiss(_dense_rows(rows, cols, values, n, c))
 
 
 def rank_mod(m: ExactMatrix, p: int) -> int:
@@ -253,18 +295,173 @@ def rank_verified(m: ExactMatrix, primes=DEFAULT_PRIMES, exact: bool = False) ->
 # internals
 
 
-def _integer_rows(m: ExactMatrix) -> list[list[int]]:
-    """Dense rows as integers; Fraction rows are scaled by their denominator lcm."""
-    rows = [[0] * m.cols for _ in range(m.rows)]
-    for r, c, v in zip(m.row_index.tolist(), m.col_index.tolist(),
-                       m.values.tolist()):
-        rows[r][c] = v
-    for r, row in enumerate(rows):
-        if any(isinstance(x, Fraction) for x in row):
-            scale = math.lcm(*(x.denominator if isinstance(x, Fraction) else 1
-                               for x in row))
-            rows[r] = [int(x * scale) for x in row]
-    return rows
+def _integer_coo(m: ExactMatrix) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """COO arrays with integer values; Fraction rows are scaled by their denominator lcm."""
+    if m.values.dtype != object or not any(isinstance(v, Fraction) for v in m.values):
+        return m.row_index, m.col_index, m.values
+    rows = m.row_index.tolist()
+    scale = [1] * m.rows
+    for r, v in zip(rows, m.values.tolist()):
+        if isinstance(v, Fraction):
+            scale[r] = math.lcm(scale[r], v.denominator)
+    return m.row_index, m.col_index, value_array(
+        int(v * scale[r]) for r, v in zip(rows, m.values.tolist()))
+
+
+def _dense_rows(rows, cols, values, n: int, c: int) -> list[list[int]]:
+    """The n x c matrix of the COO arrays as lists of Python ints."""
+    dense = [[0] * c for _ in range(n)]
+    for r, j, v in zip(rows.tolist(), cols.tolist(), values.tolist()):
+        dense[r][j] = v
+    return dense
+
+
+def _certificate_primes():
+    """The primes below PRIME_LIMIT, largest first."""
+    q = PRIME_LIMIT - 1
+    while q > 2:
+        if is_prime(q):
+            yield q
+        q -= 2
+
+
+def _prime_budget(rows, cols, values, n: int, c: int) -> int:
+    """Primes rank_rational tries before it falls back to Bareiss.
+
+    Every reconstructed entry is a ratio of two minors of A, each at most
+    the Hadamard bound H (the product of the norms of A's rows, or of its
+    columns).  Reconstruction cannot fail once the combined primes'
+    product exceeds 2*H**2, which K primes above 2**25 achieve.  A prime
+    whose rank or pivot set differs from the rational ones divides one
+    nonzero minor, so fewer than K/2 primes are discarded, and 2K primes
+    always yield the certificate.  Each squared norm is bounded by its
+    entry count times its largest square.
+    """
+    if values.dtype == object:
+        logs = np.array([math.log2(max(abs(v), 1)) for v in values.tolist()])
+    else:
+        logs = np.log2(np.maximum(np.abs(values.astype(np.float64)), 1))
+    log_h2 = min(_log_norms2(index, logs, size)
+                 for index, size in ((rows, n), (cols, c)))
+    return 2 * (int(log_h2 + 1) // 25 + 1)
+
+
+def _log_norms2(index: np.ndarray, logs: np.ndarray, size: int) -> float:
+    """Upper bound on log2 of the product of the squared norms of the lines ``index`` names."""
+    counts = np.bincount(index, minlength=size)
+    largest = np.zeros(size)
+    np.maximum.at(largest, index, logs)
+    used = counts > 0
+    return float(np.sum(np.log2(counts[used]) + 2 * largest[used]))
+
+
+def _left_kernel_mod(rows, cols, values, n: int, c: int,
+                     p: int) -> tuple[tuple[int, ...], np.ndarray]:
+    """Pivot columns of the reduced echelon form of A^T modulo p, and its kernel.
+
+    A is the n x c matrix of the COO arrays.  Returns the pivots and the
+    r x m block whose column j holds, at the pivot coordinates, the left
+    kernel vector of A that is 1 at the j-th free coordinate and 0 at
+    the other free ones.  Residues stay in int64 and reduction is
+    delayed: only the column being searched and the pivot row are
+    reduced at each step, and the whole array once every
+    ``(2**63 - p) // p**2`` pivots, so that no entry, grown by less than
+    p**2 per pivot, leaves int64.
+    """
+    if values.dtype == object:
+        residues = np.array([v % p for v in values.tolist()], dtype=np.int64)
+    else:
+        residues = values % p
+    b = np.zeros((c, n), dtype=np.int64)
+    b[cols, rows] = residues
+    period = ((1 << 63) - p) // (p * p)
+    pivots, reduced_at = [], 0
+    for j in range(n):
+        r = len(pivots)
+        if r == c:
+            break
+        if r - reduced_at == period:
+            b[:, j:] %= p
+            reduced_at = r
+        column = b[:, j] % p
+        nz = np.flatnonzero(column[r:])
+        if nz.size == 0:
+            b[:, j] = column
+            continue
+        i = r + int(nz[0])
+        if i != r:
+            b[[r, i], j:] = b[[i, r], j:]
+            column[[r, i]] = column[[i, r]]
+        pivot_row = b[r, j:] % p * pow(int(column[r]), p - 2, p) % p
+        column[r] = 0
+        touched = np.flatnonzero(column)
+        b[touched, j:] -= column[touched, None] * pivot_row
+        b[r, j:] = pivot_row
+        pivots.append(j)
+    r = len(pivots)
+    free = np.setdiff1d(np.arange(n), pivots)
+    return tuple(pivots), (-b[:r, free]) % p
+
+
+def _crt(residues: np.ndarray, modulus: int, block: np.ndarray, p: int) -> np.ndarray:
+    """Combine residues mod ``modulus`` (Python ints) with ``block`` mod p."""
+    step = (block - (residues % p).astype(np.int64)) % p
+    step = step * pow(modulus % p, -1, p) % p
+    return residues + modulus * step.astype(object)
+
+
+def _lift(residues: np.ndarray, modulus: int, pivots, n: int) -> np.ndarray | None:
+    """Integer kernel vectors from their residues, or None if reconstruction fails.
+
+    Column j of ``residues`` gives the pivot coordinates of the vector
+    whose j-th free coordinate is 1.  Entries are reconstructed as
+    fractions with numerator and denominator at most sqrt(modulus/2), one
+    after the other, times the denominator found so far (Wang 1981);
+    each vector is then scaled by the product of its denominators.
+    """
+    bound = math.isqrt(modulus // 2)
+    free = np.setdiff1d(np.arange(n), pivots)
+    kernel = np.zeros((free.size, n), dtype=object)
+    for j, f in enumerate(free.tolist()):
+        den, nums = 1, []
+        for u in residues[:, j].tolist():
+            u = u * den % modulus
+            if u > bound:
+                if modulus - u <= bound:
+                    u -= modulus
+                else:
+                    fraction = _reconstruct(u, modulus, bound)
+                    if fraction is None:
+                        return None
+                    u, extra = fraction
+                    nums = [x * extra for x in nums]
+                    den *= extra
+            nums.append(u)
+        kernel[j, list(pivots)] = nums
+        kernel[j, f] = den
+    return kernel
+
+
+def _reconstruct(u: int, modulus: int, bound: int) -> tuple[int, int] | None:
+    """(a, b) with a = b*u mod ``modulus``, |a| <= bound and 0 < b <= bound."""
+    r0, r1, t0, t1 = modulus, u, 0, 1
+    while r1 > bound:
+        q = r0 // r1
+        r0, r1 = r1, r0 - q * r1
+        t0, t1 = t1, t0 - q * t1
+    if t1 == 0 or abs(t1) > bound or math.gcd(r1, t1) != 1:
+        return None
+    return (r1, t1) if t1 > 0 else (-r1, -t1)
+
+
+def _annihilates(kernel: np.ndarray, rows, cols, values, c: int) -> bool:
+    """Whether y^T A = 0 over Z for every row y of ``kernel`` (Python ints)."""
+    for y in kernel:
+        total = np.zeros(c, dtype=object)
+        np.add.at(total, cols, y[rows] * values)
+        if total.any():
+            return False
+    return True
 
 
 def _rank_panels(a: np.ndarray, p: int, width: int) -> int:

@@ -109,9 +109,10 @@ def splitting_universal(n: int, k: int, l: int) -> SplittingType:
 def _matrix_rank(matrix: ExactMatrix, primes, exact: bool) -> int:
     """Rank with the default modular strategy and exact escalation.
 
-    A modular rank equal to min(rows, cols) is already the true rank.
-    Disagreeing primes escalate to the rational computation rather than
-    guess.
+    With ``exact`` the certified rank over Q is computed directly, with
+    no modular pass.  Otherwise a modular rank equal to min(rows, cols)
+    is already the true rank, and disagreeing primes escalate to the
+    rational computation rather than guess.
     """
     if exact:
         return rank_rational(matrix)

@@ -1,11 +1,13 @@
 """CLI behavior: exit codes, canonical JSON, CSV, config, environment."""
 
 import csv
+import errno
 import io
 import json
 
 import pytest
 
+from pushsplit import cli, exactla
 from pushsplit.cli import main
 from pushsplit.errors import IntegrityError
 from pushsplit.exactla import PRIME_LIMIT, is_prime
@@ -125,11 +127,42 @@ def test_verify_endo_not_finite(capsys):
                for _, r in payload["modular_ranks"])
 
 
-def test_verify_endo_exact_flag(capsys):
+# every form vanishes at (1:0:0:0); the 220 x 336 socle matrix has rank 216
+NOT_FINITE_33 = """n = 3
+k = 3
+f0 = y0^2*y1 + 2*y2^2*y3 - y1*y3^2
+f1 = y1^3 - 2*y0*y2*y3 + 3*y2^3
+f2 = y2^3 + 3*y0*y1*y3 - y1^2*y2
+f3 = y3^3 + y0^2*y2 - 2*y1*y2*y3
+"""
+
+
+def test_verify_endo_exact_flag(capsys, tmp_path, monkeypatch):
+    # the kernel certificate decides; fraction-free elimination never runs
+    bareiss = []
+    monkeypatch.setattr(exactla, "_rank_bareiss",
+                        lambda rows: bareiss.append(rows) or 0)
     code, out, _ = run(capsys, "verify-endo", "--endo",
                        "tests/fixtures/nonfinite12.endo", "--exact", "--json")
     assert code == 1
     assert json.loads(out)["rational_rank"] == 3
+    endo = tmp_path / "nonfinite33.endo"
+    endo.write_text(NOT_FINITE_33)
+    code, out, _ = run(capsys, "verify-endo", "--endo", str(endo),
+                       "--exact", "--json")
+    assert code == 1
+    payload = json.loads(out)
+    assert (payload["verdict"], payload["rational_rank"]) == ("NOT_FINITE", 216)
+    assert bareiss == []
+
+
+def test_split_endo_exact_matches_default(capsys):
+    for l in range(-2, 5):
+        argv = ["split", "--endo", "tests/fixtures/perturbed22.endo",
+                "--l", str(l), "--json"]
+        default = run(capsys, *argv)
+        assert default[0] == 0
+        assert run(capsys, *argv, "--exact") == default
 
 
 def test_verify_endo_random_is_seeded(capsys):
@@ -345,6 +378,36 @@ def test_out_writes_file(capsys, tmp_path):
     assert out == ""
     payload = json.loads(target.read_text())
     assert payload["multiplicities"] == [[0, 3], [1, 1]]
+
+
+def test_failed_out_write_keeps_existing_file(capsys, tmp_path, monkeypatch):
+    target = tmp_path / "report.json"
+    target.write_text("previous report\n")
+    real_open = open
+
+    class FullDisk:
+        """A file that takes half of what is written, then runs out of space."""
+
+        def __init__(self, *args, **kwargs):
+            self.handle = real_open(*args, **kwargs)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.handle.close()
+
+        def write(self, text):
+            self.handle.write(text[:len(text) // 2])
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+    monkeypatch.setattr(cli, "open", FullDisk, raising=False)
+    code, out, err = run(capsys, "split", "--n", "2", "--k", "2", "--l", "1",
+                         "--json", "--out", str(target))
+    assert code == 2
+    assert "No space left on device" in err and out == ""
+    assert target.read_text() == "previous report\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["report.json"]
 
 
 def test_format_flags_are_exclusive():

@@ -1,11 +1,16 @@
 """Exact linear algebra against a Fraction-based Gaussian elimination oracle."""
 
+import itertools
 import math
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from pushsplit import exactla
 from pushsplit.exactla import (
     DEFAULT_PRIMES,
     PRIME_LIMIT,
@@ -280,3 +285,137 @@ def test_default_primes_are_prime():
     assert is_prime(2) and is_prime(3)
     carmichael = 561
     assert not is_prime(carmichael)
+
+
+# ---------------------------------------------------------------------------
+# rank_rational: kernel certificate against fraction-free elimination
+
+
+def no_fallback(rows):
+    raise AssertionError("rank_rational fell back to Bareiss")
+
+
+def bareiss_rank(rows):
+    """Reference rank: Bareiss on the rows scaled to integers."""
+    scaled = []
+    for row in rows:
+        scale = math.lcm(*(Fraction(x).denominator for x in row))
+        scaled.append([int(x * scale) for x in row])
+    return exactla._rank_bareiss(scaled)
+
+
+@st.composite
+def rank_deficient_rows(draw):
+    """Combinations of a few basis rows, with zero rows and columns and
+    Fraction rows mixed in; entries up to 3 or beyond int64."""
+    nrows = draw(st.integers(1, 7))
+    ncols = draw(st.integers(1, 7))
+    bound = draw(st.sampled_from((3, 2 ** 70)))
+    line = st.lists(st.integers(-bound, bound), min_size=ncols, max_size=ncols)
+    basis = draw(st.lists(line, max_size=min(nrows, ncols)))
+    rows = []
+    for _ in range(nrows):
+        coeffs = draw(st.lists(st.integers(-3, 3), min_size=len(basis),
+                               max_size=len(basis)))
+        rows.append([sum(a * b[j] for a, b in zip(coeffs, basis))
+                     for j in range(ncols)])
+    if draw(st.booleans()):
+        rows.insert(draw(st.integers(0, nrows)), [0] * ncols)
+    if draw(st.booleans()):
+        j = draw(st.integers(0, ncols))
+        rows = [row[:j] + [0] + row[j:] for row in rows]
+    denominators = draw(st.lists(st.integers(1, 6), min_size=len(rows),
+                                 max_size=len(rows)))
+    return [[Fraction(x, d) for x in row] if d > 1 else row
+            for row, d in zip(rows, denominators)]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(rank_deficient_rows())
+def test_certified_rank_equals_bareiss(rows):
+    expected = bareiss_rank(rows)
+    # the kernel certificate must decide these, without the fallback
+    with mock.patch.object(exactla, "_rank_bareiss", no_fallback):
+        assert rank_rational(ExactMatrix.from_rows(rows)) == expected
+
+
+FIRST_PRIME, SECOND_PRIME = itertools.islice(exactla._certificate_primes(), 2)
+
+
+def bad_prime_matrices(p):
+    """Rank 2 over Q; modulo p the rank is 0, then 1, then 2 with the
+    later pivot set {0, 2} instead of {0, 1}."""
+    return ([[p, 2 * p, 3 * p], [2 * p, 4 * p, 6 * p], [p, 0, p]],
+            [[1, 1], [1, 1 + p]],
+            [[1, 0, 0, 0], [1, p, 0, 0], [0, 1, 0, 0]])
+
+
+@pytest.mark.parametrize("bad", [FIRST_PRIME, SECOND_PRIME])
+def test_certificate_survives_a_bad_prime(monkeypatch, bad):
+    assert [rank_mod(ExactMatrix.from_rows(rows), bad)
+            for rows in bad_prime_matrices(bad)] == [0, 1, 2]
+    primes = []
+    kernel = exactla._left_kernel_mod
+    monkeypatch.setattr(exactla, "_left_kernel_mod",
+                        lambda *args: primes.append(args[-1]) or kernel(*args))
+    monkeypatch.setattr(exactla, "_rank_bareiss", no_fallback)
+    for rows in bad_prime_matrices(bad):
+        primes.clear()
+        assert rank_rational(ExactMatrix.from_rows(rows)) == 2
+        assert primes[-1] != bad
+    # the last matrix has the kernel vector (1/bad, -1/bad, 1), which takes
+    # more primes than two to reconstruct, so the bad prime is met
+    assert bad in primes
+
+
+def test_exhausted_prime_budget_falls_back_to_bareiss(monkeypatch):
+    calls = []
+    bareiss = exactla._rank_bareiss
+    monkeypatch.setattr(exactla, "_prime_budget", lambda *args: 1)
+    monkeypatch.setattr(exactla, "_rank_bareiss",
+                        lambda rows: calls.append(rows) or bareiss(rows))
+    for rows in bad_prime_matrices(FIRST_PRIME):
+        assert rank_rational(ExactMatrix.from_rows(rows)) == 2
+    assert len(calls) == 3
+
+
+def reference_left_kernel(rows, p):
+    """Pivots of the reduced echelon form of rows^T mod p, by Python loops,
+    and the pivot coordinates of the left kernel vectors of ``rows``."""
+    work = [[row[j] % p for row in rows] for j in range(len(rows[0]))]
+    pivots = []
+    for col in range(len(rows)):
+        r = len(pivots)
+        k = next((i for i in range(r, len(work)) if work[i][col]), None)
+        if k is None:
+            continue
+        work[r], work[k] = work[k], work[r]
+        inv = pow(work[r][col], p - 2, p)
+        work[r] = [x * inv % p for x in work[r]]
+        for i, row in enumerate(work):
+            if i != r and row[col]:
+                work[i] = [(x - row[col] * y) % p for x, y in zip(row, work[r])]
+        pivots.append(col)
+    free = [j for j in range(len(rows)) if j not in pivots]
+    return tuple(pivots), [[-work[i][f] % p for f in free]
+                           for i in range(len(pivots))]
+
+
+def test_left_kernel_mod_matches_reference():
+    # at 2**31 - 1 the int64 delayed reduction must reduce every 2 pivots
+    rng = random.Random(11)
+    for p in (FIRST_PRIME, 2 ** 31 - 1):
+        for nrows, ncols, rank_ in ((9, 12, 5), (12, 12, 12), (6, 15, 0),
+                                    (30, 40, 25)):
+            basis = [[rng.randrange(-p, p) for _ in range(ncols)]
+                     for _ in range(rank_)]
+            rows = []
+            for _ in range(nrows):
+                coeffs = [rng.randrange(-2, 3) for _ in basis]
+                rows.append([sum(a * b[j] for a, b in zip(coeffs, basis))
+                             for j in range(ncols)])
+            m = ExactMatrix.from_rows(rows)
+            pivots, block = exactla._left_kernel_mod(
+                m.row_index, m.col_index, m.values, nrows, ncols, p)
+            assert len(pivots) == rank_
+            assert (pivots, block.tolist()) == reference_left_kernel(rows, p)
