@@ -17,7 +17,7 @@ from .endomorphism import Endomorphism, FinitenessReport, load_endomorphism, \
 from .errors import FormSyntaxError, InputError, IntegrityError, \
     MissingDataError, PushsplitError, TableRangeError
 from .exactla import DEFAULT_PRIMES, ExactMatrix, RankResult, binomial, \
-    is_prime, rank, rank_mod, rank_rational, rank_verified
+    is_prime, rank_mod, rank_rational, rank_verified
 from .polyring import GradedBasis, HomogPoly, compose, graded_basis, \
     graded_dim, monomials_of_degree, multiplication_matrix, multiply, \
     parse_form
@@ -54,7 +54,7 @@ __all__ = [
     "multiplication_matrix", "multiply", "parse_endomorphism", "parse_form",
     "parse_table", "plane_in_p4", "power_map", "projective_space",
     "pullback_degree", "pullback_form", "pushforward_cohomology",
-    "random_endomorphism", "rank", "rank_mod", "rank_rational",
+    "random_endomorphism", "rank_mod", "rank_rational",
     "rank_verified", "save_table", "splitting_from_endo",
     "splitting_universal", "surface_adjunction", "validate_finite",
 ]

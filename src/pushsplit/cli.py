@@ -160,7 +160,10 @@ def _emit(payload: dict, text_lines: list, args_format: str, out: str | None,
     # truncated or half-written --out file
     temp = f"{out}.{os.getpid()}.tmp"
     try:
-        with open(temp, "w", encoding="utf-8") as handle:
+        # surrogateescape writes the bytes stdout would print, also for
+        # text that names a path with non-UTF-8 bytes
+        with open(temp, "w", encoding="utf-8",
+                  errors="surrogateescape") as handle:
             handle.write(rendered)
         os.replace(temp, out)
     except BaseException as exc:
@@ -519,9 +522,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="upper twist for the Hilbert identity check")
     split.add_argument("--primes", help="comma-separated modular primes")
     split.add_argument("--exact", action="store_const", const=True,
-                       help="certified ranks over Q (kernel vectors checked over "
-                            "the integers, Bareiss as fallback) instead of "
-                            "modular ranks")
+                       help="confirm every rank below full by a certified rank "
+                            "over Q (kernel vectors checked over the "
+                            "integers, Bareiss as fallback)")
     _add_common(split)
     split.set_defaults(func=_cmd_split)
 
@@ -608,4 +611,4 @@ def main(argv=None) -> int:
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

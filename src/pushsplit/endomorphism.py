@@ -5,9 +5,10 @@ n+1 forms of degree k in n+1 variables are a regular sequence exactly when
 the quotient ring vanishes past the socle degree (n+1)(k-1), so it
 suffices that every monomial of degree D = (n+1)(k-1)+1 lies in the ideal,
 i.e. that the multiplication matrix (+)_i S'_{D-k} -> S'_D has full row
-rank.  Full rank modulo a single prime already certifies FINITE (modular
-rank never exceeds rational rank).  Without full rank, primes that
-disagree escalate to a rational rank, and so does an explicit request.
+rank, decided by ``exactla.rank_verified``: full rank modulo a single
+prime already certifies FINITE (modular rank never exceeds rational
+rank); without full rank, primes that disagree escalate to a rational
+rank, and so does an explicit request.
 """
 
 from __future__ import annotations
@@ -16,8 +17,7 @@ import random
 from dataclasses import dataclass, field
 
 from .errors import InputError
-from .exactla import DEFAULT_PRIMES, rank_rational
-from .exactla import rank_mod as _rank_mod
+from .exactla import DEFAULT_PRIMES, rank_verified
 from .polyring import HomogPoly, compose, graded_dim, monomials_of_degree, \
     multiplication_matrix, parse_form
 
@@ -122,27 +122,15 @@ def validate_finite(e: Endomorphism, primes=DEFAULT_PRIMES,
     degree = (e.n + 1) * (e.k - 1) + 1
     required = graded_dim(e.n + 1, degree)
     matrix = multiplication_matrix(e.forms, degree - e.k)
-    modular = []
-    verdict = None
-    for p in primes:
-        r = _rank_mod(matrix, p)
-        modular.append((p, r))
-        if r == required:
-            verdict = FINITE
-            break
-    rational = None
-    if verdict is None:
-        if exact or len({r for _, r in modular}) > 1:
-            rational = rank_rational(matrix)
-            verdict = FINITE if rational == required else NOT_FINITE
-        else:
-            verdict = NOT_FINITE
+    # the matrix has ``required`` rows and at least as many columns, so
+    # full rank is full row rank
+    rank = rank_verified(matrix, primes, exact)
     report = FinitenessReport(
-        verdict=verdict,
+        verdict=FINITE if rank.value == required else NOT_FINITE,
         test_degree=degree,
         required_rank=required,
-        modular_ranks=tuple(modular),
-        rational_rank=rational)
+        modular_ranks=rank.modular,
+        rational_rank=rank.rational)
     e._finiteness.append(report)
     return report
 

@@ -1,12 +1,11 @@
-"""Exact sparse matrices with rank computation over Q and Z/p.
+"""Exact sparse integer matrices and the one rank policy of the package.
 
 A matrix keeps its nonzero entries as coordinate (COO) triples: numpy
-arrays of row and column indices and an array of values, each position
-at most once.  Values are ``int64`` when every one fits and Python
-objects otherwise: an ``int`` of any size, or a ``fractions.Fraction``
-in rational mode.  Rational matrices carry ``modulus=None``; prime-field
-matrices carry the prime and residues in ``[0, p)``.  The dense
-row-major ``entries`` tuple is built only on request.
+arrays of row and column indices and an array of integer values, each
+position at most once.  Values are ``int64`` when every one fits and
+Python ``int`` objects otherwise; anything else is refused at
+construction.  The dense row-major ``entries`` tuple is built only on
+request.
 
 Rank over Z/p reduces every value modulo p (as a Python int when it does
 not fit int64), scatters the residues into one dense array and eliminates
@@ -14,9 +13,8 @@ it in column panels: each panel is reduced by a plain row-reduction loop,
 and the columns to its right are then updated by one float64 matrix
 product whose accumulation is exact, so reduction modulo p happens once
 per panel (the delayed reduction of FFLAS-FFPACK; Dumas, Giorgi and
-Pernet, 2008).  The modular rank is a lower bound for the rational rank
-of an integer matrix, with equality for all primes outside a finite bad
-set.
+Pernet, 2008).  The modular rank is a lower bound for the rational rank,
+with equality for all primes outside a finite bad set.
 
 Rank over Q is certified rather than eliminated: left-kernel vectors
 computed modulo a few primes are combined by CRT, rationally
@@ -24,9 +22,12 @@ reconstructed (Wang 1981) and checked to annihilate the matrix in
 integer arithmetic.  The modular rank then bounds the rank from below,
 the codimension of the checked vectors' span bounds it from above, and
 the two agree.  Only when a bounded number of primes gives no
-such certificate does fraction-free (Bareiss) elimination decide.
-``rank_verified`` packages the two-prime default mode together with the
-optional exact confirmation pass.
+such certificate does Bareiss elimination over Z decide.
+
+``rank_verified`` decides every rank the package reports: modular ranks
+first, stopping at a full one, and the rank over Q when asked for or
+when the primes disagree.  It returns the rank together with the ranks
+it rests on (``RankResult``).
 """
 
 from __future__ import annotations
@@ -34,7 +35,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -46,8 +46,6 @@ DEFAULT_PRIMES = (1048583, 1048589)
 # rank_mod accepts primes below this.  Exactness of its float64 updates
 # needs (p-1)**2 + p <= 2**53; below 2**26 every panel has width >= 2.
 PRIME_LIMIT = 1 << 26
-
-ExactScalar = int | Fraction
 
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 _INT64 = np.iinfo(np.int64)
@@ -87,10 +85,16 @@ def binomial(a: int, b: int) -> int:
 
 
 def value_array(values) -> np.ndarray:
-    """Matrix values as ``int64`` when all are ints that fit, else objects."""
+    """Matrix values as ``int64`` when all fit, else as Python-int objects.
+
+    Raises ValueError on any value that is not an ``int``.
+    """
     values = list(values)
     if all(type(v) is int and _INT64.min <= v <= _INT64.max for v in values):
         return np.array(values, dtype=np.int64)
+    bad = next((v for v in values if type(v) is not int), None)
+    if bad is not None:
+        raise ValueError(f"matrix entries must be integers, got {bad!r}")
     out = np.empty(len(values), dtype=object)
     out[:] = values
     return out
@@ -110,7 +114,6 @@ class ExactMatrix:
     row_index: np.ndarray
     col_index: np.ndarray
     values: np.ndarray
-    modulus: int | None = None
 
     def __post_init__(self):
         if self.rows < 0 or self.cols < 0:
@@ -119,24 +122,25 @@ class ExactMatrix:
             raise ValueError("COO arrays differ in length")
 
     @classmethod
-    def from_coo(cls, rows: int, cols: int, triples, modulus: int | None = None) -> "ExactMatrix":
-        """Build from (row, col, value) triples; repeated positions add."""
-        summed: dict[tuple[int, int], ExactScalar] = {}
+    def from_coo(cls, rows: int, cols: int, triples) -> "ExactMatrix":
+        """Build from (row, col, value) triples; repeated positions add.
+
+        Raises ValueError on a position outside the shape or a value
+        that is not an ``int``.
+        """
+        summed: dict[tuple[int, int], int] = {}
         for r, c, v in triples:
             if not (0 <= r < rows and 0 <= c < cols):
                 raise ValueError(f"position ({r}, {c}) outside {rows}x{cols}")
             summed[(r, c)] = summed.get((r, c), 0) + v
-        if modulus is not None:
-            summed = {rc: int(v) % modulus for rc, v in summed.items()}
         kept = [(rc, v) for rc, v in summed.items() if v != 0]
         return cls(rows, cols,
                    np.array([r for (r, _), _ in kept], dtype=np.int64),
                    np.array([c for (_, c), _ in kept], dtype=np.int64),
-                   value_array(v for _, v in kept), modulus)
+                   value_array(v for _, v in kept))
 
     @classmethod
-    def from_rows(cls, rows_list, modulus: int | None = None,
-                  cols: int | None = None) -> "ExactMatrix":
+    def from_rows(cls, rows_list, cols: int | None = None) -> "ExactMatrix":
         rows = len(rows_list)
         if rows:
             if cols is not None and cols != len(rows_list[0]):
@@ -149,7 +153,7 @@ class ExactMatrix:
                 raise ValueError("ragged rows")
         return cls.from_coo(rows, cols, ((r, c, x)
                                          for r, row in enumerate(rows_list)
-                                         for c, x in enumerate(row)), modulus)
+                                         for c, x in enumerate(row)))
 
     @property
     def entries(self) -> tuple:
@@ -160,26 +164,12 @@ class ExactMatrix:
             flat[r * self.cols + c] = v
         return tuple(flat)
 
-    def is_integer(self) -> bool:
-        return self.values.dtype != object or all(
-            isinstance(x, int) or x.denominator == 1 for x in self.values)
-
-
-def rank(m: ExactMatrix) -> int:
-    """Rank over the matrix's ambient field (Q, or Z/p when modulus set)."""
-    if m.rows == 0 or m.cols == 0:
-        return 0
-    if m.modulus is not None:
-        return rank_mod(m, m.modulus)
-    return rank_rational(m)
-
 
 def rank_rational(m: ExactMatrix) -> int:
     """True rank over Q, returned only together with its proof.
 
-    The matrix is scaled to integers (each Fraction row by its
-    denominators' lcm) and transposed when it has more rows than
-    columns; call the result A, n x c with n <= c.  For each prime of
+    The matrix is transposed when it has more rows than columns; call
+    the result A, n x c with n <= c.  For each prime of
     ``_certificate_primes`` in turn, the reduced echelon form of A^T
     modulo p gives a rank r and the m = n - r left-kernel vectors of A
     that are 1 at one free coordinate and 0 at the others.  Only primes
@@ -190,12 +180,12 @@ def rank_rational(m: ExactMatrix) -> int:
     y^T A = 0 in integer arithmetic.  When all m pass, the rank is
     n - m: the vectors are independent (look at their free coordinates),
     so rank <= n - m, and the modular rank gives rank >= r = n - m.
-    After ``_prime_budget`` primes without such a proof, fraction-free
-    (Bareiss) elimination decides instead.
+    After ``_prime_budget`` primes without such a proof, Bareiss
+    elimination over Z decides instead.
     """
     if m.rows == 0 or m.cols == 0:
         return 0
-    rows, cols, values = _integer_coo(m)
+    rows, cols, values = m.row_index, m.col_index, m.values
     n, c = m.rows, m.cols
     if n > c:
         rows, cols, n, c = cols, rows, c, n
@@ -217,7 +207,7 @@ def rank_rational(m: ExactMatrix) -> int:
 
 
 def rank_mod(m: ExactMatrix, p: int) -> int:
-    """Rank over Z/p of an integer matrix; never more than the rational rank.
+    """Rank over Z/p; never more than the rank over Q.
 
     ``p`` must be a prime below ``PRIME_LIMIT`` (2**26), else ValueError.
     Columns are eliminated in panels of width b.  The rows touching a
@@ -233,12 +223,10 @@ def rank_mod(m: ExactMatrix, p: int) -> int:
         raise ValueError(f"modulus {p} is not prime")
     if p >= PRIME_LIMIT:
         raise ValueError(f"modulus {p} is not below the prime limit 2**26")
-    if not m.is_integer():
-        raise ValueError("rank_mod requires integer entries")
     if m.rows == 0 or m.cols == 0:
         return 0
     if m.values.dtype == object:
-        residues = np.array([int(v) % p for v in m.values], dtype=np.int64)
+        residues = np.array([v % p for v in m.values.tolist()], dtype=np.int64)
     else:
         residues = m.values % p
     a = np.zeros((m.rows, m.cols), dtype=np.int32)
@@ -249,63 +237,50 @@ def rank_mod(m: ExactMatrix, p: int) -> int:
 
 @dataclass(frozen=True)
 class RankResult:
-    """Outcome of the default modular mode plus optional exact pass.
+    """A rank over Q and the computed ranks it rests on.
 
-    ``modular`` maps prime -> rank.  The modular value is a lower bound
-    for the rational rank; ``value`` is the exact rank when it was
-    computed and the best modular lower bound otherwise.
+    ``modular`` lists the (prime, rank) pairs in the order computed;
+    ``rational`` is the certified rank over Q when it was computed.
     """
 
     modular: tuple[tuple[int, int], ...]
     rational: int | None = None
 
     @property
-    def modular_max(self) -> int:
-        return max((r for _, r in self.modular), default=0)
-
-    @property
-    def agreed(self) -> bool:
-        ranks = {r for _, r in self.modular}
-        return len(ranks) <= 1
-
-    @property
     def value(self) -> int:
-        return self.rational if self.rational is not None else self.modular_max
+        """The rational rank when computed, else the last modular rank:
+        a full one, or the one on which every prime agreed."""
+        return self.rational if self.rational is not None else self.modular[-1][1]
 
 
 def rank_verified(m: ExactMatrix, primes=DEFAULT_PRIMES, exact: bool = False) -> RankResult:
-    """Rank modulo each prime, with an optional rational confirmation pass.
+    """The rank of ``m`` over Q, decided by the package's one rank policy.
 
-    Requires integer entries.  Returns all modular ranks (their maximum is
-    a certified lower bound for the rank over Q) and the exact rational
-    rank when ``exact`` is set or when the primes disagree.
+    Ranks modulo ``primes`` are computed in turn, stopping at the first
+    that equals min(rows, cols): a modular rank never exceeds the rank
+    over Q, so a full one is the rank.  Below full rank, the certified
+    rank over Q (``rank_rational``) decides when ``exact`` is set or the
+    primes disagree.  Otherwise the rank on which the primes agree is
+    returned; it is too low only if every prime divides every nonzero
+    minor of the size of the rank over Q.  Raises ValueError on an empty
+    prime list.
     """
-    if not m.is_integer():
-        raise ValueError("rank_verified requires integer entries")
     if not primes:
         raise ValueError("at least one prime required")
-    modular = tuple((p, rank_mod(m, p)) for p in primes)
-    result = RankResult(modular=modular)
-    if exact or not result.agreed:
-        return RankResult(modular=modular, rational=rank_rational(m))
-    return result
+    full = min(m.rows, m.cols)
+    modular = []
+    for p in primes:
+        r = rank_mod(m, p)
+        modular.append((p, r))
+        if r == full:
+            return RankResult(tuple(modular))
+    if exact or len({r for _, r in modular}) > 1:
+        return RankResult(tuple(modular), rank_rational(m))
+    return RankResult(tuple(modular))
 
 
 # ---------------------------------------------------------------------------
 # internals
-
-
-def _integer_coo(m: ExactMatrix) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """COO arrays with integer values; Fraction rows are scaled by their denominator lcm."""
-    if m.values.dtype != object or not any(isinstance(v, Fraction) for v in m.values):
-        return m.row_index, m.col_index, m.values
-    rows = m.row_index.tolist()
-    scale = [1] * m.rows
-    for r, v in zip(rows, m.values.tolist()):
-        if isinstance(v, Fraction):
-            scale[r] = math.lcm(scale[r], v.denominator)
-    return m.row_index, m.col_index, value_array(
-        int(v * scale[r]) for r, v in zip(rows, m.values.tolist()))
 
 
 def _dense_rows(rows, cols, values, n: int, c: int) -> list[list[int]]:
@@ -551,7 +526,7 @@ def _eliminate(a: np.ndarray, p: int, width: int | None = None,
 
 
 def _rank_bareiss(rows: list[list[int]]) -> int:
-    """Fraction-free elimination; divisions are exact (entries are minors)."""
+    """Bareiss elimination over Z; divisions are exact (entries are minors)."""
     nrows = len(rows)
     ncols = len(rows[0]) if nrows else 0
     r = 0

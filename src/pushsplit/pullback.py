@@ -20,9 +20,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .errors import MissingDataError, TableRangeError
+from .errors import IntegrityError, MissingDataError, TableRangeError
 from .splitting import delta, dual_multiplicities, splitting_universal
-from .varieties import ModelVariety
+from .varieties import KoszulTable, ModelVariety
 
 NOT_APPLICABLE = "NOT_APPLICABLE"
 LINEARLY_COMPLETE = "LINEARLY_COMPLETE"
@@ -308,9 +308,29 @@ class PullbackReport:
     dualizing_rows: dict | None = None
 
 
+def _check_against_pulled_back_ci(table: KoszulTable, k: int, h_rows: dict) -> None:
+    """Compare the summed rows with X' computed directly.
+
+    When X is the complete intersection of degrees d_i in P^n, X' is the
+    one of degrees k*d_i, whose own Koszul table must give every row.
+    """
+    direct = KoszulTable(table.n, tuple(k * d for d in table.degrees))
+    for (i, l), value in h_rows.items():
+        expected = direct.h(i, l)
+        if value != expected:
+            raise IntegrityError(
+                f"h^{i}(O_X'({l})) is {value} summed over the splitting type, "
+                f"but {expected} for the complete intersection of degrees "
+                f"{direct.degrees}", expected=expected, actual=value)
+
+
 def build_pullback_report(m: ModelVariety, k: int,
                           lrange: tuple[int, int] | None = None) -> PullbackReport:
-    """Assemble the full report; every row is recomputed once as a check."""
+    """Assemble the full report.
+
+    For a complete-intersection model every cohomology row is checked
+    against the Koszul table of X' (IntegrityError on a mismatch).
+    """
     if lrange is None:
         lrange = (-k, 3 * k)
     lo, hi = lrange
@@ -320,8 +340,8 @@ def build_pullback_report(m: ModelVariety, k: int,
         for i in range(m.dim + 1):
             h_rows[(i, l)] = pushforward_cohomology(m, k, l, i)
         euler[l] = euler_characteristic(m, k, l)
-    for (i, l), value in h_rows.items():
-        assert value == pushforward_cohomology(m, k, l, i)
+    if isinstance(m.table, KoszulTable):
+        _check_against_pulled_back_ci(m.table, k, h_rows)
     ideal_rows: dict | None = {}
     for i in range(m.n + 1):
         try:

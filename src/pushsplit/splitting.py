@@ -13,7 +13,10 @@ multiplicities m_{l,d}:
 * ``splitting_from_endo``: exact linear algebra on a concrete
   endomorphism.  m_{l,d} is the corank of the multiplication matrix
   (+)_i V_{l,d-1} -> V_{l,d}, where V_{l,d} is the graded piece of
-  degree l+kd in the source variables.
+  degree l+kd in the source variables.  Every rank is decided by
+  ``exactla.rank_verified``: a full rank modulo one prime is final, and
+  a rank below full rests on primes that agree, or on a certified rank
+  over Q when they disagree or ``exact`` is set.
 
 The second route always cross-checks against the first; a mismatch is an
 IntegrityError, never a silent preference for one side.
@@ -26,7 +29,7 @@ from functools import lru_cache
 
 from .endomorphism import Endomorphism
 from .errors import InputError, IntegrityError
-from .exactla import DEFAULT_PRIMES, ExactMatrix, rank_mod, rank_rational
+from .exactla import DEFAULT_PRIMES, rank_verified
 from .polyring import graded_dim, multiplication_matrix
 
 
@@ -106,28 +109,6 @@ def splitting_universal(n: int, k: int, l: int) -> SplittingType:
     return SplittingType(n, k, l, tuple(pairs))
 
 
-def _matrix_rank(matrix: ExactMatrix, primes, exact: bool) -> int:
-    """Rank with the default modular strategy and exact escalation.
-
-    With ``exact`` the certified rank over Q is computed directly, with
-    no modular pass.  Otherwise a modular rank equal to min(rows, cols)
-    is already the true rank, and disagreeing primes escalate to the
-    rational computation rather than guess.
-    """
-    if exact:
-        return rank_rational(matrix)
-    cap = min(matrix.rows, matrix.cols)
-    seen = []
-    for p in primes:
-        r = rank_mod(matrix, p)
-        if r == cap:
-            return r
-        seen.append(r)
-    if len(set(seen)) == 1:
-        return seen[0]
-    return rank_rational(matrix)
-
-
 def splitting_from_endo(e: Endomorphism, l: int, primes=DEFAULT_PRIMES,
                         exact: bool = False,
                         cross_check: bool = True) -> SplittingType:
@@ -148,7 +129,7 @@ def splitting_from_endo(e: Endomorphism, l: int, primes=DEFAULT_PRIMES,
     for d in range(lower, upper + 1):
         dim_target = graded_dim(n + 1, l + k * d)
         matrix = multiplication_matrix(e.forms, l + k * d - k)
-        m = dim_target - _matrix_rank(matrix, primes, exact)
+        m = dim_target - rank_verified(matrix, primes, exact).value
         if m:
             pairs.append((d, m))
         elif d > lower:

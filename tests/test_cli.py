@@ -4,10 +4,15 @@ import csv
 import errno
 import io
 import json
+import os
+import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from pushsplit import cli, exactla
+from pushsplit import cli, exactla, pullback
 from pushsplit.cli import main
 from pushsplit.errors import IntegrityError
 from pushsplit.exactla import PRIME_LIMIT, is_prime
@@ -21,6 +26,18 @@ def run(capsys, *argv):
 
 def canonical(payload):
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def run_process(*argv, cwd=None):
+    """Run ``python argv...`` in a fresh interpreter that imports pushsplit
+    from this checkout; stdout escapes undecodable bytes as a C locale does."""
+    env = dict(os.environ, PYTHONPATH=str(SRC),
+               PYTHONIOENCODING="utf-8:surrogateescape")
+    return subprocess.run([sys.executable, *argv], cwd=cwd, env=env,
+                          capture_output=True)
 
 
 def test_split_closed_form_json(capsys):
@@ -105,6 +122,21 @@ def test_split_integrity_exit_code(capsys, monkeypatch):
     assert "routes disagree" in err
 
 
+def test_pullback_rows_checked_against_the_pulled_back_ci(capsys, monkeypatch):
+    real = pullback.pushforward_cohomology
+
+    def off_by_one(m, k, l, i):
+        return real(m, k, l, i) + (i == 0 and l == 1)
+
+    monkeypatch.setattr(pullback, "pushforward_cohomology", off_by_one)
+    with pytest.raises(IntegrityError) as exc:
+        pullback.build_pullback_report(cli._parse_model("ci:2,2@4", None), 2)
+    assert (exc.value.expected, exc.value.actual) == (5, 6)
+    code, out, err = run(capsys, "pullback", "--model", "ci:2,2@4", "--k", "2")
+    assert code == 3 and out == ""
+    assert "h^0(O_X'(1)) is 6" in err and "but 5" in err
+
+
 def test_verify_endo_finite(capsys):
     code, out, _ = run(capsys, "verify-endo", "--endo",
                        "tests/fixtures/perturbed22.endo", "--json")
@@ -163,6 +195,34 @@ def test_split_endo_exact_matches_default(capsys):
         default = run(capsys, *argv)
         assert default[0] == 0
         assert run(capsys, *argv, "--exact") == default
+
+
+# verify-endo --json on every fixture, without and with --exact: the
+# verdict, the primes tried (stopping at the first full rank), and the
+# rational rank when one was computed (None: the key is absent)
+VERIFY_GOLDEN = {
+    ("disagree23", False): ("FINITE", [[1048583, 4]], None),
+    ("disagree23", True): ("FINITE", [[1048583, 4]], None),
+    ("nonfinite12", False): ("NOT_FINITE", [[1048583, 3], [1048589, 3]], None),
+    ("nonfinite12", True): ("NOT_FINITE", [[1048583, 3], [1048589, 3]], 3),
+    ("perturbed22", False): ("FINITE", [[1048583, 15]], None),
+    ("perturbed22", True): ("FINITE", [[1048583, 15]], None),
+    ("power42", False): ("FINITE", [[1048583, 210]], None),
+    ("power42", True): ("FINITE", [[1048583, 210]], None),
+}
+
+
+@pytest.mark.parametrize("name, exact", sorted(VERIFY_GOLDEN))
+def test_verify_endo_golden(capsys, name, exact):
+    code, out, _ = run(capsys, "verify-endo", "--endo",
+                       f"tests/fixtures/{name}.endo", "--json",
+                       *(["--exact"] if exact else []))
+    payload = json.loads(out)
+    verdict, modular, rational = VERIFY_GOLDEN[(name, exact)]
+    assert code == (0 if verdict == "FINITE" else 1)
+    assert (payload["verdict"], payload["modular_ranks"],
+            payload.get("rational_rank"), payload["certificate"]) == \
+        (verdict, modular, rational, "rank-test")
 
 
 def test_verify_endo_random_is_seeded(capsys):
@@ -408,6 +468,25 @@ def test_failed_out_write_keeps_existing_file(capsys, tmp_path, monkeypatch):
     assert "No space left on device" in err and out == ""
     assert target.read_text() == "previous report\n"
     assert [p.name for p in tmp_path.iterdir()] == ["report.json"]
+
+
+def test_out_path_with_undecodable_bytes(tmp_path):
+    name = os.fsdecode(b"map\xff.endo")
+    shutil.copy("tests/fixtures/perturbed22.endo", tmp_path / name)
+    shown = run_process("-m", "pushsplit", "verify-endo", "--endo", name,
+                        cwd=tmp_path)
+    assert shown.returncode == 0 and b"map\xff.endo" in shown.stdout
+    written = run_process("-m", "pushsplit", "verify-endo", "--endo", name,
+                          "--out", "o.txt", cwd=tmp_path)
+    assert (written.returncode, written.stdout, written.stderr) == (0, b"", b"")
+    assert (tmp_path / "o.txt").read_bytes() == shown.stdout
+
+
+def test_cli_module_entry_point_keeps_the_exit_code():
+    done = run_process("-m", "pushsplit.cli", "verify-endo", "--endo",
+                       "tests/fixtures/nonfinite12.endo")
+    assert done.returncode == 1
+    assert b"NOT_FINITE" in done.stdout
 
 
 def test_format_flags_are_exclusive():

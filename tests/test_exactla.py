@@ -15,9 +15,9 @@ from pushsplit.exactla import (
     DEFAULT_PRIMES,
     PRIME_LIMIT,
     ExactMatrix,
+    RankResult,
     binomial,
     is_prime,
-    rank,
     rank_mod,
     rank_rational,
     rank_verified,
@@ -76,21 +76,35 @@ def test_modular_rank_can_undercount():
     assert rank_mod(m, DEFAULT_PRIMES[1]) == 2
 
 
-def test_rank_verified_escalates_on_disagreement():
-    p = DEFAULT_PRIMES[0]
-    m = ExactMatrix.from_rows([[1, 1], [1, 1 + p]])
-    result = rank_verified(m, primes=DEFAULT_PRIMES)
-    assert result.value == 2
-    assert result.rational == 2
-    assert dict(result.modular)[p] == 1
+P, Q = DEFAULT_PRIMES
 
 
-def test_rank_verified_agreement_skips_rational():
-    m = ExactMatrix.from_rows([[2, 0], [0, 3]])
-    result = rank_verified(m, primes=DEFAULT_PRIMES)
-    assert result.value == 2
-    assert result.rational is None
-    assert len(result.modular) == 2
+@pytest.mark.parametrize("rows, primes, exact, expected", [
+    # a full rank at the first prime is the rank, even with exact set
+    ([[2, 0], [0, 3]], DEFAULT_PRIMES, True, RankResult(((P, 2),))),
+    # a full rank at a later prime ends the modular passes there
+    ([[1, 1], [1, 1 + P]], DEFAULT_PRIMES, False,
+     RankResult(((P, 1), (Q, 2)))),
+    # primes agreeing below full rank need no rational pass
+    ([[1, 2], [2, 4]], DEFAULT_PRIMES, False, RankResult(((P, 1), (Q, 1)))),
+    # primes disagreeing below full rank escalate
+    ([[1, 1, 0], [1, 1 + P, 0], [0, 0, 0]], DEFAULT_PRIMES, False,
+     RankResult(((P, 1), (Q, 2)), 2)),
+    # exact escalates below full rank, after the modular passes
+    ([[1, 2], [2, 4]], DEFAULT_PRIMES, True, RankResult(((P, 1), (Q, 1)), 1)),
+    ([[1]], (), False, ValueError),
+    ([[Fraction(1, 2)]], DEFAULT_PRIMES, False, ValueError),
+], ids=["full-at-first-prime", "full-at-second-prime", "agree-below-full",
+        "disagree-escalates", "exact-escalates", "no-primes",
+        "fraction-entry"])
+def test_rank_verified_policy(rows, primes, exact, expected):
+    if expected is ValueError:
+        with pytest.raises(ValueError):
+            rank_verified(ExactMatrix.from_rows(rows), primes, exact)
+        return
+    result = rank_verified(ExactMatrix.from_rows(rows), primes, exact)
+    assert result == expected
+    assert result.value == oracle_rank(rows)
 
 
 def test_random_integer_matrices_match_oracle():
@@ -104,17 +118,6 @@ def test_random_integer_matrices_match_oracle():
         assert rank_rational(m) == expected
         for p in DEFAULT_PRIMES:
             assert rank_mod(m, p) <= expected
-
-
-def test_rational_entries_match_oracle():
-    rng = random.Random(7)
-    for _ in range(20):
-        rows = [
-            [Fraction(rng.randrange(-4, 5), rng.randrange(1, 5)) for _ in range(4)]
-            for _ in range(4)
-        ]
-        m = ExactMatrix.from_rows(rows)
-        assert rank_rational(m) == oracle_rank(rows)
 
 
 def test_rank_invariant_under_row_permutation():
@@ -144,19 +147,6 @@ def test_rank_mod_requires_prime():
     m = ExactMatrix.from_rows([[1]])
     with pytest.raises(ValueError):
         rank_mod(m, 10)
-
-
-def test_rank_dispatch_uses_modulus():
-    p = DEFAULT_PRIMES[0]
-    m = ExactMatrix.from_rows([[p, 0], [0, 1]], modulus=p)
-    assert rank(m) == 1
-
-
-def test_rank_verified_rejects_fraction_entries():
-    m = ExactMatrix.from_rows([[Fraction(1, 2)]])
-    with pytest.raises(ValueError):
-        rank_verified(m, primes=DEFAULT_PRIMES)
-    assert rank_rational(m) == 1
 
 
 def reference_rank_mod(rows, p):
@@ -295,13 +285,13 @@ def no_fallback(rows):
     raise AssertionError("rank_rational fell back to Bareiss")
 
 
-def bareiss_rank(rows):
-    """Reference rank: Bareiss on the rows scaled to integers."""
+def integer_rows(rows):
+    """Each row scaled by its denominators' lcm; the rank is unchanged."""
     scaled = []
     for row in rows:
         scale = math.lcm(*(Fraction(x).denominator for x in row))
         scaled.append([int(x * scale) for x in row])
-    return exactla._rank_bareiss(scaled)
+    return scaled
 
 
 @st.composite
@@ -333,10 +323,12 @@ def rank_deficient_rows(draw):
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(rank_deficient_rows())
 def test_certified_rank_equals_bareiss(rows):
-    expected = bareiss_rank(rows)
+    rows = integer_rows(rows)
+    m = ExactMatrix.from_rows(rows)
+    expected = exactla._rank_bareiss(rows)
     # the kernel certificate must decide these, without the fallback
     with mock.patch.object(exactla, "_rank_bareiss", no_fallback):
-        assert rank_rational(ExactMatrix.from_rows(rows)) == expected
+        assert rank_rational(m) == expected
 
 
 FIRST_PRIME, SECOND_PRIME = itertools.islice(exactla._certificate_primes(), 2)
