@@ -219,7 +219,7 @@ def _parse_model(spec: str, general_position: bool | None) -> varieties.ModelVar
         except ValueError:
             raise InputError(f"bad model spec {spec!r}") from None
         model = varieties.complete_intersection(n, degrees)
-    elif spec.startswith("p") and spec[1:].isdigit():
+    elif spec.startswith("p") and spec[1:].isdecimal():
         model = varieties.projective_space(int(spec[1:]))
     else:
         raise InputError(

@@ -208,11 +208,14 @@ def parse_endomorphism(text: str, source: str = "<string>") -> Endomorphism:
 
     n = natural("n")
     k = natural("k")
+    # every form must be present before any is parsed: parse_form builds
+    # lists of n + 1 exponents, so an n beyond the file's length is refused
+    missing = next((i for i in range(n + 1) if f"f{i}" not in statements), None)
+    if missing is not None:
+        raise InputError(f"{source}: missing required statement 'f{missing} = ...'")
     forms = []
     for i in range(n + 1):
         key = f"f{i}"
-        if key not in statements:
-            raise InputError(f"{source}: missing required statement '{key} = ...'")
         value, lineno = statements[key]
         try:
             form = parse_form(value, n + 1, letter="y")

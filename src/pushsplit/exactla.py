@@ -7,22 +7,31 @@ Python ``int`` objects otherwise; anything else is refused at
 construction.  The dense row-major ``entries`` tuple is built only on
 request.
 
-Rank over Z/p reduces every value modulo p (as a Python int when it does
-not fit int64), scatters the residues into one dense array and eliminates
-it in column panels: each panel is reduced by a plain row-reduction loop,
-and the columns to its right are then updated by one float64 matrix
-product whose accumulation is exact, so reduction modulo p happens once
-per panel (the delayed reduction of FFLAS-FFPACK; Dumas, Giorgi and
-Pernet, 2008).  The modular rank is a lower bound for the rational rank,
-with equality for all primes outside a finite bad set.
+Both ranks first prune singletons (structured Gaussian elimination;
+LaMacchia and Odlyzko, 1990): a row or column holding a single nonzero
+gives one pivot whose elimination touches nothing else, so it is removed
+and counted, and this repeats until no such line is left.  It is exact
+over every field and does no arithmetic.  The socle matrices of sparse
+perturbed power maps vanish entirely or nearly so; dense ones are left
+whole or almost whole.
 
-Rank over Q is certified rather than eliminated: left-kernel vectors
-computed modulo a few primes are combined by CRT, rationally
-reconstructed (Wang 1981) and checked to annihilate the matrix in
-integer arithmetic.  The modular rank then bounds the rank from below,
-the codimension of the checked vectors' span bounds it from above, and
-the two agree.  Only when a bounded number of primes gives no
-such certificate does Bareiss elimination over Z decide.
+Rank over Z/p reduces every value modulo p (as a Python int when it does
+not fit int64), drops the zero residues, prunes, scatters what is left
+into one dense array and eliminates it in column panels: each panel is
+reduced by a plain row-reduction loop, and the columns to its right are
+then updated by one float64 matrix product whose accumulation is exact,
+so reduction modulo p happens once per panel (the delayed reduction of
+FFLAS-FFPACK; Dumas, Giorgi and Pernet, 2008).  The modular rank is a
+lower bound for the rational rank, with equality for all primes outside
+a finite bad set.
+
+Rank over Q is certified rather than eliminated: after pruning,
+left-kernel vectors of what is left, computed modulo a few primes, are
+combined by CRT, rationally reconstructed (Wang 1981) and checked to
+annihilate it in integer arithmetic.  The modular rank then bounds the
+rank from below, the codimension of the checked vectors' span bounds it
+from above, and the two agree.  Only when a bounded number of primes
+gives no such certificate does Bareiss elimination over Z decide.
 
 ``rank_verified`` decides every rank the package reports: modular ranks
 first, stopping at a full one, and the rank over Q when asked for or
@@ -168,25 +177,30 @@ class ExactMatrix:
 def rank_rational(m: ExactMatrix) -> int:
     """True rank over Q, returned only together with its proof.
 
-    The matrix is transposed when it has more rows than columns; call
-    the result A, n x c with n <= c.  For each prime of
-    ``_certificate_primes`` in turn, the reduced echelon form of A^T
-    modulo p gives a rank r and the m = n - r left-kernel vectors of A
-    that are 1 at one free coordinate and 0 at the others.  Only primes
-    with the largest rank and, among those, the lexicographically first
-    pivot set are combined by CRT; a better prime restarts the
-    combination.  The combined residues are rationally reconstructed,
-    denominators are cleared, and each vector y is checked to satisfy
-    y^T A = 0 in integer arithmetic.  When all m pass, the rank is
-    n - m: the vectors are independent (look at their free coordinates),
-    so rank <= n - m, and the modular rank gives rank >= r = n - m.
-    After ``_prime_budget`` primes without such a proof, Bareiss
-    elimination over Z decides instead.
+    Singleton rows and columns are pruned first (``_prune_singletons``);
+    their pivots are nonzero integers, so the rank is their count plus
+    the rank over Q of the rest, and the rest's checked kernel vectors
+    together with the count are still a proof.  The rest is transposed
+    when it has more rows than columns; call the result A, n x c with
+    n <= c.  For each prime of ``_certificate_primes`` in turn, the
+    reduced echelon form of A^T modulo p gives a rank r and the
+    m = n - r left-kernel vectors of A that are 1 at one free coordinate
+    and 0 at the others.  Only primes with the largest rank and, among
+    those, the lexicographically first pivot set are combined by CRT; a
+    better prime restarts the combination.  The combined residues are
+    rationally reconstructed, denominators are cleared, and each vector
+    y is checked to satisfy y^T A = 0 in integer arithmetic.  When all m
+    pass, A has rank n - m: the vectors are independent (look at their
+    free coordinates), so rank <= n - m, and the modular rank gives
+    rank >= r = n - m.  After ``_prime_budget`` primes without such a
+    proof, Bareiss elimination over Z ranks A instead.
     """
     if m.rows == 0 or m.cols == 0:
         return 0
-    rows, cols, values = m.row_index, m.col_index, m.values
-    n, c = m.rows, m.cols
+    count, rows, cols, values, n, c = _prune_singletons(
+        m.row_index, m.col_index, m.values, m.rows, m.cols)
+    if rows.size == 0:
+        return count
     if n > c:
         rows, cols, n, c = cols, rows, c, n
     best = None
@@ -202,22 +216,25 @@ def rank_rational(m: ExactMatrix) -> int:
             residues, modulus = _crt(residues, modulus, block, p), modulus * p
         kernel = _lift(residues, modulus, pivots, n)
         if kernel is not None and _annihilates(kernel, rows, cols, values, c):
-            return n - len(kernel)
-    return _rank_bareiss(_dense_rows(rows, cols, values, n, c))
+            return count + n - len(kernel)
+    return count + _rank_bareiss(_dense_rows(rows, cols, values, n, c))
 
 
 def rank_mod(m: ExactMatrix, p: int) -> int:
     """Rank over Z/p; never more than the rank over Q.
 
     ``p`` must be a prime below ``PRIME_LIMIT`` (2**26), else ValueError.
-    Columns are eliminated in panels of width b.  The rows touching a
-    panel are row-reduced in int64, tracking each as a combination of the
-    panel's pivot rows; one float64 product of those combinations with
-    the pivot rows then updates every column right of the panel.  Every
-    term of that product is a non-negative integer, so it is exact when
-    ``b*(p-1)**2 + p <= 2**53``: b is the largest width meeting this
-    bound, capped at 64 (64 for every p below about 1.19e7, 2 just below
-    2**26).
+    Residues are pruned of zeros and of singleton rows and columns
+    (``_prune_singletons``); the rank is the pruned count plus
+    the rank of the rest, which alone is scattered into a dense int32
+    array.  Its columns are eliminated in panels of width b.  The rows
+    touching a panel are row-reduced in int64, tracking each as a
+    combination of the panel's pivot rows; one float64 product of those
+    combinations with the pivot rows then updates every column right of
+    the panel.  Every term of that product is a non-negative integer, so
+    it is exact when ``b*(p-1)**2 + p <= 2**53``: b is the largest width
+    meeting this bound, capped at 64 (64 for every p below about 1.19e7,
+    2 just below 2**26).
     """
     if not is_prime(p):
         raise ValueError(f"modulus {p} is not prime")
@@ -229,10 +246,14 @@ def rank_mod(m: ExactMatrix, p: int) -> int:
         residues = np.array([v % p for v in m.values.tolist()], dtype=np.int64)
     else:
         residues = m.values % p
-    a = np.zeros((m.rows, m.cols), dtype=np.int32)
-    a[m.row_index, m.col_index] = residues
+    count, rows, cols, residues, n, c = _prune_singletons(
+        m.row_index, m.col_index, residues, m.rows, m.cols)
+    if rows.size == 0:
+        return count
+    a = np.zeros((n, c), dtype=np.int32)
+    a[rows, cols] = residues
     width = min(_PANEL_CAP, ((1 << 53) - p) // (p - 1) ** 2)
-    return _rank_panels(a, p, width)
+    return count + _rank_panels(a, p, width)
 
 
 @dataclass(frozen=True)
@@ -281,6 +302,40 @@ def rank_verified(m: ExactMatrix, primes=DEFAULT_PRIMES, exact: bool = False) ->
 
 # ---------------------------------------------------------------------------
 # internals
+
+
+def _prune_singletons(rows, cols, values, n: int, c: int):
+    """Prune the singleton rows and columns of an n x c COO matrix.
+
+    Zero values are dropped first.  Then, until nothing changes, each row
+    holding the only nonzero of some column is removed, then each column
+    holding the only nonzero of some remaining row.  Each removal is one
+    pivot: that nonzero's elimination changes only its own row or column,
+    which is then discarded, so rank = count + rank of the rest over any
+    field.  Returns ``(count, rows, cols, values, n, c)``, the surviving
+    triples renumbered onto the rows and columns that still hold one.
+    """
+    nonzero = values != 0
+    rows, cols, values = rows[nonzero], cols[nonzero], values[nonzero]
+    count = 0
+    while rows.size:
+        alone = np.bincount(cols, minlength=c)[cols] == 1
+        rows_out = np.zeros(n, dtype=bool)
+        rows_out[rows[alone]] = True
+        keep = ~rows_out[rows]
+        rows, cols, values = rows[keep], cols[keep], values[keep]
+        alone = np.bincount(rows, minlength=n)[rows] == 1
+        cols_out = np.zeros(c, dtype=bool)
+        cols_out[cols[alone]] = True
+        keep = ~cols_out[cols]
+        rows, cols, values = rows[keep], cols[keep], values[keep]
+        removed = int(rows_out.sum()) + int(cols_out.sum())
+        if removed == 0:
+            break
+        count += removed
+    rows_left, rows = np.unique(rows, return_inverse=True)
+    cols_left, cols = np.unique(cols, return_inverse=True)
+    return count, rows, cols, values, rows_left.size, cols_left.size
 
 
 def _dense_rows(rows, cols, values, n: int, c: int) -> list[list[int]]:

@@ -310,7 +310,7 @@ class _Scanner:
     def natural(self) -> int:
         self.skip_ws()
         start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
+        while self.pos < len(self.text) and self.text[self.pos].isdecimal():
             self.pos += 1
         if self.pos == start:
             raise FormSyntaxError("expected a number", start)
@@ -346,7 +346,7 @@ def parse_form(text: str, num_vars: int, letter: str = "y") -> HomogPoly:
 
     def parse_term(sign: int):
         coeff = sign
-        if sc.peek().isdigit():
+        if sc.peek().isdecimal():
             coeff *= sc.natural()
             sc.skip_ws()
             at = sc.pos

@@ -394,6 +394,7 @@ def test_bad_model_specs(capsys):
     assert run(capsys, "pullback", "--model", "nope", "--k", "2")[0] == 2
     assert run(capsys, "pullback", "--model", "ci:2,2", "--k", "2")[0] == 2
     assert run(capsys, "pullback", "--model", "ci:x@4", "--k", "2")[0] == 2
+    assert run(capsys, "pullback", "--model", "p\u00b2", "--k", "2")[0] == 2
     assert run(capsys, "pullback", "--model", "table:/no/such/file",
                "--k", "2")[0] == 2
 

@@ -262,6 +262,13 @@ def test_parse_endomorphism_errors_carry_line_numbers():
         parse_endomorphism("n = 1\nk = 2\nf0 = y0\nf1 = y1\n")  # degree != k
     with pytest.raises(InputError):
         parse_endomorphism("n = 1\nbogus\n")
+    # an n far beyond the file's statements is refused before any form is
+    # parsed (parsing f0 with 10**30 variables raised OverflowError)
+    with pytest.raises(InputError, match="'f1 = ...'"):
+        parse_endomorphism(f"n = {10 ** 30}\nk = 1\nf0 = y0\n")
+    # superscript digits pass str.isdigit but not int()
+    with pytest.raises(InputError):
+        parse_endomorphism("n = 1\nk = 2\nf0 = y0^\u00b2\nf1 = y1^2\n")
 
 
 def test_load_endomorphism_fixture():

@@ -6,6 +6,7 @@ import random
 from fractions import Fraction
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -22,6 +23,7 @@ from pushsplit.exactla import (
     rank_rational,
     rank_verified,
 )
+from pushsplit.polyring import multiplication_matrix, parse_form
 
 
 def oracle_rank(rows):
@@ -212,7 +214,14 @@ def assert_rank_matches_reference(rows, primes):
 def test_rank_mod_matches_reference_across_panels(shape, density):
     rng = random.Random(f"{shape}:{density}")
     rows = random_rows(rng, *shape, density, -9, 10)
-    assert_rank_matches_reference(rows, DEFAULT_PRIMES + (2, 3, TOP_PRIME))
+    primes = DEFAULT_PRIMES + (2, 3, TOP_PRIME)
+    assert_rank_matches_reference(rows, primes)
+    # singleton pruning shrinks the sparse cases to a few rows or nothing
+    # before the panel kernel runs, so the kernel is also run on them whole
+    for p in primes:
+        width = min(64, ((1 << 53) - p) // (p - 1) ** 2)
+        a = (np.array(rows, dtype=np.int64) % p).astype(np.int32)
+        assert exactla._rank_panels(a, p, width) == reference_rank_mod(rows, p)
 
 
 def test_rank_mod_with_zero_columns():
@@ -278,6 +287,123 @@ def test_default_primes_are_prime():
 
 
 # ---------------------------------------------------------------------------
+# singleton pruning ahead of the dense kernels
+
+
+def bidiagonal(rng, n, ncols, values):
+    """n x ncols, nonzero on the diagonal and the one above it."""
+    return [[rng.choice(values) if j in (i, i + 1) else 0 for j in range(ncols)]
+            for i in range(n)]
+
+
+def triangular(rng, n, values):
+    """Dense upper triangular with rows and columns shuffled."""
+    rows = [[rng.choice(values) if j >= i else 0 for j in range(n)]
+            for i in range(n)]
+    rng.shuffle(rows)
+    order = list(range(n))
+    rng.shuffle(order)
+    return [[row[j] for j in order] for row in rows]
+
+
+def with_fringe(rng, core, values):
+    """``core`` bordered by a bidiagonal block joined to its last column."""
+    c = len(core[0])
+    tail = bidiagonal(rng, 12, 13, values)
+    rows = [row + [0] * 12 for row in core]
+    rows += [[0] * (c - 1) + row for row in tail]
+    return rows
+
+
+def socle_matrix(forms):
+    """The finiteness test matrix of a map P^3 -> P^3 of degree 3: from
+    degree 6 to the socle degree (n+1)(k-1)+1 = 9."""
+    return multiplication_matrix([parse_form(f, 4) for f in forms], 6)
+
+
+# Triangular perturbations y_i^3 + g_i, each term of g_i holding some y_j
+# with j > i, are finite; without y0^3, every form vanishes at e0.
+SPARSE_FINITE = ("y0^3 - 2*y0*y1*y3 + 3*y2^3", "y1^3 + y1^2*y2 - y3^3",
+                 "y2^3 + 2*y0*y3^2", "y3^3")
+SPARSE_NOT_FINITE = ("y0^2*y1 - 2*y0*y1*y3 + 3*y2^3",) + SPARSE_FINITE[1:]
+
+# Values 2, 3, 4 and 6 vanish modulo 2 or 3 and can leave a single
+# nonzero in a line that has several over Z.
+PRUNE_VALUES = (-3, -1, 1, 2, 3, 4, 6)
+
+
+def pruning_cases():
+    rng = random.Random(5)
+    dense = random_rows(rng, 20, 25, 1.0, 1, 6)
+    return {
+        "bidiagonal-square": bidiagonal(rng, 40, 40, PRUNE_VALUES),
+        "bidiagonal-wide": bidiagonal(rng, 40, 41, PRUNE_VALUES),
+        "triangular": triangular(rng, 30, PRUNE_VALUES),
+        "sparse-mixed": random_rows(rng, 30, 45, 0.08, -6, 7),
+        "no-singleton": dense,
+        "core-with-fringe": with_fringe(rng, dense, (-2, -1, 1, 3, 5)),
+        "socle-finite": socle_matrix(SPARSE_FINITE),
+        "socle-not-finite": socle_matrix(SPARSE_NOT_FINITE),
+    }
+
+
+def as_rows(case):
+    if isinstance(case, ExactMatrix):
+        flat = case.entries
+        return [list(flat[r * case.cols:(r + 1) * case.cols])
+                for r in range(case.rows)]
+    return case
+
+
+PRUNING_CASES = pruning_cases()
+
+
+@pytest.mark.parametrize("name", PRUNING_CASES)
+def test_pruned_rank_mod_matches_reference(name):
+    rows = as_rows(PRUNING_CASES[name])
+    assert_rank_matches_reference(rows, (2, 3, 5) + DEFAULT_PRIMES)
+
+
+@pytest.mark.parametrize("name", PRUNING_CASES)
+def test_pruned_rank_rational_matches_bareiss(name):
+    rows = as_rows(PRUNING_CASES[name])
+    expected = exactla._rank_bareiss([row[:] for row in rows])
+    with mock.patch.object(exactla, "_rank_bareiss", no_fallback):
+        assert rank_rational(ExactMatrix.from_rows(rows)) == expected
+
+
+def prune(m):
+    return exactla._prune_singletons(m.row_index, m.col_index, m.values,
+                                     m.rows, m.cols)
+
+
+def test_prune_singletons_removes_only_singleton_lines():
+    rng = random.Random(8)
+    # nonzero over Z: the bidiagonal and triangular cases vanish entirely
+    for rows in (bidiagonal(rng, 40, 40, (1, -2)), bidiagonal(rng, 40, 41, (3,)),
+                 triangular(rng, 30, (1, 5))):
+        count, left, *_ = prune(ExactMatrix.from_rows(rows))
+        assert (count, left.size) == (min(len(rows), len(rows[0])), 0)
+    dense = random_rows(rng, 20, 25, 1.0, 1, 6)
+    count, r, c, v, n, ncols = prune(ExactMatrix.from_rows(dense))
+    assert (count, n, ncols, v.size) == (0, 20, 25, 500)
+    # the fringe peels off one row a pass, from its far end; the core stays
+    count, r, c, v, n, ncols = prune(
+        ExactMatrix.from_rows(with_fringe(rng, dense, (1,))))
+    assert (count, n, ncols) == (12, 20, 25)
+    assert sorted(zip(r.tolist(), c.tolist(), v.tolist())) == sorted(
+        (i, j, dense[i][j]) for i in range(20) for j in range(25))
+
+
+def test_pruned_socle_matrices_collapse():
+    # 220 x 336; the ranks are Bareiss's (see the test above)
+    for forms, rank_ in ((SPARSE_FINITE, 220), (SPARSE_NOT_FINITE, 211)):
+        m = socle_matrix(forms)
+        count, left, *_ = prune(m)
+        assert (m.rows, m.cols, count, left.size) == (220, 336, rank_, 0)
+
+
+# ---------------------------------------------------------------------------
 # rank_rational: kernel certificate against fraction-free elimination
 
 
@@ -336,10 +462,12 @@ FIRST_PRIME, SECOND_PRIME = itertools.islice(exactla._certificate_primes(), 2)
 
 def bad_prime_matrices(p):
     """Rank 2 over Q; modulo p the rank is 0, then 1, then 2 with the
-    later pivot set {0, 2} instead of {0, 1}."""
+    later pivot set {0, 2} instead of {0, 1}.  No row or column holds a
+    single nonzero, over Z or (for the last two) modulo p, so singleton
+    pruning leaves them whole and the certificate meets the bad prime."""
     return ([[p, 2 * p, 3 * p], [2 * p, 4 * p, 6 * p], [p, 0, p]],
             [[1, 1], [1, 1 + p]],
-            [[1, 0, 0, 0], [1, p, 0, 0], [0, 1, 0, 0]])
+            [[1, 1, 1], [1, 1 + p, 1 + 2 * p], [0, 1, 2]])
 
 
 @pytest.mark.parametrize("bad", [FIRST_PRIME, SECOND_PRIME])
@@ -369,6 +497,10 @@ def test_exhausted_prime_budget_falls_back_to_bareiss(monkeypatch):
     for rows in bad_prime_matrices(FIRST_PRIME):
         assert rank_rational(ExactMatrix.from_rows(rows)) == 2
     assert len(calls) == 3
+    # a pruned singleton border adds its pivot to Bareiss's rank of the rest
+    rows = [row + [0] for row in bad_prime_matrices(FIRST_PRIME)[2]]
+    assert rank_rational(ExactMatrix.from_rows(rows + [[0, 0, 0, 5]])) == 3
+    assert len(calls) == 4 and len(calls[-1]) == 3
 
 
 def reference_left_kernel(rows, p):
