@@ -18,9 +18,8 @@ from .errors import FormSyntaxError, InputError, IntegrityError, \
     MissingDataError, PushsplitError, TableRangeError
 from .exactla import DEFAULT_PRIMES, ExactMatrix, RankResult, binomial, \
     is_prime, rank_mod, rank_rational, rank_verified
-from .polyring import GradedBasis, HomogPoly, compose, graded_basis, \
-    graded_dim, monomials_of_degree, multiplication_matrix, multiply, \
-    parse_form
+from .polyring import HomogPoly, compose, graded_dim, monomials_of_degree, \
+    multiplication_matrix, multiply, parse_form
 from .pullback import CompletenessVerdict, PullbackReport, Verdict, \
     build_pullback_report, completeness_verdict, dualizing_cohomology, \
     euler_characteristic, hyperplane_section_verdict, \
@@ -31,14 +30,14 @@ from .splitting import HilbertCheckReport, SplittingType, delta, \
     splitting_universal
 from .varieties import ExplicitTable, KoszulTable, ModelVariety, ci_h0, \
     ci_table, complete_intersection, dump_table, load_custom_table, \
-    model_from_table, parse_table, plane_in_p4, projective_space, save_table
+    model_from_table, parse_table, plane_in_p4, projective_space
 
 __version__ = "0.1.0"
 
 __all__ = [
     "AdjunctionReport", "BoundCheckReport", "CanonicalSystemReport",
     "CompletenessVerdict", "DEFAULT_PRIMES", "Endomorphism", "ExactMatrix",
-    "ExplicitTable", "FinitenessReport", "FormSyntaxError", "GradedBasis",
+    "ExplicitTable", "FinitenessReport", "FormSyntaxError",
     "HilbertCheckReport", "HomogPoly", "InputError", "IntegrityError",
     "KoszulTable", "MissingDataError", "ModelVariety", "PullbackReport",
     "PushsplitError", "RankResult", "SplittingType", "TableRangeError",
@@ -47,14 +46,14 @@ __all__ = [
     "ci_h0", "ci_table", "complete_intersection", "completeness_verdict",
     "compose", "delta", "delta_l_bound_check", "dual_multiplicities",
     "dualizing_cohomology", "dump_table", "euler_characteristic",
-    "graded_basis", "graded_dim", "hilbert_check",
-    "hyperplane_section_verdict", "ideal_pushforward_cohomology",
+    "graded_dim", "hilbert_check", "hyperplane_section_verdict",
+    "ideal_pushforward_cohomology",
     "injectivity_hypothesis_check", "is_prime", "load_custom_table",
     "load_endomorphism", "model_from_table", "monomials_of_degree",
     "multiplication_matrix", "multiply", "parse_endomorphism", "parse_form",
     "parse_table", "plane_in_p4", "power_map", "projective_space",
     "pullback_degree", "pullback_form", "pushforward_cohomology",
-    "random_endomorphism", "rank_mod", "rank_rational",
-    "rank_verified", "save_table", "splitting_from_endo",
-    "splitting_universal", "surface_adjunction", "validate_finite",
+    "random_endomorphism", "rank_mod", "rank_rational", "rank_verified",
+    "splitting_from_endo", "splitting_universal", "surface_adjunction",
+    "validate_finite",
 ]

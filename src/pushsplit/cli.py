@@ -3,8 +3,9 @@
 Subcommands: ``split`` (splitting type of the pushforward), ``verify-endo``
 (finiteness of an endomorphism), ``pullback`` (cohomology and verdicts for
 the inverse image of a model variety), ``adjoint`` (surface adjunction in
-P^4).  Output is text, canonical JSON (sorted keys, integers and strings
-only, newline-terminated), or CSV with one row per table entry.
+P^4).  Each subcommand builds one report, its canonical JSON payload
+(sorted keys, integers and strings only, newline-terminated); text and
+CSV are renderings of that payload and read nothing else.
 
 Exit codes are disjoint: 0 success, 1 negative mathematical verdict
 (not finite, not linearly complete, canonical bundle not very ample),
@@ -12,8 +13,9 @@ Exit codes are disjoint: 0 success, 1 negative mathematical verdict
 4 table range exceeded.
 
 Every field a subcommand accepts as a flag can also come from a
-``--config`` file of key=value lines; explicit flags win.  The env var
-PUSHSPLIT_PRIMES ("p,q") overrides the default modular primes; --primes
+``--config`` file of key=value lines; explicit flags win.  Where modular
+primes are used (``verify-endo``, ``split --endo``), the env var
+PUSHSPLIT_PRIMES ("p,q") overrides the default primes; --primes
 overrides both.
 """
 
@@ -28,12 +30,13 @@ import random
 import sys
 
 from . import adjunction, pullback, splitting, varieties
-from .endomorphism import load_endomorphism, power_map, random_endomorphism, \
+from .endomorphism import load_endomorphism, random_endomorphism, \
     validate_finite
 from .errors import InputError, IntegrityError, PushsplitError, TableRangeError
 from .exactla import DEFAULT_PRIMES, PRIME_LIMIT, is_prime
 
 REPORT_VERSION = "1"
+FORMATS = ("text", "json", "csv")
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
@@ -104,6 +107,12 @@ def _cast_bool(raw: str) -> bool:
     return lowered == "true"
 
 
+def _cast_format(raw: str) -> str:
+    if raw not in FORMATS:
+        raise ValueError(raw)
+    return raw
+
+
 def _cast_range(raw: str) -> tuple[int, int]:
     if ".." not in raw:
         raise ValueError(raw)
@@ -135,24 +144,113 @@ def _resolve_primes(spec: str | None) -> tuple[int, ...]:
 
 
 # ---------------------------------------------------------------------------
-# emitters
+# rendering: JSON is the report; text and CSV read nothing but the payload
 
 
-def _emit(payload: dict, text_lines: list, args_format: str, out: str | None,
-          csv_rows=None) -> None:
-    if args_format == "json":
-        rendered = json.dumps(payload, sort_keys=True, indent=2) + "\n"
-    elif args_format == "csv":
-        if csv_rows is None:
-            csv_rows = [["key", "value"]] + [
-                [key, payload[key]] for key in sorted(payload)
-                if isinstance(payload[key], (int, str, bool))]
+def _text_verdicts(verdicts: dict) -> list:
+    lines = []
+    for v in verdicts.values():
+        lines.append(f"{v['name']}: {v['status']}")
+        if v["reason"]:
+            lines.append(f"  reason: {v['reason']}")
+        lines += [f"  {key} = {value}"
+                  for key, value in sorted(v["witness"].items())]
+    return lines
+
+
+def _text_split(p: dict) -> list:
+    (lo, hi), check = p["support"], p["hilbert_check"]
+    e_lo, e_hi = check["e_range"]
+    return [
+        f"splitting type of the pushforward of O({p['l']}H')  "
+        f"(n={p['n']}, k={p['k']})",
+        f"delta = {p['delta']}, support = [{lo}, {hi}], rank = {p['rank']}",
+        "  d   multiplicity",
+        *(f"{d:>3}   {m}" for d, m in p["multiplicities"]),
+        f"hilbert check: {'pass' if check['passed'] else 'FAIL'} "
+        f"(e in [{e_lo}, {e_hi}])",
+        f"source: {p['source']}"
+        + (" (matches closed form)" if p.get("matches_closed_form") else ""),
+    ]
+
+
+def _text_verify_endo(p: dict) -> list:
+    lines = [
+        f"endomorphism of P^{p['n']} by degree-{p['k']} forms ({p['source']})",
+        f"verdict: {p['verdict']}",
+        f"socle-degree test: need rank {p['required_rank']} "
+        f"in degree {p['test_degree']} ({p['certificate']})",
+        *(f"  rank mod {q}: {r}" for q, r in p["modular_ranks"]),
+    ]
+    if "rational_rank" in p:
+        lines.append(f"  rational rank: {p['rational_rank']}")
+    return lines + [f"  f{i} = {f}" for i, f in enumerate(p["forms"])]
+
+
+def _text_pullback(p: dict) -> list:
+    lo, hi = p["lrange"]
+    columns = range(p["dim"] + 1)
+    h = {(i, l): value for i, l, value in p["cohomology"]}
+    lines = [
+        f"inverse image of {p['model']} under a degree-{p['k']} covering of "
+        f"P^{p['n']}",
+        f"dim = {p['dim']}, deg X = {p['degree']}, "
+        f"deg X' = {p['degree_prime']}",
+        f"h^i(O_X'(l)) for l in [{lo}, {hi}]:",
+        "    l | " + " ".join(f"h^{i}" for i in columns) + " | chi",
+    ]
+    for l, chi in p["euler"]:
+        values = " ".join(str(h[(i, l)]).rjust(3) for i in columns)
+        lines.append(f"{l:>5} | {values} | {chi}")
+    if "dualizing" in p:
+        lines.append("h^i(omega_X'(-l)) for 0 <= l < k:")
+        lines += [f"  i={i} l={l}: {value}" for i, l, value in p["dualizing"]]
+    return lines + _text_verdicts(p["verdicts"])
+
+
+def _text_adjoint(p: dict) -> list:
+    return [
+        f"adjunction for the inverse image of {p['model']} "
+        f"(surface in P^4, k={p['k']})",
+        f"omega_S = O_S({p['e_source']})  ->  omega_S' = O_S'({p['e_prime']})",
+        f"deg S' = {p['degree_prime']}, K.H' = {p['K_dot_H']}, "
+        f"K^2 = {p['K_squared']}, sectional genus = {p['sectional_genus']}",
+        f"h^0(omega_S') = {p['h0_omega']}, "
+        f"h^0(omega_S'(-H')) = {p['h0_omega_minus_h']}",
+        f"general type: {p['general_type']}",
+        *_text_verdicts(p["verdicts"]),
+    ]
+
+
+_TEXT = {"split": _text_split, "verify-endo": _text_verify_endo,
+         "pullback": _text_pullback, "adjoint": _text_adjoint}
+
+
+def _csv_rows(p: dict) -> list:
+    if p["command"] == "split":
+        return [["d", "multiplicity"], *p["multiplicities"]]
+    if p["command"] == "pullback":
+        rows = [["section", "i", "l", "value"]]
+        for tag, key in (("h", "cohomology"), ("hI", "ideal_cohomology"),
+                         ("omega", "dualizing")):
+            rows += [[tag, *row] for row in p.get(key, ())]
+        return rows + [["chi", "", l, chi] for l, chi in p["euler"]]
+    return [["key", "value"]] + [
+        [key, p[key]] for key in sorted(p)
+        if isinstance(p[key], (int, str, bool))]
+
+
+def _render(payload: dict, fmt: str) -> str:
+    if fmt == "json":
+        return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    if fmt == "csv":
         buffer = io.StringIO()
-        writer = csv.writer(buffer, lineterminator="\n")
-        writer.writerows(csv_rows)
-        rendered = buffer.getvalue()
-    else:
-        rendered = "\n".join(text_lines) + "\n"
+        csv.writer(buffer, lineterminator="\n").writerows(_csv_rows(payload))
+        return buffer.getvalue()
+    return "\n".join(_TEXT[payload["command"]](payload)) + "\n"
+
+
+def _emit(rendered: str, out: str | None) -> None:
     if not out:
         sys.stdout.write(rendered)
         return
@@ -187,15 +285,6 @@ def _verdict_payload(v: pullback.Verdict) -> dict:
     if v.holds is not None:
         payload["holds"] = v.holds
     return payload
-
-
-def _verdict_lines(v: pullback.Verdict) -> list:
-    lines = [f"{v.name}: {v.status}"]
-    if v.reason:
-        lines.append(f"  reason: {v.reason}")
-    for key in sorted(v.witness):
-        lines.append(f"  {key} = {v.witness[key]}")
-    return lines
 
 
 # ---------------------------------------------------------------------------
@@ -233,50 +322,47 @@ def _parse_model(spec: str, general_position: bool | None) -> varieties.ModelVar
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: each returns its report (the JSON payload) and its exit code
 
 
-def _cmd_split(args: argparse.Namespace) -> int:
-    opts = _Options(args)
+def _cmd_split(opts: _Options) -> tuple[dict, int]:
     endo_path = opts.pick("endo")
     l = opts.pick("l", cast=int)
-    e_max = opts.pick("emax", default=10, cast=int)
-    fmt = opts.pick("format", default="text")
-    out = opts.pick("out")
-    primes = _resolve_primes(opts.pick("primes"))
-    exact = bool(opts.pick("exact", default=False, cast=_cast_bool))
+    e_max = opts.pick("emax", cast=int)
+    n = opts.pick("n", cast=int)
+    k = opts.pick("k", cast=int)
     if l is None:
         raise InputError("--l is required")
     if endo_path is not None:
-        if opts.pick("n", cast=int) is not None or \
-                opts.pick("k", cast=int) is not None:
+        if n is not None or k is not None:
             raise InputError("give either --endo or --n/--k, not both")
+        primes = _resolve_primes(opts.pick("primes"))
+        exact = bool(opts.pick("exact", default=False, cast=_cast_bool))
         endo = load_endomorphism(endo_path)
-        report = validate_finite(endo, primes=primes, exact=exact)
-        if not report.is_finite:
+        if not validate_finite(endo, primes=primes, exact=exact).is_finite:
             raise InputError(
                 f"endomorphism in {endo_path} is not finite; "
                 "run verify-endo for the evidence")
         st = splitting.splitting_from_endo(endo, l, primes=primes, exact=exact)
         source = f"endomorphism:{endo_path}"
-        matches = True
         n, k = endo.n, endo.k
     else:
-        n = opts.pick("n", cast=int)
-        k = opts.pick("k", cast=int)
+        if opts.pick("primes") is not None or \
+                opts.pick("exact", cast=_cast_bool) is not None:
+            raise InputError("--primes and --exact apply only with --endo; "
+                             "the closed form uses no prime")
         if n is None or k is None:
             raise InputError("--n and --k are required without --endo")
         st = splitting.splitting_universal(n, k, l)
         source = "closed-form"
-        matches = None
     opts.finish()
-    d_value = splitting.delta(n, k, l)
-    check = splitting.hilbert_check(st, e_max)
+    check = splitting.hilbert_check(
+        st, max(10, -(l // k)) if e_max is None else e_max)
     payload = {
         "report_version": REPORT_VERSION,
         "command": "split",
         "n": n, "k": k, "l": l,
-        "delta": d_value,
+        "delta": splitting.delta(n, k, l),
         "support": [st.support_min, st.support_max],
         "rank": st.rank,
         "multiplicities": [[d, m] for d, m in st.multiplicities],
@@ -284,31 +370,15 @@ def _cmd_split(args: argparse.Namespace) -> int:
                           "e_range": list(check.e_range)},
         "source": source,
     }
-    if matches is not None:
-        payload["matches_closed_form"] = matches
-    lines = [
-        f"splitting type of the pushforward of O({l}H')  (n={n}, k={k})",
-        f"delta = {d_value}, support = [{st.support_min}, {st.support_max}], "
-        f"rank = {st.rank}",
-        "  d   multiplicity",
-    ]
-    lines += [f"{d:>3}   {m}" for d, m in st.multiplicities]
-    lines.append(
-        f"hilbert check: {'pass' if check.passed else 'FAIL'} "
-        f"(e in [{check.e_range[0]}, {check.e_range[1]}])")
-    lines.append(f"source: {source}"
-                 + (" (matches closed form)" if matches else ""))
-    csv_rows = [["d", "multiplicity"]] + [[d, m] for d, m in st.multiplicities]
-    _emit(payload, lines, fmt, out, csv_rows)
-    return EXIT_OK if check.passed else EXIT_INTEGRITY
+    if endo_path is not None:
+        # splitting_from_endo raises IntegrityError when the routes disagree
+        payload["matches_closed_form"] = True
+    return payload, EXIT_OK if check.passed else EXIT_INTEGRITY
 
 
-def _cmd_verify_endo(args: argparse.Namespace) -> int:
-    opts = _Options(args)
+def _cmd_verify_endo(opts: _Options) -> tuple[dict, int]:
     endo_path = opts.pick("endo")
     use_random = bool(opts.pick("random", default=False, cast=_cast_bool))
-    fmt = opts.pick("format", default="text")
-    out = opts.pick("out")
     primes = _resolve_primes(opts.pick("primes"))
     exact = bool(opts.pick("exact", default=False, cast=_cast_bool))
     if use_random:
@@ -342,33 +412,17 @@ def _cmd_verify_endo(args: argparse.Namespace) -> int:
     }
     if report.rational_rank is not None:
         payload["rational_rank"] = report.rational_rank
-    lines = [
-        f"endomorphism of P^{endo.n} by degree-{endo.k} forms ({source})",
-        f"verdict: {report.verdict}",
-        f"socle-degree test: need rank {report.required_rank} "
-        f"in degree {report.test_degree} ({report.certificate})",
-    ]
-    for p, r in report.modular_ranks:
-        lines.append(f"  rank mod {p}: {r}")
-    if report.rational_rank is not None:
-        lines.append(f"  rational rank: {report.rational_rank}")
-    for i, f in enumerate(endo.forms):
-        lines.append(f"  f{i} = {f.text()}")
-    _emit(payload, lines, fmt, out)
-    return EXIT_OK if report.is_finite else EXIT_NEGATIVE
+    return payload, EXIT_OK if report.is_finite else EXIT_NEGATIVE
 
 
 def _rows_payload(rows: dict) -> list:
     return [[i, l, value] for (i, l), value in sorted(rows.items())]
 
 
-def _cmd_pullback(args: argparse.Namespace) -> int:
-    opts = _Options(args)
+def _cmd_pullback(opts: _Options) -> tuple[dict, int]:
     spec = opts.pick("model")
     k = opts.pick("k", cast=int)
     lrange = opts.pick("lrange", cast=_cast_range)
-    fmt = opts.pick("format", default="text")
-    out = opts.pick("out")
     general_position = opts.pick("general-position", cast=_cast_bool)
     opts.finish()
     if spec is None or k is None:
@@ -399,49 +453,14 @@ def _cmd_pullback(args: argparse.Namespace) -> int:
         payload["ideal_cohomology"] = _rows_payload(report.ideal_rows)
     if report.dualizing_rows is not None:
         payload["dualizing"] = _rows_payload(report.dualizing_rows)
-    lo, hi = report.lrange
-    lines = [
-        f"inverse image of {report.model} under a degree-{k} covering of "
-        f"P^{report.n}",
-        f"dim = {report.dim}, deg X = {report.degree}, "
-        f"deg X' = {report.degree_prime}",
-        f"h^i(O_X'(l)) for l in [{lo}, {hi}]:",
-        "    l | " + " ".join(f"h^{i}" for i in range(report.dim + 1))
-        + " | chi",
-    ]
-    for l in range(lo, hi + 1):
-        values = " ".join(str(report.h_rows[(i, l)]).rjust(3)
-                          for i in range(report.dim + 1))
-        lines.append(f"{l:>5} | {values} | {report.euler[l]}")
-    if report.dualizing_rows is not None:
-        lines.append("h^i(omega_X'(-l)) for 0 <= l < k:")
-        for (i, l), value in sorted(report.dualizing_rows.items()):
-            lines.append(f"  i={i} l={l}: {value}")
-    for v in verdicts.values():
-        lines += _verdict_lines(v)
-    csv_rows = [["section", "i", "l", "value"]]
-    csv_rows += [["h", i, l, value]
-                 for (i, l), value in sorted(report.h_rows.items())]
-    if report.ideal_rows is not None:
-        csv_rows += [["hI", i, l, value]
-                     for (i, l), value in sorted(report.ideal_rows.items())]
-    if report.dualizing_rows is not None:
-        csv_rows += [["omega", i, l, value]
-                     for (i, l), value in sorted(report.dualizing_rows.items())]
-    csv_rows += [["chi", "", l, value]
-                 for l, value in sorted(report.euler.items())]
-    _emit(payload, lines, fmt, out, csv_rows)
     negative = (report.completeness.linearly_complete.holds is False
                 or report.completeness.h1_vanishing.holds is False)
-    return EXIT_NEGATIVE if negative else EXIT_OK
+    return payload, EXIT_NEGATIVE if negative else EXIT_OK
 
 
-def _cmd_adjoint(args: argparse.Namespace) -> int:
-    opts = _Options(args)
+def _cmd_adjoint(opts: _Options) -> tuple[dict, int]:
     spec = opts.pick("model")
     k = opts.pick("k", cast=int)
-    fmt = opts.pick("format", default="text")
-    out = opts.pick("out")
     general_position = opts.pick("general-position", cast=_cast_bool)
     opts.finish()
     if spec is None or k is None:
@@ -472,21 +491,8 @@ def _cmd_adjoint(args: argparse.Namespace) -> int:
         "assumptions": dict(report.assumptions),
         "verdicts": {name: _verdict_payload(v) for name, v in verdicts.items()},
     }
-    lines = [
-        f"adjunction for the inverse image of {report.model} "
-        f"(surface in P^4, k={k})",
-        f"omega_S = O_S({report.e_source})  ->  omega_S' = O_S'({report.e_prime})",
-        f"deg S' = {report.degree_prime}, K.H' = {report.k_dot_h}, "
-        f"K^2 = {report.k_squared}, sectional genus = {report.sectional_genus}",
-        f"h^0(omega_S') = {report.h0_omega}, "
-        f"h^0(omega_S'(-H')) = {report.h0_omega_minus_h}",
-        f"general type: {report.general_type}",
-    ]
-    for v in verdicts.values():
-        lines += _verdict_lines(v)
-    _emit(payload, lines, fmt, out)
     negative = report.canonical_very_ample.holds is False
-    return EXIT_NEGATIVE if negative else EXIT_OK
+    return payload, EXIT_NEGATIVE if negative else EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -497,7 +503,7 @@ def _add_common(sub: argparse.ArgumentParser):
     sub.add_argument("--config", help="key=value file supplying any flag")
     sub.add_argument("--out", help="write output to this path instead of stdout")
     group = sub.add_mutually_exclusive_group()
-    group.add_argument("--format", choices=("text", "json", "csv"))
+    group.add_argument("--format", choices=FORMATS)
     group.add_argument("--json", dest="format", action="store_const",
                        const="json", help="shorthand for --format json")
     group.add_argument("--csv", dest="format", action="store_const",
@@ -525,8 +531,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="confirm every rank below full by a certified rank "
                             "over Q (kernel vectors checked over the "
                             "integers, Bareiss as fallback)")
-    _add_common(split)
-    split.set_defaults(func=_cmd_split)
 
     verify = subs.add_parser(
         "verify-endo", help="finiteness verdict for an endomorphism")
@@ -542,8 +546,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="confirm a NOT_FINITE verdict by a certified rank "
                              "over Q (kernel vectors checked over the "
                              "integers, Bareiss as fallback)")
-    _add_common(verify)
-    verify.set_defaults(func=_cmd_verify_endo)
 
     pull = subs.add_parser(
         "pullback", help="cohomology and verdicts for the inverse image "
@@ -556,8 +558,6 @@ def build_parser() -> argparse.ArgumentParser:
     pull.add_argument("--general-position", type=_cast_bool,
                       metavar="true|false",
                       help="override the model's general-position flag")
-    _add_common(pull)
-    pull.set_defaults(func=_cmd_pullback)
 
     adjoint = subs.add_parser(
         "adjoint", help="adjunction report for a surface model in P^4")
@@ -567,8 +567,10 @@ def build_parser() -> argparse.ArgumentParser:
     adjoint.add_argument("--general-position", type=_cast_bool,
                          metavar="true|false",
                          help="override the model's general-position flag")
-    _add_common(adjoint)
-    adjoint.set_defaults(func=_cmd_adjoint)
+    for sub, func in ((split, _cmd_split), (verify, _cmd_verify_endo),
+                      (pull, _cmd_pullback), (adjoint, _cmd_adjoint)):
+        _add_common(sub)
+        sub.set_defaults(func=func)
     return parser
 
 
@@ -576,16 +578,11 @@ def _glue_range_values(argv: list) -> list:
     """Join '--lrange -2..4' into '--lrange=-2..4' so argparse does not
     mistake a range starting with a negative bound for a flag."""
     out = []
-    i = 0
-    while i < len(argv):
-        arg = argv[i]
-        if arg == "--lrange" and i + 1 < len(argv) and \
-                argv[i + 1].startswith("-"):
-            out.append(f"--lrange={argv[i + 1]}")
-            i += 2
-            continue
-        out.append(arg)
-        i += 1
+    for arg in argv:
+        if out and out[-1] == "--lrange" and arg.startswith("-"):
+            out[-1] = f"--lrange={arg}"
+        else:
+            out.append(arg)
     return out
 
 
@@ -595,19 +592,18 @@ def main(argv=None) -> int:
         argv = sys.argv[1:]
     args = parser.parse_args(_glue_range_values(list(argv)))
     try:
-        return args.func(args)
-    except TableRangeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_RANGE
+        opts = _Options(args)
+        fmt = opts.pick("format", default="text", cast=_cast_format)
+        out = opts.pick("out")
+        payload, code = args.func(opts)
+        _emit(_render(payload, fmt), out)
+        return code
     except IntegrityError as exc:
         print(f"integrity error: {exc}", file=sys.stderr)
         return EXIT_INTEGRITY
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
     except PushsplitError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+        return EXIT_RANGE if isinstance(exc, TableRangeError) else EXIT_INPUT
 
 
 if __name__ == "__main__":

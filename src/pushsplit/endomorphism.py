@@ -143,17 +143,20 @@ def pullback_form(e: Endomorphism, g: HomogPoly) -> HomogPoly:
     return compose(g, e.forms)
 
 
+_RANDOM_DRAWS = 25
+
+
 def random_endomorphism(n: int, k: int, rng: random.Random,
-                        max_retries: int = 25, primes=DEFAULT_PRIMES,
+                        primes=DEFAULT_PRIMES,
                         exact: bool = False) -> Endomorphism:
     """A validated finite endomorphism: power map plus a small perturbation.
 
     Each form is y_i^k plus a sparse random degree-k form with coefficients
     in [-2, 2]; finiteness holds with high probability and is validated,
-    retrying up to ``max_retries`` times.
+    drawing up to 25 times.
     """
     monos = monomials_of_degree(n + 1, k)
-    for _ in range(max_retries):
+    for _ in range(_RANDOM_DRAWS):
         forms = []
         for i in range(n + 1):
             coeffs = {tuple(k if j == i else 0 for j in range(n + 1)): 1}
@@ -170,7 +173,7 @@ def random_endomorphism(n: int, k: int, rng: random.Random,
         if validate_finite(e, primes=primes, exact=exact).is_finite:
             return e
     raise InputError(
-        f"no finite endomorphism found in {max_retries} random draws")
+        f"no finite endomorphism found in {_RANDOM_DRAWS} random draws")
 
 
 def parse_endomorphism(text: str, source: str = "<string>") -> Endomorphism:

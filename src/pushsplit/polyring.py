@@ -53,31 +53,6 @@ def monomials_of_degree(num_vars: int, degree: int) -> tuple[Monomial, ...]:
 
 
 @dataclass(frozen=True)
-class GradedBasis:
-    """The canonical ordered monomial basis of one graded piece."""
-
-    num_vars: int
-    degree: int
-    monomials: tuple[Monomial, ...]
-
-    def __len__(self) -> int:
-        return len(self.monomials)
-
-    def index(self, mono: Monomial) -> int:
-        return _index_map(self.num_vars, self.degree)[mono]
-
-
-@lru_cache(maxsize=None)
-def graded_basis(num_vars: int, degree: int) -> GradedBasis:
-    return GradedBasis(num_vars, degree, monomials_of_degree(num_vars, degree))
-
-
-@lru_cache(maxsize=None)
-def _index_map(num_vars: int, degree: int) -> dict:
-    return {m: i for i, m in enumerate(monomials_of_degree(num_vars, degree))}
-
-
-@dataclass(frozen=True)
 class HomogPoly:
     """Homogeneous polynomial with integer coefficients.
 

@@ -110,15 +110,14 @@ def splitting_universal(n: int, k: int, l: int) -> SplittingType:
 
 
 def splitting_from_endo(e: Endomorphism, l: int, primes=DEFAULT_PRIMES,
-                        exact: bool = False,
-                        cross_check: bool = True) -> SplittingType:
+                        exact: bool = False) -> SplittingType:
     """Multiplicities by corank of multiplication matrices, cross-checked.
 
     For d from -floor(l/k) up to delta(n,k,l): m_{l,d} is
     dim V_{l,d} - rank of (g_i)_i |-> sum f_i g_i from (+)_i V_{l,d-1},
     stopping early at the first zero (zero multiplicities stay zero from
-    then on).  Requires a FINITE certificate on ``e``.  Unless disabled,
-    the result is compared with splitting_universal and a mismatch raises
+    then on).  Requires a FINITE certificate on ``e``.  The result is
+    always compared with splitting_universal, and a mismatch raises
     IntegrityError carrying both values.
     """
     e.require_finite()
@@ -135,14 +134,13 @@ def splitting_from_endo(e: Endomorphism, l: int, primes=DEFAULT_PRIMES,
         elif d > lower:
             break
     computed = SplittingType(n, k, l, tuple(pairs))
-    if cross_check:
-        expected = splitting_universal(n, k, l)
-        if computed.multiplicities != expected.multiplicities:
-            raise IntegrityError(
-                "splitting routes disagree for "
-                f"(n={n}, k={k}, l={l}): linear algebra gave "
-                f"{computed.as_dict()}, closed form gives {expected.as_dict()}",
-                expected=expected, actual=computed)
+    expected = splitting_universal(n, k, l)
+    if computed.multiplicities != expected.multiplicities:
+        raise IntegrityError(
+            "splitting routes disagree for "
+            f"(n={n}, k={k}, l={l}): linear algebra gave "
+            f"{computed.as_dict()}, closed form gives {expected.as_dict()}",
+            expected=expected, actual=computed)
     return computed
 
 
@@ -159,9 +157,14 @@ def hilbert_check(st: SplittingType, e_max: int) -> HilbertCheckReport:
     """Verify sum_d m_{l,d} * graded_dim(n+1, e-d) = graded_dim(n+1, l+ke).
 
     Checked for every e from -floor(l/k) to e_max; these all have
-    l + ke >= 0, where the identity is asserted.
+    l + ke >= 0, where the identity is asserted.  An e_max below
+    -floor(l/k) would check nothing and is an InputError.
     """
     lower = -(st.l // st.k)
+    if e_max < lower:
+        raise InputError(
+            f"hilbert check range is empty: e_max = {e_max} is below "
+            f"-floor(l/k) = {lower}")
     for e in range(lower, e_max + 1):
         lhs = sum(m * graded_dim(st.n + 1, e - d)
                   for d, m in st.multiplicities)

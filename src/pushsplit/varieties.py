@@ -432,9 +432,3 @@ def dump_table(m: ModelVariety, trange: tuple[int, int],
         for t in range(lo, hi + 1):
             lines.append(f"hI {i} {t} {m.hI(i, t)}")
     return "\n".join(lines) + "\n"
-
-
-def save_table(m: ModelVariety, path: str, trange: tuple[int, int],
-               ideal_is=None) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(dump_table(m, trange, ideal_is))

@@ -109,6 +109,31 @@ def test_split_argument_validation(capsys):
     assert code == 2 and "either" in err
 
 
+def test_closed_form_split_uses_no_primes(capsys, monkeypatch):
+    closed_form = ["split", "--n", "2", "--k", "2", "--l", "0"]
+    expected = run(capsys, *closed_form)
+    assert expected[0] == 0
+    # an unusable prime list in the environment is never read
+    monkeypatch.setenv("PUSHSPLIT_PRIMES", "15")
+    assert run(capsys, *closed_form) == expected
+    assert run(capsys, "split", "--endo", "tests/fixtures/power42.endo",
+               "--l", "0")[0] == 2
+    # but asking for primes or --exact beside --n/--k is refused
+    for extra in (["--primes", "101"], ["--exact"]):
+        code, out, err = run(capsys, *closed_form, *extra)
+        assert (code, out) == (2, "") and "only with --endo" in err
+
+
+def test_split_hilbert_range_is_never_empty(capsys):
+    # the default e_max reaches -floor(l/k) = 50, so some twist is checked
+    code, out, _ = run(capsys, "split", "--n", "2", "--k", "2", "--l", "-100")
+    assert code == 0
+    assert "hilbert check: pass (e in [50, 50])" in out
+    code, out, err = run(capsys, "split", "--n", "2", "--k", "2",
+                         "--l", "-100", "--emax", "10")
+    assert (code, out) == (2, "") and "range is empty" in err
+
+
 def test_split_integrity_exit_code(capsys, monkeypatch):
     import pushsplit.cli as cli_module
 
@@ -429,6 +454,10 @@ def test_config_file_rejects_unknown_and_duplicate_keys(capsys, tmp_path):
     dup = tmp_path / "dup.cfg"
     dup.write_text("k = 2\nk = 3\nmodel = ci:2,2@4\n")
     assert run(capsys, "pullback", "--config", str(dup))[0] == 2
+    xml = tmp_path / "xml.cfg"
+    xml.write_text("model = ci:2,2@4\nk = 2\nformat = xml\n")
+    code, out, err = run(capsys, "pullback", "--config", str(xml))
+    assert (code, out) == (2, "") and "format='xml'" in err
 
 
 def test_out_writes_file(capsys, tmp_path):
@@ -494,3 +523,56 @@ def test_format_flags_are_exclusive():
     with pytest.raises(SystemExit) as exc:
         main(["split", "--n", "2", "--k", "2", "--l", "0", "--json", "--csv"])
     assert exc.value.code == 2
+
+
+# Every command in every format, compared byte for byte with the captured
+# stdout, stderr (a missing .err file means empty) and exit code of the
+# three-builder CLI that rendered text, JSON and CSV separately.
+GOLDEN = Path(__file__).resolve().parent / "fixtures" / "golden"
+QUARTIC = "table:tests/fixtures/rational_quartic_p3.table"
+GOLDEN_CASES = {
+    "split_l_negative": ["split", "--n", "3", "--k", "2", "--l", "-3"],
+    "split_l_below_k": ["split", "--n", "4", "--k", "3", "--l", "1"],
+    "split_l_above_k": ["split", "--n", "3", "--k", "2", "--l", "4"],
+    "split_endo": ["split", "--endo", "tests/fixtures/power42.endo",
+                   "--l", "1"],
+    "verify_finite": ["verify-endo", "--endo",
+                      "tests/fixtures/perturbed22.endo"],
+    "verify_not_finite": ["verify-endo", "--endo",
+                          "tests/fixtures/nonfinite12.endo"],
+    "verify_exact": ["verify-endo", "--endo",
+                     "tests/fixtures/nonfinite12.endo", "--exact"],
+    "verify_random": ["verify-endo", "--random", "--n", "2", "--k", "2",
+                      "--seed", "3"],
+    "pullback_ci": ["pullback", "--model", "ci:2,2@4", "--k", "2"],
+    "pullback_ci_k1": ["pullback", "--model", "ci:2,2@4", "--k", "1"],
+    "pullback_p3": ["pullback", "--model", "p3", "--k", "3"],
+    "pullback_plane": ["pullback", "--model", "plane@4", "--k", "2"],
+    "pullback_table": ["pullback", "--model", QUARTIC, "--k", "2",
+                       "--lrange", "-1..2"],
+    "pullback_two_lines": ["pullback", "--model",
+                           "table:tests/fixtures/two_lines_p3.table",
+                           "--k", "2"],
+    "pullback_out_of_range": ["pullback", "--model", QUARTIC, "--k", "2",
+                              "--lrange", "0..20"],
+    "adjoint_ci": ["adjoint", "--model", "ci:2,3@4", "--k", "4"],
+    "adjoint_plane": ["adjoint", "--model", "plane@4", "--k", "2"],
+}
+FORMAT_FLAGS = {"text": [], "json": ["--json"], "csv": ["--csv"]}
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN_CASES))
+@pytest.mark.parametrize("fmt", sorted(FORMAT_FLAGS))
+def test_output_matches_golden(capsys, tmp_path, case, fmt):
+    argv = GOLDEN_CASES[case] + FORMAT_FLAGS[fmt]
+    name = f"{case}.{fmt}"
+    code, out, err = run(capsys, *argv)
+    expected_err = GOLDEN / f"{name}.err"
+    assert code == json.loads((GOLDEN / "exit_codes.json").read_text())[name]
+    assert out.encode() == (GOLDEN / f"{name}.out").read_bytes()
+    assert err.encode() == (expected_err.read_bytes()
+                            if expected_err.exists() else b"")
+    if case == "pullback_table":
+        target = tmp_path / "report"
+        assert run(capsys, *argv, "--out", str(target)) == (code, "", "")
+        assert target.read_bytes() == out.encode()

@@ -114,6 +114,16 @@ def test_hilbert_check_catches_tampering():
     assert report.lhs == 2 and report.rhs == 1
 
 
+def test_hilbert_check_refuses_an_empty_range():
+    # the check starts at e = -floor(l/k) = 50; below that it checks nothing
+    st = splitting_universal(2, 2, -100)
+    with pytest.raises(InputError) as err:
+        hilbert_check(st, e_max=49)
+    assert "-floor(l/k) = 50" in str(err.value)
+    report = hilbert_check(st, e_max=50)
+    assert report.passed and report.e_range == (50, 50)
+
+
 def test_splitting_type_validation():
     with pytest.raises(InputError):
         SplittingType(1, 2, 0, ((0, 0),))
@@ -180,16 +190,6 @@ def test_forged_certificate_trips_integrity_check():
         splitting_from_endo(e, 0)
     assert err.value.expected.as_dict() == {0: 1, 1: 1}
     assert err.value.actual.as_dict() == {0: 1, 1: 2}
-
-
-def test_from_endo_cross_check_can_be_disabled():
-    forms = (parse_form("y0^2", 2), parse_form("2*y0^2", 2))
-    e = Endomorphism(1, 2, forms)
-    e._finiteness.append(
-        FinitenessReport(verdict=FINITE, test_degree=3, required_rank=4)
-    )
-    st = splitting_from_endo(e, 0, cross_check=False)
-    assert st.as_dict() == {0: 1, 1: 2}
 
 
 def test_multiplicity_outside_support_is_zero():
