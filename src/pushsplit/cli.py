@@ -57,8 +57,9 @@ def _load_config(path: str) -> dict:
     except OSError as exc:
         raise InputError(f"cannot read config file: {exc}") from None
     for lineno, raw in enumerate(lines, start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+        # a comment is a whole line; '#' inside a value is part of it
+        line = raw.strip()
+        if not line or line.startswith("#"):
             continue
         if "=" not in line:
             raise InputError(
@@ -510,67 +511,83 @@ def _add_common(sub: argparse.ArgumentParser):
                        const="csv", help="shorthand for --format csv")
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _split_arguments(sub: argparse.ArgumentParser):
+    sub.add_argument("--n", type=int)
+    sub.add_argument("--k", type=int)
+    sub.add_argument("--l", type=int)
+    sub.add_argument("--endo", help="endomorphism file instead of --n/--k")
+    sub.add_argument("--emax", type=int,
+                     help="upper twist for the Hilbert identity check")
+    sub.add_argument("--primes", help="comma-separated modular primes")
+    sub.add_argument("--exact", action="store_const", const=True,
+                     help="confirm every rank below full by a certified rank "
+                          "over Q (kernel vectors checked over the "
+                          "integers, Bareiss as fallback)")
+
+
+def _verify_endo_arguments(sub: argparse.ArgumentParser):
+    sub.add_argument("--endo", help="endomorphism file")
+    sub.add_argument("--random", action="store_const", const=True,
+                     help="test a random perturbation of the power map")
+    sub.add_argument("--n", type=int)
+    sub.add_argument("--k", type=int)
+    sub.add_argument("--seed", type=int,
+                     help="seed for --random (default 0)")
+    sub.add_argument("--primes", help="comma-separated modular primes")
+    sub.add_argument("--exact", action="store_const", const=True,
+                     help="confirm a NOT_FINITE verdict by a certified rank "
+                          "over Q (kernel vectors checked over the "
+                          "integers, Bareiss as fallback)")
+
+
+def _pullback_arguments(sub: argparse.ArgumentParser):
+    sub.add_argument("--model",
+                     help="ci:d1,...@n | p<n> | plane@4 | table:<path>")
+    sub.add_argument("--k", type=int)
+    sub.add_argument("--lrange", type=_cast_range, metavar="a..b",
+                     help="twist range (default -k..3k)")
+    sub.add_argument("--general-position", type=_cast_bool,
+                     metavar="true|false",
+                     help="override the model's general-position flag")
+
+
+def _adjoint_arguments(sub: argparse.ArgumentParser):
+    sub.add_argument("--model", help="ci:a,b@4 | plane@4 | table:<path>")
+    sub.add_argument("--k", type=int)
+    sub.add_argument("--general-position", type=_cast_bool,
+                     metavar="true|false",
+                     help="override the model's general-position flag")
+
+
+# name -> (help, add-arguments function, command)
+_COMMANDS = {
+    "split": ("splitting type of the pushforward of O(lH')",
+              _split_arguments, _cmd_split),
+    "verify-endo": ("finiteness verdict for an endomorphism",
+                    _verify_endo_arguments, _cmd_verify_endo),
+    "pullback": ("cohomology and verdicts for the inverse image "
+                 "of a model variety", _pullback_arguments, _cmd_pullback),
+    "adjoint": ("adjunction report for a surface model in P^4",
+                _adjoint_arguments, _cmd_adjoint),
+}
+
+
+def build_parser(argv=()) -> argparse.ArgumentParser:
+    """The CLI parser.  Every subcommand is listed, but only the one named
+    by argv[0] gets its arguments; when argv[0] names none (--help, an
+    empty argv, a bad command) every subcommand gets them."""
     parser = argparse.ArgumentParser(
         prog="pushsplit",
         description="Exact splitting types of pushforwards of line bundles "
                     "under finite endomorphisms of projective space, and "
                     "the cohomology of inverse-image varieties.")
     subs = parser.add_subparsers(dest="command", required=True)
-
-    split = subs.add_parser(
-        "split", help="splitting type of the pushforward of O(lH')")
-    split.add_argument("--n", type=int)
-    split.add_argument("--k", type=int)
-    split.add_argument("--l", type=int)
-    split.add_argument("--endo", help="endomorphism file instead of --n/--k")
-    split.add_argument("--emax", type=int,
-                       help="upper twist for the Hilbert identity check")
-    split.add_argument("--primes", help="comma-separated modular primes")
-    split.add_argument("--exact", action="store_const", const=True,
-                       help="confirm every rank below full by a certified rank "
-                            "over Q (kernel vectors checked over the "
-                            "integers, Bareiss as fallback)")
-
-    verify = subs.add_parser(
-        "verify-endo", help="finiteness verdict for an endomorphism")
-    verify.add_argument("--endo", help="endomorphism file")
-    verify.add_argument("--random", action="store_const", const=True,
-                        help="test a random perturbation of the power map")
-    verify.add_argument("--n", type=int)
-    verify.add_argument("--k", type=int)
-    verify.add_argument("--seed", type=int,
-                        help="seed for --random (default 0)")
-    verify.add_argument("--primes", help="comma-separated modular primes")
-    verify.add_argument("--exact", action="store_const", const=True,
-                        help="confirm a NOT_FINITE verdict by a certified rank "
-                             "over Q (kernel vectors checked over the "
-                             "integers, Bareiss as fallback)")
-
-    pull = subs.add_parser(
-        "pullback", help="cohomology and verdicts for the inverse image "
-                         "of a model variety")
-    pull.add_argument("--model",
-                      help="ci:d1,...@n | p<n> | plane@4 | table:<path>")
-    pull.add_argument("--k", type=int)
-    pull.add_argument("--lrange", type=_cast_range, metavar="a..b",
-                      help="twist range (default -k..3k)")
-    pull.add_argument("--general-position", type=_cast_bool,
-                      metavar="true|false",
-                      help="override the model's general-position flag")
-
-    adjoint = subs.add_parser(
-        "adjoint", help="adjunction report for a surface model in P^4")
-    adjoint.add_argument("--model",
-                         help="ci:a,b@4 | plane@4 | table:<path>")
-    adjoint.add_argument("--k", type=int)
-    adjoint.add_argument("--general-position", type=_cast_bool,
-                         metavar="true|false",
-                         help="override the model's general-position flag")
-    for sub, func in ((split, _cmd_split), (verify, _cmd_verify_endo),
-                      (pull, _cmd_pullback), (adjoint, _cmd_adjoint)):
-        _add_common(sub)
-        sub.set_defaults(func=func)
+    chosen = argv[0] if argv and argv[0] in _COMMANDS else None
+    for name, (help_text, add_arguments, _) in _COMMANDS.items():
+        sub = subs.add_parser(name, help=help_text)
+        if chosen in (None, name):
+            add_arguments(sub)
+            _add_common(sub)
     return parser
 
 
@@ -587,15 +604,15 @@ def _glue_range_values(argv: list) -> list:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     if argv is None:
         argv = sys.argv[1:]
-    args = parser.parse_args(_glue_range_values(list(argv)))
+    argv = _glue_range_values(list(argv))
+    args = build_parser(argv).parse_args(argv)
     try:
         opts = _Options(args)
         fmt = opts.pick("format", default="text", cast=_cast_format)
         out = opts.pick("out")
-        payload, code = args.func(opts)
+        payload, code = _COMMANDS[args.command][2](opts)
         _emit(_render(payload, fmt), out)
         return code
     except IntegrityError as exc:

@@ -8,7 +8,9 @@ multiplicities m_{l,d}:
   line bundles is determined by its Hilbert function, which depends only
   on (n, k, l); m_{l,d} is the number of exponent vectors
   a in {0..k-1}^(n+1) with |a| = l+kd, i.e. the coefficient of t^(l+kd)
-  in ((1-t^k)/(1-t))^(n+1).
+  in ((1-t^k)/(1-t))^(n+1).  Those coefficients are P-recursive
+  (Stanley, *Enumerative Combinatorics 2*, section 6.4) and come from a
+  three-term recurrence, about (n+1)(k-1)/2 big-int steps per table.
 
 * ``splitting_from_endo``: exact linear algebra on a concrete
   endomorphism.  m_{l,d} is the corank of the multiplication matrix
@@ -24,6 +26,8 @@ IntegrityError, never a silent preference for one side.
 
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -78,25 +82,80 @@ class SplittingType:
         return self.multiplicities[-1][0]
 
 
+# Largest closed-form table: 2**20 coefficients, and 2**27 bytes of
+# distinct big integers (a table is symmetric, so half of it is distinct).
+MAX_BOX_COEFFS = 2 ** 20
+MAX_BOX_BYTES = 2 ** 27
+
+
 @lru_cache(maxsize=None)
 def _box_counts(num_vars: int, k: int) -> tuple[int, ...]:
-    """Coefficients of (1 + t + ... + t^(k-1))^num_vars."""
-    coeffs = [1]
-    for _ in range(num_vars):
-        out = [0] * (len(coeffs) + k - 1)
-        for i, c in enumerate(coeffs):
-            for j in range(k):
-                out[i + j] += c
-        coeffs = out
-    return tuple(coeffs)
+    """Coefficients q_0..q_top of ((1-t^k)/(1-t))^v, v = num_vars, top = v(k-1).
+
+    Q = ((1-t^k)/(1-t))^v satisfies (1-t)(1-t^k)Q' = v((1-t^k) -
+    k t^(k-1) (1-t))Q, so its coefficients are P-recursive (Stanley,
+    *Enumerative Combinatorics 2*, section 6.4):
+
+        m q_m = (m-1+v) q_{m-1} + (m-k-vk) q_{m-k} + (v(k-1)-m+k+1) q_{m-k-1}
+
+    with q_0 = 1 and q_j = 0 for j < 0; the division by m is exact.  The
+    table is symmetric, q_m = q_{top-m}, so the recurrence runs to top/2.
+    """
+    v = num_vars
+    top = v * (k - 1)
+    half = top // 2
+    q = [1]
+    for m in range(1, half + 1):
+        s = (m - 1 + v) * q[m - 1]
+        if m >= k:
+            s += (m - k - v * k) * q[m - k]
+            if m > k:
+                s += (top - m + k + 1) * q[m - k - 1]
+        q.append(s // m)
+    return tuple(q + q[:top - half][::-1])
+
+
+def _refuse_oversized(n: int, k: int) -> None:
+    """Refuse a closed form too large to compute, hold or print.
+
+    The table has (n+1)(k-1)+1 coefficients, each below k^(n+1), and
+    every multiplicity it yields is at most the rank k^n, which must fit
+    the interpreter's int-to-str digit limit (sys.get_int_max_str_digits,
+    0 for none).
+    """
+    size = (n + 1) * (k - 1) + 1
+    if size > MAX_BOX_COEFFS:
+        raise InputError(
+            f"closed form for n={n}, k={k} needs (n+1)(k-1)+1 = {size} "
+            f"coefficients, above the limit 2**20 = {MAX_BOX_COEFFS}")
+    digits = sys.get_int_max_str_digits()
+    # the float estimate of log10(k^n) spares the exact test (and 10**digits)
+    # to all but ranks within a digit of the limit
+    if digits and n * math.log10(k) > digits - 1 and k ** n >= 10 ** digits:
+        raise InputError(
+            f"rank k^n = {k}^{n} has more than {digits} digits, the "
+            "interpreter's limit for printing an integer "
+            "(sys.set_int_max_str_digits)")
+    table_bytes = (size // 2 + 1) * (n + 1) * math.log2(k) / 8
+    if table_bytes > MAX_BOX_BYTES:
+        raise InputError(
+            f"closed form for n={n}, k={k} needs a table of about "
+            f"{table_bytes / 2 ** 20:.0f} MB, above the limit of "
+            f"{MAX_BOX_BYTES // 2 ** 20} MB")
 
 
 def splitting_universal(n: int, k: int, l: int) -> SplittingType:
-    """Closed-form multiplicities: m_{l,d} = #{a in {0..k-1}^(n+1), |a| = l+kd}."""
+    """Closed-form multiplicities: m_{l,d} = #{a in {0..k-1}^(n+1), |a| = l+kd}.
+
+    A table above MAX_BOX_COEFFS coefficients or MAX_BOX_BYTES bytes, or
+    a rank k^n with more digits than the interpreter prints, is an
+    InputError raised before any work.
+    """
     if n < 1:
         raise InputError(f"n must be >= 1, got {n}")
     if k < 1:
         raise InputError(f"k must be >= 1, got {k}")
+    _refuse_oversized(n, k)
     counts = _box_counts(n + 1, k)
     top = (k - 1) * (n + 1)
     pairs = []
@@ -159,16 +218,25 @@ def hilbert_check(st: SplittingType, e_max: int) -> HilbertCheckReport:
     Checked for every e from -floor(l/k) to e_max; these all have
     l + ke >= 0, where the identity is asserted.  An e_max below
     -floor(l/k) would check nothing and is an InputError.
+
+    graded_dim(n+1, t) = C(t+n, n) is a polynomial of degree n in t for
+    t >= -n.  So from e0 = max(-floor(l/k), support_max - n,
+    -floor((n+l)/k)) on, both sides are polynomials of degree n in e,
+    and n+1 agreeing values from e0 make them equal everywhere beyond:
+    e up to min(e_max, e0 + n) decides the whole range, and gives the
+    same first failure, whatever e_max is.
     """
-    lower = -(st.l // st.k)
+    n, k, l = st.n, st.k, st.l
+    lower = -(l // k)
     if e_max < lower:
         raise InputError(
             f"hilbert check range is empty: e_max = {e_max} is below "
             f"-floor(l/k) = {lower}")
-    for e in range(lower, e_max + 1):
-        lhs = sum(m * graded_dim(st.n + 1, e - d)
+    e0 = max(lower, -((n + l) // k), *(d - n for d, _ in st.multiplicities))
+    for e in range(lower, min(e_max, e0 + n) + 1):
+        lhs = sum(m * graded_dim(n + 1, e - d)
                   for d, m in st.multiplicities)
-        rhs = graded_dim(st.n + 1, st.l + st.k * e)
+        rhs = graded_dim(n + 1, l + k * e)
         if lhs != rhs:
             return HilbertCheckReport(False, (lower, e_max), e, lhs, rhs)
     return HilbertCheckReport(True, (lower, e_max))

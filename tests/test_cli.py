@@ -1,5 +1,6 @@
 """CLI behavior: exit codes, canonical JSON, CSV, config, environment."""
 
+import argparse
 import csv
 import errno
 import io
@@ -132,6 +133,31 @@ def test_split_hilbert_range_is_never_empty(capsys):
     code, out, err = run(capsys, "split", "--n", "2", "--k", "2",
                          "--l", "-100", "--emax", "10")
     assert (code, out) == (2, "") and "range is empty" in err
+
+
+def test_oversized_closed_forms_exit_2_without_a_traceback():
+    # 50^3000 has 5097 digits, past the interpreter's 4300-digit limit for
+    # printing an integer; 10**12 would need a table of 2 * 10**12 terms
+    for argv, message in (
+            (["--n", "3000", "--k", "50", "--l", "7", "--csv"],
+             "50^3000 has more than 4300 digits"),
+            (["--n", "1", "--k", str(10 ** 12), "--l", "0"],
+             "= 1999999999999 coefficients")):
+        done = run_process("-m", "pushsplit", "split", *argv)
+        assert done.returncode == 2
+        assert done.stdout == b""
+        assert done.stderr.startswith(b"error: ")
+        assert message.encode() in done.stderr
+        assert b"Traceback" not in done.stderr
+
+
+def test_large_closed_form_split_succeeds(capsys):
+    code, out, err = run(capsys, "split", "--n", "2000", "--k", "50",
+                         "--l", "0", "--json")
+    assert (code, err) == (0, "")
+    payload = json.loads(out)
+    assert payload["rank"] == 50 ** 2000
+    assert payload["hilbert_check"]["passed"] is True
 
 
 def test_split_integrity_exit_code(capsys, monkeypatch):
@@ -446,6 +472,17 @@ def test_config_file(capsys, tmp_path):
     assert json.loads(out)["degree_prime"] == 6
 
 
+def test_config_comments_are_whole_lines(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "run.cfg").write_text(
+        "# a comment line\n  # an indented one\nn = 2\nk = 2\nl = 1\n"
+        "out = r#1.txt\n")
+    code, out, err = run(capsys, "split", "--config", "run.cfg", "--json")
+    assert (code, out, err) == (0, "", "")
+    assert json.loads((tmp_path / "r#1.txt").read_text())["rank"] == 4
+    assert not (tmp_path / "r").exists()
+
+
 def test_config_file_rejects_unknown_and_duplicate_keys(capsys, tmp_path):
     bad = tmp_path / "bad.cfg"
     bad.write_text("model = ci:2,2@4\nk = 2\nwat = 1\n")
@@ -576,3 +613,48 @@ def test_output_matches_golden(capsys, tmp_path, case, fmt):
         target = tmp_path / "report"
         assert run(capsys, *argv, "--out", str(target)) == (code, "", "")
         assert target.read_bytes() == out.encode()
+
+
+# Help, usage and parse errors, byte for byte as the CLI printed them when
+# it built every subcommand's arguments on each call.
+USAGE_CASES = {
+    "usage_help": ["--help"],
+    "usage_empty": [],
+    "usage_split_help": ["split", "--help"],
+    "usage_verify_endo_help": ["verify-endo", "--help"],
+    "usage_pullback_help": ["pullback", "--help"],
+    "usage_adjoint_help": ["adjoint", "--help"],
+    "usage_split_bogus": ["split", "--bogus"],
+    "usage_unknown_command": ["frobnicate", "--n", "2"],
+    "usage_pullback_bad_lrange": ["pullback", "--lrange", "5..1"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(USAGE_CASES))
+def test_usage_matches_golden(capsys, monkeypatch, name):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        main(USAGE_CASES[name])
+    captured = capsys.readouterr()
+    expected_err = GOLDEN / f"{name}.err"
+    assert exc.value.code == \
+        json.loads((GOLDEN / "exit_codes.json").read_text())[name]
+    assert captured.out.encode() == (GOLDEN / f"{name}.out").read_bytes()
+    assert captured.err.encode() == (expected_err.read_bytes()
+                                     if expected_err.exists() else b"")
+
+
+def test_parser_adds_only_the_named_subcommands_arguments():
+    def flags(parser, command):
+        subs = next(a for a in parser._actions
+                    if isinstance(a, argparse._SubParsersAction))
+        return {opt for action in subs.choices[command]._actions
+                for opt in action.option_strings}
+
+    full = cli.build_parser()
+    assert flags(full, "adjoint") >= {"--model", "--k", "--out"}
+    narrow = cli.build_parser(["split", "--n", "2"])
+    assert flags(narrow, "split") == flags(full, "split")
+    assert flags(narrow, "adjoint") == {"-h", "--help"}
+    assert flags(cli.build_parser(["--help"]), "pullback") == \
+        flags(full, "pullback")

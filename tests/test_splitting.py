@@ -5,10 +5,14 @@ counts those of total degree l+kd; the closed form and the kernel
 computation from an explicit endomorphism must both reproduce it.
 """
 
+import functools
 import itertools
+import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 from pushsplit.errors import InputError, IntegrityError
 from pushsplit.endomorphism import (
@@ -22,7 +26,10 @@ from pushsplit.endomorphism import (
 )
 from pushsplit.polyring import graded_dim, parse_form
 from pushsplit.splitting import (
+    MAX_BOX_COEFFS,
+    HilbertCheckReport,
     SplittingType,
+    _box_counts,
     delta,
     dual_multiplicities,
     hilbert_check,
@@ -39,6 +46,80 @@ def oracle_multiplicities(n, k, l):
             d = (total - l) // k
             counts[d] = counts.get(d, 0) + 1
     return counts
+
+
+def convolved_box_counts(v, k):
+    """(1 + t + ... + t^(k-1))^v by v convolutions with a k-term box."""
+    coeffs = [1]
+    for _ in range(v):
+        out = [0] * (len(coeffs) + k - 1)
+        for i, c in enumerate(coeffs):
+            for j in range(k):
+                out[i + j] += c
+        coeffs = out
+    return tuple(coeffs)
+
+
+def inclusion_exclusion_box_count(v, k, t):
+    """#{a in {0..k-1}^v, |a| = t} = sum_j (-1)^j C(v,j) C(t-jk+v-1, v-1)."""
+    return sum((-1) ** j * math.comb(v, j) * math.comb(t - j * k + v - 1, v - 1)
+               for j in range(v + 1) if t - j * k >= 0)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(v=hst.integers(1, 40), k=hst.integers(1, 30))
+def test_box_counts_match_convolution_and_inclusion_exclusion(v, k):
+    counts = _box_counts(v, k)
+    assert counts == convolved_box_counts(v, k)
+    assert counts == tuple(inclusion_exclusion_box_count(v, k, t)
+                           for t in range(v * (k - 1) + 1))
+
+
+@pytest.mark.parametrize("v", [0, 1, 2, 7, 40])
+def test_box_counts_at_k_one(v):
+    assert _box_counts(v, 1) == (1,) == convolved_box_counts(v, 1)
+
+
+def test_box_counts_is_an_lru_cache():
+    # the benchmark reads _box_counts.cache_info() for its hit fraction
+    assert isinstance(_box_counts, functools._lru_cache_wrapper)
+    _box_counts.cache_clear()
+    _box_counts(5, 4)
+    _box_counts(5, 4)
+    info = _box_counts.cache_info()
+    assert (info.hits, info.misses) == (1, 1)
+
+
+def test_large_closed_form_within_the_limits():
+    st = splitting_universal(2000, 50, 0)
+    assert st.rank == 50 ** 2000
+    assert st.multiplicity(0) == 1
+
+
+def test_oversized_closed_forms_are_refused_before_any_work():
+    _box_counts.cache_clear()
+    with pytest.raises(InputError) as err:
+        splitting_universal(1, 10 ** 12, 0)
+    assert f"= {2 * (10 ** 12 - 1) + 1} coefficients" in str(err.value)
+    with pytest.raises(InputError):
+        splitting_universal(MAX_BOX_COEFFS // 2, 3, 0)
+    with pytest.raises(InputError) as err:
+        splitting_universal(1000, 1000, 0)
+    assert "a table of about 595 MB, above the limit of 128 MB" in \
+        str(err.value)
+    with pytest.raises(InputError) as err:
+        splitting_universal(3000, 50, 7)
+    assert "50^3000 has more than 4300 digits" in str(err.value)
+    assert _box_counts.cache_info().misses == 0
+
+
+def test_digit_limit_follows_the_interpreter(monkeypatch):
+    monkeypatch.setattr("sys.get_int_max_str_digits", lambda: 0)
+    assert splitting_universal(3000, 2, 0).rank == 2 ** 3000
+    monkeypatch.setattr("sys.get_int_max_str_digits", lambda: 3)
+    assert splitting_universal(3, 9, 0).rank == 729
+    with pytest.raises(InputError):
+        splitting_universal(3, 10, 0)
 
 
 def test_delta_values():
@@ -112,6 +193,51 @@ def test_hilbert_check_catches_tampering():
     assert not report.passed
     assert report.first_failure == 0
     assert report.lhs == 2 and report.rhs == 1
+
+
+def full_hilbert_check(st, e_max):
+    """hilbert_check as a walk over every e in [-floor(l/k), e_max]."""
+    lower = -(st.l // st.k)
+    for e in range(lower, e_max + 1):
+        lhs = sum(m * graded_dim(st.n + 1, e - d) for d, m in st.multiplicities)
+        rhs = graded_dim(st.n + 1, st.l + st.k * e)
+        if lhs != rhs:
+            return HilbertCheckReport(False, (lower, e_max), e, lhs, rhs)
+    return HilbertCheckReport(True, (lower, e_max))
+
+
+def test_bounded_hilbert_check_matches_the_full_walk():
+    rng = random.Random(20011)
+    failures = 0
+    for _ in range(3000):
+        n, k, l = rng.randint(1, 5), rng.randint(1, 5), rng.randint(-12, 15)
+        st = splitting_universal(n, k, l)
+        if rng.random() < 0.5:
+            pairs = dict(st.multiplicities)
+            d = rng.randint(st.support_min - 2, st.support_max + 3)
+            pairs[d] = max(1, pairs.get(d, 0) + rng.choice((-1, 1, 2)))
+            st = SplittingType(n, k, l, tuple(sorted(pairs.items())))
+        e_max = -(l // k) + rng.randint(0, 30)
+        report = hilbert_check(st, e_max)
+        assert report == full_hilbert_check(st, e_max), (st, e_max)
+        failures += not report.passed
+    assert 1000 < failures < 1500
+
+
+def test_hilbert_check_work_does_not_grow_with_e_max(monkeypatch):
+    calls = []
+    real = graded_dim
+
+    def counting(num_vars, degree):
+        calls.append(degree)
+        return real(num_vars, degree)
+
+    monkeypatch.setattr("pushsplit.splitting.graded_dim", counting)
+    st = splitting_universal(200, 20, 3)
+    report = hilbert_check(st, e_max=2000)
+    assert report.passed and report.e_range == (0, 2000)
+    # n + 1 = 201 twists of len(multiplicities) + 1 binomials each
+    assert len(calls) <= 201 * (len(st.multiplicities) + 1)
 
 
 def test_hilbert_check_refuses_an_empty_range():
