@@ -12,13 +12,13 @@ from .adjunction import AdjunctionReport, BoundCheckReport, \
     CanonicalSystemReport, canonical_birationality_verdict, \
     canonical_system_dimensions, delta_l_bound_check, surface_adjunction
 from .endomorphism import Endomorphism, FinitenessReport, load_endomorphism, \
-    parse_endomorphism, power_map, pullback_form, random_endomorphism, \
+    parse_endomorphism, power_map, random_endomorphism, \
     validate_finite
 from .errors import FormSyntaxError, InputError, IntegrityError, \
     MissingDataError, PushsplitError, TableRangeError
 from .exactla import DEFAULT_PRIMES, ExactMatrix, RankResult, binomial, \
     is_prime, rank_mod, rank_rational, rank_verified
-from .polyring import HomogPoly, compose, graded_dim, monomials_of_degree, \
+from .polyring import HomogPoly, graded_dim, monomials_of_degree, \
     multiplication_matrix, multiply, parse_form
 from .pullback import CompletenessVerdict, PullbackReport, Verdict, \
     build_pullback_report, completeness_verdict, dualizing_cohomology, \
@@ -44,7 +44,7 @@ __all__ = [
     "Verdict", "binomial", "build_pullback_report",
     "canonical_birationality_verdict", "canonical_system_dimensions",
     "ci_h0", "ci_table", "complete_intersection", "completeness_verdict",
-    "compose", "delta", "delta_l_bound_check", "dual_multiplicities",
+    "delta", "delta_l_bound_check", "dual_multiplicities",
     "dualizing_cohomology", "dump_table", "euler_characteristic",
     "graded_dim", "hilbert_check", "hyperplane_section_verdict",
     "ideal_pushforward_cohomology",
@@ -52,7 +52,7 @@ __all__ = [
     "load_endomorphism", "model_from_table", "monomials_of_degree",
     "multiplication_matrix", "multiply", "parse_endomorphism", "parse_form",
     "parse_table", "plane_in_p4", "power_map", "projective_space",
-    "pullback_degree", "pullback_form", "pushforward_cohomology",
+    "pullback_degree", "pushforward_cohomology",
     "random_endomorphism", "rank_mod", "rank_rational", "rank_verified",
     "splitting_from_endo", "splitting_universal", "surface_adjunction",
     "validate_finite",

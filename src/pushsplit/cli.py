@@ -12,11 +12,14 @@ Exit codes are disjoint: 0 success, 1 negative mathematical verdict
 2 input error, 3 integrity error (two routes that must agree disagreed),
 4 table range exceeded.
 
-Every field a subcommand accepts as a flag can also come from a
-``--config`` file of key=value lines; explicit flags win.  Where modular
-primes are used (``verify-endo``, ``split --endo``), the env var
-PUSHSPLIT_PRIMES ("p,q") overrides the default primes; --primes
-overrides both.
+Every long flag of a subcommand but ``--config``, ``--help``, ``--json``
+and ``--csv`` can also come from a ``--config`` file of ``key = value``
+lines.  The key is the flag's name without the dashes; the value is cast
+by that flag's type and checked against its choices, and an on/off flag
+(``--exact``, ``--random``) takes ``true`` or ``false``.  Explicit flags
+win.  Where modular primes are used (``verify-endo``, ``split --endo``),
+the env var PUSHSPLIT_PRIMES ("p,q") overrides the default primes;
+--primes overrides both.
 """
 
 from __future__ import annotations
@@ -48,6 +51,9 @@ EXIT_RANGE = 4
 # ---------------------------------------------------------------------------
 # config file and shared option resolution
 
+# flags a config file cannot set
+_NOT_CONFIG = ("--config", "--help", "--json", "--csv")
+
 
 def _load_config(path: str) -> dict:
     values: dict[str, str] = {}
@@ -71,34 +77,30 @@ def _load_config(path: str) -> dict:
     return values
 
 
-class _Options:
-    """Flag/config merge: explicit flags win, then config, then defaults."""
-
-    def __init__(self, args: argparse.Namespace):
-        self.args = args
-        self.config = _load_config(args.config) if args.config else {}
-        self.seen = set()
-
-    def pick(self, name: str, default=None, cast=str):
-        self.seen.add(name)
-        value = getattr(self.args, name.replace("-", "_"), None)
-        if value is not None:
-            return value
-        if name in self.config:
-            raw = self.config[name]
-            try:
-                return cast(raw)
-            except (ValueError, InputError):
-                raise InputError(
-                    f"config value {name}={raw!r} is not valid") from None
-        return default
-
-    def finish(self):
-        unknown = set(self.config) - self.seen
-        if unknown:
+def _apply_config(args: argparse.Namespace,
+                  sub: argparse.ArgumentParser) -> None:
+    """Fill each flag of ``sub`` the command line left unset from the
+    ``--config`` file, cast and checked as argparse would have."""
+    flags = {option[2:]: action
+             for option, action in sub._option_string_actions.items()
+             if option.startswith("--") and option not in _NOT_CONFIG}
+    for key, raw in _load_config(args.config).items():
+        action = flags.get(key)
+        if action is None:
             raise InputError(
-                f"config key {sorted(unknown)[0]!r} not accepted by "
-                "this subcommand")
+                f"config key {key!r} not accepted by this subcommand")
+        if getattr(args, action.dest) is not None:
+            continue
+        try:
+            # an on/off flag (store_const) consumes no argument
+            value = _cast_bool(raw) if action.nargs == 0 \
+                else (action.type or str)(raw)
+            if action.choices is not None and value not in action.choices:
+                raise ValueError(raw)
+        except (ValueError, InputError):
+            raise InputError(
+                f"config value {key}={raw!r} is not valid") from None
+        setattr(args, action.dest, value)
 
 
 def _cast_bool(raw: str) -> bool:
@@ -106,12 +108,6 @@ def _cast_bool(raw: str) -> bool:
     if lowered not in ("true", "false"):
         raise ValueError(raw)
     return lowered == "true"
-
-
-def _cast_format(raw: str) -> str:
-    if raw not in FORMATS:
-        raise ValueError(raw)
-    return raw
 
 
 def _cast_range(raw: str) -> tuple[int, int]:
@@ -326,19 +322,14 @@ def _parse_model(spec: str, general_position: bool | None) -> varieties.ModelVar
 # subcommands: each returns its report (the JSON payload) and its exit code
 
 
-def _cmd_split(opts: _Options) -> tuple[dict, int]:
-    endo_path = opts.pick("endo")
-    l = opts.pick("l", cast=int)
-    e_max = opts.pick("emax", cast=int)
-    n = opts.pick("n", cast=int)
-    k = opts.pick("k", cast=int)
+def _cmd_split(args: argparse.Namespace) -> tuple[dict, int]:
+    endo_path, l, e_max, n, k = args.endo, args.l, args.emax, args.n, args.k
     if l is None:
         raise InputError("--l is required")
     if endo_path is not None:
         if n is not None or k is not None:
             raise InputError("give either --endo or --n/--k, not both")
-        primes = _resolve_primes(opts.pick("primes"))
-        exact = bool(opts.pick("exact", default=False, cast=_cast_bool))
+        primes, exact = _resolve_primes(args.primes), bool(args.exact)
         endo = load_endomorphism(endo_path)
         if not validate_finite(endo, primes=primes, exact=exact).is_finite:
             raise InputError(
@@ -348,15 +339,13 @@ def _cmd_split(opts: _Options) -> tuple[dict, int]:
         source = f"endomorphism:{endo_path}"
         n, k = endo.n, endo.k
     else:
-        if opts.pick("primes") is not None or \
-                opts.pick("exact", cast=_cast_bool) is not None:
+        if args.primes is not None or args.exact is not None:
             raise InputError("--primes and --exact apply only with --endo; "
                              "the closed form uses no prime")
         if n is None or k is None:
             raise InputError("--n and --k are required without --endo")
         st = splitting.splitting_universal(n, k, l)
         source = "closed-form"
-    opts.finish()
     check = splitting.hilbert_check(
         st, max(10, -(l // k)) if e_max is None else e_max)
     payload = {
@@ -377,26 +366,25 @@ def _cmd_split(opts: _Options) -> tuple[dict, int]:
     return payload, EXIT_OK if check.passed else EXIT_INTEGRITY
 
 
-def _cmd_verify_endo(opts: _Options) -> tuple[dict, int]:
-    endo_path = opts.pick("endo")
-    use_random = bool(opts.pick("random", default=False, cast=_cast_bool))
-    primes = _resolve_primes(opts.pick("primes"))
-    exact = bool(opts.pick("exact", default=False, cast=_cast_bool))
-    if use_random:
-        n = opts.pick("n", cast=int)
-        k = opts.pick("k", cast=int)
-        seed = opts.pick("seed", default=0, cast=int)
+def _cmd_verify_endo(args: argparse.Namespace) -> tuple[dict, int]:
+    n, k, seed = args.n, args.k, args.seed
+    primes, exact = _resolve_primes(args.primes), bool(args.exact)
+    if args.random:
+        if args.endo is not None:
+            raise InputError("give either --endo or --random, not both")
         if n is None or k is None:
             raise InputError("--random needs --n and --k")
+        seed = 0 if seed is None else seed
         endo = random_endomorphism(n, k, random.Random(seed),
                                    primes=primes, exact=exact)
         source = f"random(n={n}, k={k}, seed={seed})"
-    elif endo_path is not None:
-        endo = load_endomorphism(endo_path)
-        source = endo_path
+    elif (n, k, seed) != (None, None, None):
+        raise InputError("--n, --k and --seed apply only with --random")
+    elif args.endo is not None:
+        endo = load_endomorphism(args.endo)
+        source = args.endo
     else:
         raise InputError("give --endo <path> or --random --n N --k K")
-    opts.finish()
     report = endo.finiteness or validate_finite(endo, primes=primes,
                                                 exact=exact)
     payload = {
@@ -420,18 +408,14 @@ def _rows_payload(rows: dict) -> list:
     return [[i, l, value] for (i, l), value in sorted(rows.items())]
 
 
-def _cmd_pullback(opts: _Options) -> tuple[dict, int]:
-    spec = opts.pick("model")
-    k = opts.pick("k", cast=int)
-    lrange = opts.pick("lrange", cast=_cast_range)
-    general_position = opts.pick("general-position", cast=_cast_bool)
-    opts.finish()
+def _cmd_pullback(args: argparse.Namespace) -> tuple[dict, int]:
+    spec, k = args.model, args.k
     if spec is None or k is None:
         raise InputError("--model and --k are required")
     if k < 1:
         raise InputError(f"k must be >= 1, got {k}")
-    model = _parse_model(spec, general_position)
-    report = pullback.build_pullback_report(model, k, lrange)
+    model = _parse_model(spec, args.general_position)
+    report = pullback.build_pullback_report(model, k, args.lrange)
     verdicts = {
         "nondegenerate": report.completeness.nondegenerate,
         "linearly_complete": report.completeness.linearly_complete,
@@ -459,14 +443,11 @@ def _cmd_pullback(opts: _Options) -> tuple[dict, int]:
     return payload, EXIT_NEGATIVE if negative else EXIT_OK
 
 
-def _cmd_adjoint(opts: _Options) -> tuple[dict, int]:
-    spec = opts.pick("model")
-    k = opts.pick("k", cast=int)
-    general_position = opts.pick("general-position", cast=_cast_bool)
-    opts.finish()
+def _cmd_adjoint(args: argparse.Namespace) -> tuple[dict, int]:
+    spec, k = args.model, args.k
     if spec is None or k is None:
         raise InputError("--model and --k are required")
-    model = _parse_model(spec, general_position)
+    model = _parse_model(spec, args.general_position)
     report = adjunction.surface_adjunction(model, k)
     verdicts = {
         "canonical_very_ample": report.canonical_very_ample,
@@ -585,6 +566,7 @@ def build_parser(argv=()) -> argparse.ArgumentParser:
     chosen = argv[0] if argv and argv[0] in _COMMANDS else None
     for name, (help_text, add_arguments, _) in _COMMANDS.items():
         sub = subs.add_parser(name, help=help_text)
+        sub.set_defaults(parser=sub)
         if chosen in (None, name):
             add_arguments(sub)
             _add_common(sub)
@@ -609,11 +591,10 @@ def main(argv=None) -> int:
     argv = _glue_range_values(list(argv))
     args = build_parser(argv).parse_args(argv)
     try:
-        opts = _Options(args)
-        fmt = opts.pick("format", default="text", cast=_cast_format)
-        out = opts.pick("out")
-        payload, code = _COMMANDS[args.command][2](opts)
-        _emit(_render(payload, fmt), out)
+        if args.config:
+            _apply_config(args, args.parser)
+        payload, code = _COMMANDS[args.command][2](args)
+        _emit(_render(payload, args.format or "text"), args.out)
         return code
     except IntegrityError as exc:
         print(f"integrity error: {exc}", file=sys.stderr)

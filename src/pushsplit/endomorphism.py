@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 from .errors import InputError
 from .exactla import DEFAULT_PRIMES, rank_verified
-from .polyring import HomogPoly, compose, graded_dim, monomials_of_degree, \
+from .polyring import HomogPoly, graded_dim, monomials_of_degree, \
     multiplication_matrix, parse_form
 
 FINITE = "FINITE"
@@ -133,14 +133,6 @@ def validate_finite(e: Endomorphism, primes=DEFAULT_PRIMES,
         rational_rank=rank.rational)
     e._finiteness.append(report)
     return report
-
-
-def pullback_form(e: Endomorphism, g: HomogPoly) -> HomogPoly:
-    """Substitute the defining forms into g; degree multiplies by k."""
-    if g.num_vars != e.n + 1:
-        raise InputError(
-            f"form has {g.num_vars} variables, endomorphism expects {e.n + 1}")
-    return compose(g, e.forms)
 
 
 _RANDOM_DRAWS = 25

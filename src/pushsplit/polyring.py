@@ -166,42 +166,6 @@ def multiply(p: HomogPoly, q: HomogPoly) -> HomogPoly:
     return HomogPoly.from_dict(p.num_vars, p.degree + q.degree, coeffs)
 
 
-def compose(p: HomogPoly, forms) -> HomogPoly:
-    """Substitute forms[i] for variable i of ``p``.
-
-    All forms must be homogeneous of one common degree k in one common
-    variable count; the result is homogeneous of degree deg(p)*k.
-    """
-    forms = tuple(forms)
-    if len(forms) != p.num_vars:
-        raise InputError(
-            f"expected {p.num_vars} forms, got {len(forms)}")
-    if not forms:
-        raise InputError("compose needs at least one form")
-    k = forms[0].degree
-    v = forms[0].num_vars
-    for f in forms:
-        if f.degree != k or f.num_vars != v:
-            raise InputError("forms must share degree and variable count")
-    out = HomogPoly.zero(v, p.degree * k)
-    powers: list[dict[int, HomogPoly]] = [dict() for _ in forms]
-
-    def power(i: int, e: int) -> HomogPoly:
-        cache = powers[i]
-        if e not in cache:
-            cache[e] = HomogPoly.monomial((0,) * v) if e == 0 \
-                else multiply(power(i, e - 1), forms[i])
-        return cache[e]
-
-    for mono, coeff in p.terms:
-        piece = HomogPoly.monomial((0,) * v, coeff)
-        for i, e in enumerate(mono):
-            if e:
-                piece = multiply(piece, power(i, e))
-        out = out + piece
-    return out
-
-
 def multiplication_matrix(forms, source_degree: int) -> ExactMatrix:
     """Matrix of (g_i)_i |-> sum_i forms[i]*g_i between graded pieces.
 

@@ -1,6 +1,7 @@
 """CLI behavior: exit codes, canonical JSON, CSV, config, environment."""
 
 import argparse
+import contextlib
 import csv
 import errno
 import io
@@ -9,9 +10,12 @@ import os
 import shutil
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pushsplit import cli, exactla, pullback
 from pushsplit.cli import main
@@ -284,6 +288,26 @@ def test_verify_endo_random_is_seeded(capsys):
     assert first == second
     assert first[0] == 0
     assert json.loads(first[1])["verdict"] == "FINITE"
+
+
+def test_verify_endo_refuses_random_flags_without_random(capsys, tmp_path):
+    cfg = tmp_path / "run.cfg"
+    for flag in ("--n", "--k", "--seed"):
+        cfg.write_text(f"{flag[2:]} = 3\n")
+        for extra in ([flag, "3"], ["--config", str(cfg)]):
+            code, out, err = run(capsys, "verify-endo", "--endo",
+                                 "tests/fixtures/power42.endo", *extra)
+            assert (code, out) == (2, "") and "--random" in err
+
+
+def test_verify_endo_refuses_endo_beside_random(capsys, tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("endo = tests/fixtures/power42.endo\n")
+    for extra in (["--endo", "tests/fixtures/power42.endo"],
+                  ["--config", str(cfg)]):
+        code, out, err = run(capsys, "verify-endo", "--random", "--n", "2",
+                             "--k", "2", *extra)
+        assert (code, out) == (2, "") and "--random" in err
 
 
 def test_verify_endo_primes_flag(capsys):
@@ -598,21 +622,72 @@ GOLDEN_CASES = {
 FORMAT_FLAGS = {"text": [], "json": ["--json"], "csv": ["--csv"]}
 
 
+def golden(name):
+    """The exit code, stdout and stderr bytes pinned for ``name`` (a missing
+    .err file means empty)."""
+    err = GOLDEN / f"{name}.err"
+    return (json.loads((GOLDEN / "exit_codes.json").read_text())[name],
+            (GOLDEN / f"{name}.out").read_bytes(),
+            err.read_bytes() if err.exists() else b"")
+
+
+def run_bytes(capsys, *argv):
+    code, out, err = run(capsys, *argv)
+    return code, out.encode(), err.encode()
+
+
 @pytest.mark.parametrize("case", sorted(GOLDEN_CASES))
 @pytest.mark.parametrize("fmt", sorted(FORMAT_FLAGS))
 def test_output_matches_golden(capsys, tmp_path, case, fmt):
     argv = GOLDEN_CASES[case] + FORMAT_FLAGS[fmt]
-    name = f"{case}.{fmt}"
     code, out, err = run(capsys, *argv)
-    expected_err = GOLDEN / f"{name}.err"
-    assert code == json.loads((GOLDEN / "exit_codes.json").read_text())[name]
-    assert out.encode() == (GOLDEN / f"{name}.out").read_bytes()
-    assert err.encode() == (expected_err.read_bytes()
-                            if expected_err.exists() else b"")
+    assert (code, out.encode(), err.encode()) == golden(f"{case}.{fmt}")
     if case == "pullback_table":
         target = tmp_path / "report"
         assert run(capsys, *argv, "--out", str(target)) == (code, "", "")
         assert target.read_bytes() == out.encode()
+
+
+def config_lines(argv):
+    """``key = value`` lines for ``--key value`` flags; an on/off flag (one
+    followed by another flag or by nothing) becomes ``key = true``."""
+    lines = []
+    for i, flag in enumerate(argv):
+        if flag.startswith("--"):
+            value = argv[i + 1] if i + 1 < len(argv) and \
+                not argv[i + 1].startswith("--") else "true"
+            lines.append(f"{flag[2:]} = {value}\n")
+    return lines
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN_CASES))
+@pytest.mark.parametrize("fmt", sorted(FORMAT_FLAGS))
+def test_config_file_matches_golden(capsys, tmp_path, case, fmt):
+    # every flag after the command moves into the config file; --json and
+    # --csv, which a config file cannot name, become a format line
+    command, *rest = GOLDEN_CASES[case]
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("".join(config_lines(rest))
+                   + ("" if fmt == "text" else f"format = {fmt}\n"))
+    assert run_bytes(capsys, command, "--config", str(cfg)) == \
+        golden(f"{case}.{fmt}")
+
+
+def test_command_line_flags_beat_config_values(capsys, tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("n = 3\nk = 5\nl = 4\n")
+    assert run_bytes(capsys, "split", "--config", str(cfg), "--k", "2") == \
+        golden("split_l_above_k.text")
+    cfg.write_text("endo = tests/fixtures/nonfinite12.endo\nexact = false\n")
+    assert run_bytes(capsys, "verify-endo", "--config", str(cfg),
+                     "--exact") == golden("verify_exact.text")
+    # an on/off key set to false is the flag left out; other words fail
+    assert run_bytes(capsys, "verify-endo", "--config", str(cfg)) == \
+        golden("verify_not_finite.text")
+    cfg.write_text("endo = tests/fixtures/nonfinite12.endo\nexact = yes\n")
+    code, out, err = run(capsys, "verify-endo", "--config", str(cfg))
+    assert (code, out) == (2, "")
+    assert "config value exact='yes' is not valid" in err
 
 
 # Help, usage and parse errors, byte for byte as the CLI printed them when
@@ -644,13 +719,17 @@ def test_usage_matches_golden(capsys, monkeypatch, name):
                                      if expected_err.exists() else b"")
 
 
-def test_parser_adds_only_the_named_subcommands_arguments():
-    def flags(parser, command):
-        subs = next(a for a in parser._actions
-                    if isinstance(a, argparse._SubParsersAction))
-        return {opt for action in subs.choices[command]._actions
-                for opt in action.option_strings}
+def subparser(parser, command):
+    return next(a for a in parser._actions if isinstance(
+        a, argparse._SubParsersAction)).choices[command]
 
+
+def flags(parser, command):
+    return {opt for action in subparser(parser, command)._actions
+            for opt in action.option_strings}
+
+
+def test_parser_adds_only_the_named_subcommands_arguments():
     full = cli.build_parser()
     assert flags(full, "adjoint") >= {"--model", "--k", "--out"}
     narrow = cli.build_parser(["split", "--n", "2"])
@@ -658,3 +737,81 @@ def test_parser_adds_only_the_named_subcommands_arguments():
     assert flags(narrow, "adjoint") == {"-h", "--help"}
     assert flags(cli.build_parser(["--help"]), "pullback") == \
         flags(full, "pullback")
+
+
+# Argv and config files built from each subcommand's own flags, with small
+# integers (so n, k, --emax and --lrange stay cheap), model-spec pieces and
+# the fixture files.  --out writes only into the example's temporary
+# directory, never over a fixture.
+FIXTURES = Path(__file__).resolve().parent / "fixtures"
+ENDOS = (*(str(path) for path in sorted(FIXTURES.glob("*.endo"))),
+         "no/such.endo")
+MODELS = ("ci:2,2@4", "ci:3@4", "ci:2,3@4", "ci:2@", "p2", "p", "plane@4",
+          "nope", *(f"table:{path}" for path in sorted(FIXTURES.glob(
+              "*.table"))))
+LIKELY = {"endo": ENDOS, "model": MODELS, "format": ("json", "csv", "xml"),
+          "lrange": ("-1..2", "0..3", "3..0", "..", "0..20"),
+          "primes": ("101,103", "2,3", "15", ""),
+          "general-position": ("true", "false", "TRUE", "x"),
+          "exact": ("true", "false"), "random": ("true", "false"),
+          "config": ("no/such.cfg", ENDOS[0])}
+ANY_VALUE = st.one_of(st.integers(-1, 3).map(str), st.sampled_from(
+    ("", "x", "true", "false", *ENDOS, *MODELS,
+     *LIKELY["format"], *LIKELY["lrange"], *LIKELY["primes"])))
+OUT_VALUES = st.sampled_from(("report.txt", "", "no/such/dir/report"))
+
+
+def fuzz_value(name):
+    """A value for flag or config key ``name``: half the time one that
+    suits it (a small integer when nothing else does), else any."""
+    key = name.lstrip("-")
+    if key == "out":
+        return OUT_VALUES
+    suited = st.sampled_from(LIKELY[key]) if key in LIKELY \
+        else st.integers(-1, 3).map(str)
+    return st.one_of(suited, ANY_VALUE)
+
+
+# command -> each of its long flags -> whether the flag takes a value
+FUZZ_FLAGS = {command: {
+    option: action.nargs != 0 for option, action in subparser(
+        cli.build_parser([command]), command)._option_string_actions.items()
+    if option.startswith("--")} for command in cli._COMMANDS}
+
+
+@st.composite
+def cli_calls(draw):
+    command = draw(st.sampled_from(sorted(FUZZ_FLAGS)))
+    takes_value = FUZZ_FLAGS[command]
+    argv = [command]
+    for flag in draw(st.lists(st.sampled_from(sorted(takes_value)),
+                              unique=True, max_size=4)):
+        # one flag in ten gets the wrong arity
+        valued = takes_value[flag] != (draw(st.integers(0, 9)) == 0)
+        argv += [flag, draw(fuzz_value(flag))] if valued else [flag]
+    keys = [flag[2:] for flag in sorted(takes_value)] + [
+        "json", "general_position", "wat"]
+    lines = [key + draw(st.sampled_from(("=", " = ", " "))) + draw(
+        fuzz_value(key)) for key in draw(st.lists(st.sampled_from(keys),
+                                                  max_size=5))]
+    config = draw(st.one_of(st.none(), st.just("\n".join(
+        lines + draw(st.lists(st.sampled_from(("# note", "", "=")),
+                              max_size=2))))))
+    return argv, config
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(cli_calls())
+def test_cli_exits_with_a_known_code(call):
+    argv, config = call
+    with tempfile.TemporaryDirectory() as scratch, contextlib.chdir(scratch), \
+            contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        if config is not None:
+            Path("run.cfg").write_text(config)
+            argv = argv + ["--config", "run.cfg"]
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    assert code in range(5)

@@ -19,17 +19,14 @@ from pushsplit.endomorphism import (
     load_endomorphism,
     parse_endomorphism,
     power_map,
-    pullback_form,
     random_endomorphism,
     validate_finite,
 )
 from pushsplit.exactla import rank_mod
 from pushsplit.polyring import (
     HomogPoly,
-    compose,
     graded_dim,
     multiplication_matrix,
-    multiply,
     parse_form,
 )
 
@@ -198,26 +195,6 @@ def test_finite_verdicts_agree_with_scan():
                 assert not any_common_zero_exists(e, p)
                 assert not smooth_common_zero_exists(e, p)
     assert checked == 6
-
-
-def test_pullback_form_degree_and_multiplicativity():
-    rng = random.Random(31)
-    e = power_map(2, 3)
-    basis1 = [HomogPoly.variable(3, i) for i in range(3)]
-    g = basis1[0] + basis1[1].scale(2)
-    h = basis1[2] - basis1[0]
-    gk = pullback_form(e, g)
-    assert gk.degree == 3
-    assert pullback_form(e, multiply(g, h)) == multiply(gk, pullback_form(e, h))
-    for _ in range(5):
-        coeffs = [rng.randrange(-2, 3) for _ in range(3)]
-        lin = sum(
-            (b.scale(c) for b, c in zip(basis1, coeffs)),
-            HomogPoly.zero(3, 1),
-        )
-        if lin.is_zero():
-            continue
-        assert pullback_form(e, lin) == compose(lin, e.forms)
 
 
 def test_random_endomorphism_is_finite_and_seeded():

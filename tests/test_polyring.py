@@ -1,4 +1,4 @@
-"""Graded polynomial pieces: bases, arithmetic, composition, parsing."""
+"""Graded polynomial pieces: bases, arithmetic, parsing."""
 
 import math
 import random
@@ -12,7 +12,6 @@ from pushsplit.polyring import (
     monomials_of_degree,
     multiplication_matrix,
     multiply,
-    compose,
     parse_form,
 )
 from pushsplit.exactla import rank_rational
@@ -82,25 +81,6 @@ def test_multiply_properties():
         assert multiply(p, q) == multiply(q, p)
         assert multiply(p, q + r) == multiply(p, q) + multiply(p, r)
         assert multiply(p, q).degree == p.degree + q.degree
-
-
-def test_compose_is_ring_morphism():
-    rng = random.Random(11)
-    forms = tuple(random_poly(rng, 3, 2) for _ in range(3))
-    for _ in range(10):
-        p = random_poly(rng, 3, 2)
-        q = random_poly(rng, 3, 2)
-        assert compose(p + q, forms) == compose(p, forms) + compose(q, forms)
-        assert compose(multiply(p, q), forms) == multiply(
-            compose(p, forms), compose(q, forms)
-        )
-        assert compose(p, forms).degree == p.degree * 2
-
-
-def test_compose_on_coordinates_is_identity():
-    coords = tuple(HomogPoly.variable(3, i) for i in range(3))
-    p = parse_form("y0^2 + 3*y1*y2", 3)
-    assert compose(p, coords) == p
 
 
 def test_multiplication_matrix_power_map():
