@@ -29,8 +29,8 @@ from .splitting import HilbertCheckReport, SplittingType, delta, \
     dual_multiplicities, hilbert_check, splitting_from_endo, \
     splitting_universal
 from .varieties import ExplicitTable, KoszulTable, ModelVariety, ci_h0, \
-    ci_table, complete_intersection, dump_table, load_custom_table, \
-    model_from_table, parse_table, plane_in_p4, projective_space
+    complete_intersection, dump_table, load_custom_table, parse_table, \
+    plane_in_p4, projective_space
 
 __version__ = "0.1.0"
 
@@ -43,13 +43,13 @@ __all__ = [
     "PushsplitError", "RankResult", "SplittingType", "TableRangeError",
     "Verdict", "binomial", "build_pullback_report",
     "canonical_birationality_verdict", "canonical_system_dimensions",
-    "ci_h0", "ci_table", "complete_intersection", "completeness_verdict",
+    "ci_h0", "complete_intersection", "completeness_verdict",
     "delta", "delta_l_bound_check", "dual_multiplicities",
     "dualizing_cohomology", "dump_table", "euler_characteristic",
     "graded_dim", "hilbert_check", "hyperplane_section_verdict",
     "ideal_pushforward_cohomology",
     "injectivity_hypothesis_check", "is_prime", "load_custom_table",
-    "load_endomorphism", "model_from_table", "monomials_of_degree",
+    "load_endomorphism", "monomials_of_degree",
     "multiplication_matrix", "multiply", "parse_endomorphism", "parse_form",
     "parse_table", "plane_in_p4", "power_map", "projective_space",
     "pullback_degree", "pushforward_cohomology",

@@ -18,8 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import InputError, IntegrityError
-from .pullback import NOT_APPLICABLE, Verdict, _base_assumptions, \
-    dualizing_cohomology
+from .pullback import K_GE_2_REASON, NOT_APPLICABLE, Verdict, \
+    _base_assumptions, dualizing_cohomology
 from .splitting import delta
 from .varieties import ModelVariety
 
@@ -73,8 +73,7 @@ def canonical_birationality_verdict(m: ModelVariety, k: int) -> Verdict:
     assumptions = _base_assumptions(m, k)
     if k < 2:
         return Verdict("canonical_birational", NOT_APPLICABLE, None,
-                       "requires k >= 2 (the covering must not be an "
-                       "automorphism)", assumptions=assumptions)
+                       K_GE_2_REASON, assumptions=assumptions)
     if not m.smooth_general_position:
         return Verdict("canonical_birational", NOT_APPLICABLE, None,
                        "general position not asserted",
@@ -179,9 +178,7 @@ def surface_adjunction(m: ModelVariety, k: int) -> AdjunctionReport:
             f"model {m.name} is not subcanonical; adjunction numbers "
             "need omega_S = O_S(e)")
     if k < 2:
-        raise InputError(
-            "surface adjunction requires k >= 2 "
-            "(the covering must not be an automorphism)")
+        raise InputError(f"surface adjunction {K_GE_2_REASON}")
     if not m.smooth_general_position:
         raise InputError(
             "surface adjunction requires the general-position assertion "

@@ -84,20 +84,9 @@ class HomogPoly:
         return cls(num_vars, degree, items)
 
     @classmethod
-    def zero(cls, num_vars: int, degree: int) -> "HomogPoly":
-        return cls(num_vars, degree, ())
-
-    @classmethod
-    def variable(cls, num_vars: int, i: int) -> "HomogPoly":
-        if not 0 <= i < num_vars:
-            raise InputError(f"variable index {i} out of range for {num_vars} variables")
-        mono = tuple(1 if j == i else 0 for j in range(num_vars))
-        return cls(num_vars, 1, ((mono, 1),))
-
-    @classmethod
     def monomial(cls, exponents: Monomial, coeff: int = 1) -> "HomogPoly":
         if coeff == 0:
-            return cls.zero(len(exponents), sum(exponents))
+            return cls(len(exponents), sum(exponents), ())
         return cls(len(exponents), sum(exponents), ((tuple(exponents), coeff),))
 
     def is_zero(self) -> bool:
@@ -108,30 +97,6 @@ class HomogPoly:
             if m == mono:
                 return c
         return 0
-
-    def __add__(self, other: "HomogPoly") -> "HomogPoly":
-        if self.num_vars != other.num_vars or self.degree != other.degree:
-            raise InputError("sum of forms of different degree or variable count")
-        coeffs = dict(self.terms)
-        for m, c in other.terms:
-            coeffs[m] = coeffs.get(m, 0) + c
-        return HomogPoly.from_dict(self.num_vars, self.degree, coeffs)
-
-    def __neg__(self) -> "HomogPoly":
-        return HomogPoly(self.num_vars, self.degree,
-                         tuple((m, -c) for m, c in self.terms))
-
-    def __sub__(self, other: "HomogPoly") -> "HomogPoly":
-        return self + (-other)
-
-    def scale(self, c: int) -> "HomogPoly":
-        if c == 0:
-            return HomogPoly.zero(self.num_vars, self.degree)
-        return HomogPoly(self.num_vars, self.degree,
-                         tuple((m, c * a) for m, a in self.terms))
-
-    def __mul__(self, other: "HomogPoly") -> "HomogPoly":
-        return multiply(self, other)
 
     def text(self, letter: str = "y") -> str:
         """Render in the input grammar (round-trips through parse_form)."""

@@ -108,11 +108,12 @@ def _detect_s(m: ModelVariety) -> tuple[str, int | None, tuple[int, int] | None]
 
     Returns (kind, value, scanned_range): kind 'infinite' (no failure
     anywhere the table answers), 'finite' (first failure at d = value,
-    zeros below it within the scanned range), or 'none' (failures extend
-    to the bottom of what is known, so no vanishing range exists).
+    zeros below it within the scanned range), 'none' (failures extend
+    to the bottom of what is known, so no vanishing range exists), or
+    'unknown' (the table declares no h^1 ideal rows).
     """
     table = m.table
-    if hasattr(table, "degrees"):
+    if isinstance(table, KoszulTable):
         if not table.degrees:
             return "infinite", None, None
         if m.dim >= 1:

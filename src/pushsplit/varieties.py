@@ -5,7 +5,7 @@ complete intersections (cohomology in closed form via the Koszul
 resolution and Serre duality), and explicit user-supplied tables over a
 bounded twist range.  Tables answer three queries: h^i(O_X(t)), ideal
 cohomology h^i(I_X(t)), and dualizing cohomology h^i(omega_X(t)) when the
-model is subcanonical (omega_X = O_X(e)) or the table carries the data.
+table declares the model subcanonical (omega_X = O_X(e)).
 
 Explicit tables never extrapolate: a query outside the declared range
 raises TableRangeError, because a silent zero would corrupt the
@@ -106,11 +106,6 @@ class KoszulTable:
         return self.h(i, self.omega_twist + t)
 
 
-def ci_table(n: int, degrees) -> KoszulTable:
-    """CohomologyTable of the complete intersection of ``degrees`` in P^n."""
-    return KoszulTable(n, degrees)
-
-
 class ExplicitTable:
     """Bounded cohomology table backed by explicit rows.
 
@@ -196,23 +191,44 @@ class ExplicitTable:
 
 @dataclass(frozen=True)
 class ModelVariety:
-    """A variety X in P^n together with its cohomology table and flags.
+    """A variety X in P^n: a name, its cohomology table and two flags.
 
+    The table is the only source of the model's numbers: ``n``, ``dim``,
+    ``degree``, ``codim`` and ``subcanonical_twist`` (the e with
+    omega_X = O_X(e), or None) are read from it.
     ``smooth_general_position`` is a user assertion, never computed;
     verdict operations echo it.  ``is_linear_pm`` marks the excluded pair
-    (linear P^m, O(1)).  ``subcanonical_twist`` is e with
-    omega_X = O_X(e) when known.
+    (linear P^m, O(1)).
     """
 
     name: str
-    n: int
-    dim: int
-    codim: int
-    degree: int
-    table: object
+    table: KoszulTable | ExplicitTable
     smooth_general_position: bool = False
     is_linear_pm: bool = False
-    subcanonical_twist: int | None = None
+
+    @property
+    def n(self) -> int:
+        return self.table.n
+
+    @property
+    def dim(self) -> int:
+        return self.table.dim
+
+    @property
+    def degree(self) -> int:
+        return self.table.degree
+
+    @property
+    def codim(self) -> int:
+        return self.table.n - self.table.dim
+
+    @property
+    def subcanonical_twist(self) -> int | None:
+        return self.table.omega_twist
+
+    @property
+    def has_dualizing(self) -> bool:
+        return self.table.omega_twist is not None
 
     def h(self, i: int, t: int) -> int:
         return self.table.h(i, t)
@@ -223,19 +239,10 @@ class ModelVariety:
     def h_omega(self, i: int, t: int) -> int:
         return self.table.h_omega(i, t)
 
-    @property
-    def has_dualizing(self) -> bool:
-        if self.subcanonical_twist is not None:
-            return True
-        return getattr(self.table, "omega_twist", None) is not None
-
 
 def projective_space(n: int, smooth_general_position: bool = True) -> ModelVariety:
-    table = KoszulTable(n, ())
-    return ModelVariety(
-        name=f"p{n}", n=n, dim=n, codim=0, degree=1, table=table,
-        smooth_general_position=smooth_general_position,
-        is_linear_pm=True, subcanonical_twist=table.omega_twist)
+    return ModelVariety(f"p{n}", KoszulTable(n, ()), smooth_general_position,
+                        is_linear_pm=True)
 
 
 def complete_intersection(n: int, degrees,
@@ -243,14 +250,9 @@ def complete_intersection(n: int, degrees,
     degrees = tuple(degrees)
     if not degrees:
         raise InputError("a complete intersection needs at least one degree")
-    table = KoszulTable(n, degrees)
     name = "ci:" + ",".join(str(d) for d in degrees) + f"@{n}"
-    return ModelVariety(
-        name=name, n=n, dim=table.dim, codim=len(degrees),
-        degree=table.degree, table=table,
-        smooth_general_position=smooth_general_position,
-        is_linear_pm=all(d == 1 for d in degrees),
-        subcanonical_twist=table.omega_twist)
+    return ModelVariety(name, KoszulTable(n, degrees), smooth_general_position,
+                        is_linear_pm=all(d == 1 for d in degrees))
 
 
 PLANE_TRANGE = (-60, 60)
@@ -271,21 +273,8 @@ def plane_in_p4(smooth_general_position: bool = True) -> ModelVariety:
                   for i in range(5) for t in range(lo, hi + 1)}
     table = ExplicitTable(4, 2, 1, PLANE_TRANGE, rows, ideal_rows,
                           omega_twist=-3)
-    return ModelVariety(
-        name="plane@4", n=4, dim=2, codim=2, degree=1, table=table,
-        smooth_general_position=smooth_general_position,
-        is_linear_pm=True, subcanonical_twist=-3)
-
-
-def model_from_table(name: str, table: ExplicitTable,
-                     smooth_general_position: bool = False,
-                     is_linear_pm: bool = False) -> ModelVariety:
-    return ModelVariety(
-        name=name, n=table.n, dim=table.dim, codim=table.n - table.dim,
-        degree=table.degree, table=table,
-        smooth_general_position=smooth_general_position,
-        is_linear_pm=is_linear_pm,
-        subcanonical_twist=table.omega_twist)
+    return ModelVariety("plane@4", table, smooth_general_position,
+                        is_linear_pm=True)
 
 
 # ---------------------------------------------------------------------------
@@ -386,49 +375,35 @@ def load_custom_table(path: str) -> ModelVariety:
     except OSError as exc:
         raise InputError(f"cannot read table file: {exc}") from None
     table, flags = parse_table(text, source=path)
-    return model_from_table(
-        f"table:{path}", table,
-        smooth_general_position=flags["general_position"],
-        is_linear_pm=flags["linear_pm"])
+    return ModelVariety(f"table:{path}", table,
+                        smooth_general_position=flags["general_position"],
+                        is_linear_pm=flags["linear_pm"])
 
 
-def dump_table(m: ModelVariety, trange: tuple[int, int],
-               ideal_is=None, linear_pm: bool | None = None,
-               general_position: bool | None = None) -> str:
+def dump_table(m: ModelVariety, trange: tuple[int, int]) -> str:
     """Serialize a model's table over ``trange`` in the table file format.
 
-    ``ideal_is`` lists the i for which hI rows are written (default: all
-    of 0..n when the table can answer them, none otherwise).
+    hI rows are written for every i in 0..n the table can answer.
     """
     lo, hi = trange
     if lo > hi:
         raise InputError(f"empty twist range {lo}..{hi}")
-    omega = m.subcanonical_twist
-    if omega is None:
-        omega = getattr(m.table, "omega_twist", None)
+    omega = m.table.omega_twist
     lines = [
         f"n={m.n}",
         f"dim={m.dim}",
         f"degree={m.degree}",
         f"omega_twist={'none' if omega is None else omega}",
         f"trange={lo}..{hi}",
+        f"linear_pm={'true' if m.is_linear_pm else 'false'}",
+        f"general_position={'true' if m.smooth_general_position else 'false'}",
     ]
-    if linear_pm is None:
-        linear_pm = m.is_linear_pm
-    if general_position is None:
-        general_position = m.smooth_general_position
-    lines.append(f"linear_pm={'true' if linear_pm else 'false'}")
-    lines.append(f"general_position={'true' if general_position else 'false'}")
     for i in range(m.dim + 1):
         for t in range(lo, hi + 1):
             lines.append(f"h {i} {t} {m.h(i, t)}")
-    if ideal_is is None:
-        ideal_is = range(m.n + 1)
+    for i in range(m.n + 1):
         try:
-            m.hI(0, lo)
+            lines += [f"hI {i} {t} {m.hI(i, t)}" for t in range(lo, hi + 1)]
         except MissingDataError:
-            ideal_is = ()
-    for i in ideal_is:
-        for t in range(lo, hi + 1):
-            lines.append(f"hI {i} {t} {m.hI(i, t)}")
+            pass
     return "\n".join(lines) + "\n"

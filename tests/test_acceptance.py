@@ -25,8 +25,8 @@ from pushsplit.splitting import (
     splitting_universal,
 )
 from pushsplit.varieties import (
+    KoszulTable,
     ci_h0,
-    ci_table,
     complete_intersection,
     load_custom_table,
     plane_in_p4,
@@ -77,7 +77,7 @@ def test_criterion_3_oracle_equivalence():
     compared = 0
     for n, degrees in cases:
         model = complete_intersection(n, degrees)
-        oracle = ci_table(n, tuple(2 * d for d in degrees))
+        oracle = KoszulTable(n, tuple(2 * d for d in degrees))
         for l in range(-6, 9):
             for i in range(model.dim + 1):
                 assert pushforward_cohomology(model, 2, l, i) == \
@@ -117,7 +117,7 @@ def test_criterion_5_hyperplane_section():
 
 def test_criterion_6_dualizing_numbers_and_bound():
     model = complete_intersection(4, (2, 2))
-    oracle = ci_table(4, (4, 4))
+    oracle = KoszulTable(4, (4, 4))
     assert dualizing_cohomology(model, 2, 1, 0) == 15
     assert dualizing_cohomology(model, 2, 0, 0) == 35
     assert oracle.h_omega(0, -1) == 15
@@ -142,7 +142,7 @@ def test_criterion_7_adjunction_and_del_pezzo():
                     complete_intersection(4, (a, b)), k)
                 assert ci_report.e_prime == k * (a + b) - 5, (a, b, k)
                 assert ci_report.e_prime == \
-                    ci_table(4, (k * a, k * b)).omega_twist
+                    KoszulTable(4, (k * a, k * b)).omega_twist
                 flagged = a == b == 1 and k == 2  # CI(1,1) is itself a plane
                 assert ci_report.canonical_very_ample.holds is not flagged
     print("PASS criterion 7: adjunction twist e' = k(a+b)-5 across the "

@@ -22,10 +22,10 @@ from pushsplit.pullback import NOT_APPLICABLE
 from pushsplit.splitting import delta
 from pushsplit.varieties import (
     ExplicitTable,
-    ci_table,
+    KoszulTable,
+    ModelVariety,
     complete_intersection,
     load_custom_table,
-    model_from_table,
     plane_in_p4,
     projective_space,
 )
@@ -55,7 +55,7 @@ def test_e_prime_matches_pulled_back_intersection():
             model = complete_intersection(4, (a, b))
             for k in (2, 3):
                 report = surface_adjunction(model, k)
-                oracle = ci_table(4, (k * a, k * b))
+                oracle = KoszulTable(4, (k * a, k * b))
                 assert report.e_prime == oracle.omega_twist, (a, b, k)
                 assert report.e_prime == k * (a + b) - 5
                 assert report.degree_prime == oracle.degree
@@ -131,12 +131,12 @@ def test_adjunction_preconditions():
 
 def test_genus_parity_guard():
     rows = {}
-    reference = ci_table(4, (1, 2))
+    reference = KoszulTable(4, (1, 2))
     for t in range(-20, 11):
         for i in range(3):
             rows[(i, t)] = reference.h(i, t)
     table = ExplicitTable(4, 2, 1, (-20, 10), rows, omega_twist=-2)
-    fake = model_from_table("odd-genus", table, smooth_general_position=True)
+    fake = ModelVariety("odd-genus", table, smooth_general_position=True)
     # e = -2, k = 3: e' = 4, deg' = 9, (e'+1)*deg' = 45 is odd, so the
     # genus relation cannot close over the integers
     with pytest.raises(IntegrityError) as err:
@@ -171,12 +171,12 @@ def test_birationality_integrity_guard():
     # a fake subcanonical model whose twist is far too negative: the
     # promised section of omega_{X'}(-H') cannot exist
     rows = {}
-    reference = ci_table(4, (2, 2))
+    reference = KoszulTable(4, (2, 2))
     for t in range(-60, 11):
         for i in range(3):
             rows[(i, t)] = reference.h(i, t)
     table = ExplicitTable(4, 2, 4, (-60, 10), rows, omega_twist=-50)
-    fake = model_from_table("fake-promise", table, smooth_general_position=True)
+    fake = ModelVariety("fake-promise", table, smooth_general_position=True)
     with pytest.raises(IntegrityError):
         canonical_birationality_verdict(fake, 2)
 

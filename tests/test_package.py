@@ -3,6 +3,7 @@ malformed input files raise only InputError."""
 
 import ast
 from pathlib import Path
+from types import ModuleType
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -30,6 +31,12 @@ def test_every_export_resolves():
     missing = [name for name in pushsplit.__all__
                if not hasattr(pushsplit, name)]
     assert missing == []
+    # and the reverse: every public name the package binds is exported
+    unlisted = [name for name, value in vars(pushsplit).items()
+                if not name.startswith("_")
+                and not isinstance(value, ModuleType)
+                and name not in pushsplit.__all__]
+    assert unlisted == []
 
 
 # Pieces of the three file grammars, with numbers that are empty, signed,

@@ -17,6 +17,14 @@ from pushsplit.polyring import (
 from pushsplit.exactla import rank_rational
 
 
+def add(p, q):
+    """Sum of two forms of one degree, built through from_dict."""
+    coeffs = dict(p.terms)
+    for mono, c in q.terms:
+        coeffs[mono] = coeffs.get(mono, 0) + c
+    return HomogPoly.from_dict(p.num_vars, p.degree, coeffs)
+
+
 def random_poly(rng, num_vars, degree):
     monos = monomials_of_degree(num_vars, degree)
     terms = {m: rng.randrange(-3, 4) for m in rng.sample(monos, k=min(3, len(monos)))}
@@ -55,14 +63,11 @@ def test_basis_index_round_trip():
 
 
 def test_poly_arithmetic():
-    y0 = HomogPoly.variable(2, 0)
-    y1 = HomogPoly.variable(2, 1)
-    square = multiply(y0 + y1, y0 + y1)
+    y0_plus_y1 = HomogPoly.from_dict(2, 1, {(1, 0): 1, (0, 1): 1})
+    square = multiply(y0_plus_y1, y0_plus_y1)
     assert square.coeff((2, 0)) == 1
     assert square.coeff((1, 1)) == 2
     assert square.coeff((0, 2)) == 1
-    assert (square - square).is_zero()
-    assert square.scale(0).is_zero()
 
 
 def test_poly_validation():
@@ -79,7 +84,7 @@ def test_multiply_properties():
         q = random_poly(rng, 3, rng.randrange(1, 3))
         r = random_poly(rng, 3, q.degree)
         assert multiply(p, q) == multiply(q, p)
-        assert multiply(p, q + r) == multiply(p, q) + multiply(p, r)
+        assert multiply(p, add(q, r)) == add(multiply(p, q), multiply(p, r))
         assert multiply(p, q).degree == p.degree + q.degree
 
 
@@ -121,8 +126,8 @@ def test_multiplication_matrix_matches_direct_build():
     rng = random.Random(5)
     for num_vars, k in [(1, 3), (2, 2), (3, 3), (4, 2), (5, 1)]:
         forms = [random_poly(rng, num_vars, k) for _ in range(num_vars)]
-        forms[0] = forms[0] + HomogPoly.monomial((k,) + (0,) * (num_vars - 1),
-                                                 10 ** 25)
+        forms[0] = add(forms[0], HomogPoly.monomial(
+            (k,) + (0,) * (num_vars - 1), 10 ** 25))
         for source_degree in range(-1, 4):
             m = multiplication_matrix(forms, source_degree)
             rows = direct_multiplication_matrix(forms, source_degree)

@@ -27,10 +27,10 @@ from pushsplit.pullback import (
 )
 from pushsplit.varieties import (
     ExplicitTable,
-    ci_table,
+    KoszulTable,
+    ModelVariety,
     complete_intersection,
     load_custom_table,
-    model_from_table,
     plane_in_p4,
     projective_space,
 )
@@ -55,7 +55,7 @@ def test_pushforward_matches_independent_koszul_table():
     k = 2
     for n, degrees in EQUIVALENCE_CASES:
         model = complete_intersection(n, degrees)
-        prime = ci_table(n, tuple(k * d for d in degrees))
+        prime = KoszulTable(n, tuple(k * d for d in degrees))
         for l in range(-6, 9):
             for i in range(model.dim + 1):
                 assert pushforward_cohomology(model, k, l, i) == prime.h(i, l), \
@@ -66,7 +66,7 @@ def test_ideal_pushforward_matches_independent_koszul_table():
     k = 2
     for n, degrees in EQUIVALENCE_CASES:
         model = complete_intersection(n, degrees)
-        prime = ci_table(n, tuple(k * d for d in degrees))
+        prime = KoszulTable(n, tuple(k * d for d in degrees))
         for l in range(-6, 9):
             for i in range(n + 1):
                 assert ideal_pushforward_cohomology(model, k, l, i) == \
@@ -200,7 +200,7 @@ def test_injectivity_hypothesis():
     rows = {(0, t): (1 if t >= 0 else 0) for t in range(-5, 6)}
     rows.update({(1, t): (1 if t == -1 else 0) for t in range(-5, 6)})
     witness_table = ExplicitTable(3, 1, 2, (-5, 5), rows)
-    counter = model_from_table("counterwitness", witness_table)
+    counter = ModelVariety("counterwitness", witness_table)
     failed = injectivity_hypothesis_check(counter, 2, 2)
     assert failed.status == HYPOTHESIS_FAILS
     assert failed.holds is False
@@ -212,7 +212,7 @@ def test_report_structure():
     report = build_pullback_report(model, 2)
     assert report.lrange == (-2, 6)
     assert report.degree_prime == 16
-    prime = ci_table(4, (4, 4))
+    prime = KoszulTable(4, (4, 4))
     for l in range(-2, 7):
         for i in range(3):
             assert report.h_rows[(i, l)] == prime.h(i, l)

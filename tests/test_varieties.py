@@ -17,12 +17,11 @@ from pushsplit.polyring import graded_dim
 from pushsplit.varieties import (
     ExplicitTable,
     KoszulTable,
+    ModelVariety,
     ci_h0,
-    ci_table,
     complete_intersection,
     dump_table,
     load_custom_table,
-    model_from_table,
     parse_table,
     plane_in_p4,
     projective_space,
@@ -81,7 +80,7 @@ def test_ci_h0_values():
 
 
 def test_koszul_invariants():
-    t = ci_table(4, (2, 3))
+    t = KoszulTable(4, (2, 3))
     assert t.dim == 2
     assert t.degree == 6
     assert t.omega_twist == 2 + 3 - 5
@@ -92,7 +91,7 @@ def test_koszul_invariants():
 
 def test_table_chi_matches_polynomial_oracle():
     for n, degrees in CI_CASES:
-        table = ci_table(n, degrees)
+        table = KoszulTable(n, degrees)
         for t in range(-10, 11):
             assert chi_from_table(table, t) == chi_oracle(n, degrees, t), \
                 (n, degrees, t)
@@ -100,7 +99,7 @@ def test_table_chi_matches_polynomial_oracle():
 
 def test_serre_duality_on_tables():
     for n, degrees in CI_CASES:
-        table = ci_table(n, degrees)
+        table = KoszulTable(n, degrees)
         if table.dim == 0:
             continue
         e = table.omega_twist
@@ -110,7 +109,7 @@ def test_serre_duality_on_tables():
 
 
 def test_h_omega_is_serre_dual():
-    table = ci_table(4, (4, 4))
+    table = KoszulTable(4, (4, 4))
     for t in range(-6, 7):
         assert table.h_omega(0, t) == table.h(table.dim, -t)
     assert table.h_omega(0, 0) == 35
@@ -118,7 +117,7 @@ def test_h_omega_is_serre_dual():
 
 
 def test_dimension_zero_tables():
-    table = ci_table(2, (2, 2))
+    table = KoszulTable(2, (2, 2))
     assert table.dim == 0
     assert table.degree == 4
     for t in range(-5, 6):
@@ -129,7 +128,7 @@ def test_dimension_zero_tables():
 
 def test_ideal_rows_satisfy_restriction_sequence():
     for n, degrees in CI_CASES:
-        table = ci_table(n, degrees)
+        table = KoszulTable(n, degrees)
         for t in range(-8, 9):
             lhs = chi_ideal_from_table(table, n, t)
             rhs = polynomial_binomial(t, n) - chi_oracle(n, degrees, t)
@@ -137,7 +136,7 @@ def test_ideal_rows_satisfy_restriction_sequence():
 
 
 def test_ideal_rows_vanish_for_acm_middle():
-    table = ci_table(4, (2, 3))
+    table = KoszulTable(4, (2, 3))
     for t in range(-8, 9):
         assert table.hI(1, t) == 0
         assert table.hI(2, t) == 0
@@ -169,7 +168,7 @@ def test_model_factories():
 
 def test_plane_model_matches_linear_ci():
     plane = plane_in_p4()
-    reference = ci_table(4, (1, 1))
+    reference = KoszulTable(4, (1, 1))
     assert plane.dim == 2 and plane.degree == 1
     assert plane.subcanonical_twist == -3
     assert plane.is_linear_pm
@@ -221,6 +220,32 @@ def test_fixture_tables_are_consistent():
         assert quartic.h(0, t) - quartic.h(1, t) == 4 * t + 1
 
 
+@pytest.mark.parametrize("model, expected", [
+    (lambda: projective_space(3), (3, 3, 1, -4)),
+    (lambda: complete_intersection(4, (2, 2)), (4, 2, 4, -1)),
+    (plane_in_p4, (4, 2, 1, -3)),
+    (lambda: load_custom_table("tests/fixtures/rational_quartic_p3.table"),
+     (3, 1, 4, None)),
+    (lambda: load_custom_table("tests/fixtures/two_lines_p3.table"),
+     (3, 1, 2, -2)),
+], ids=["p3", "ci:2,2@4", "plane@4", "rational_quartic_p3", "two_lines_p3"])
+def test_model_numbers_come_from_its_table(model, expected):
+    m = model()
+    table = m.table
+    assert (m.n, m.dim, m.degree, m.subcanonical_twist) == expected
+    assert (m.n, m.dim, m.degree) == (table.n, table.dim, table.degree)
+    assert m.codim == table.n - table.dim
+    assert m.subcanonical_twist == table.omega_twist
+    assert m.has_dualizing == (table.omega_twist is not None)
+
+
+def test_model_cannot_restate_its_tables_numbers():
+    # a degree-4 surface in P^4 restated as a degree-5 threefold
+    with pytest.raises(TypeError):
+        ModelVariety(name="x", table=KoszulTable(4, (2, 2)),
+                     n=4, dim=3, codim=2, degree=5)
+
+
 def test_parse_table_errors():
     with pytest.raises(InputError):
         parse_table("n=2\n")  # headers missing
@@ -250,7 +275,7 @@ def test_dump_table_round_trip():
     model = complete_intersection(4, (2, 2))
     text = dump_table(model, (-6, 6))
     table, flags = parse_table(text)
-    rebuilt = model_from_table(
+    rebuilt = ModelVariety(
         "rebuilt", table,
         smooth_general_position=flags["general_position"],
         is_linear_pm=flags["linear_pm"],
@@ -266,3 +291,12 @@ def test_dump_table_round_trip():
             assert rebuilt.hI(i, t) == model.hI(i, t)
     with pytest.raises(TableRangeError):
         rebuilt.h(0, 7)
+
+
+def test_dump_table_keeps_partially_declared_ideal_rows():
+    quartic = load_custom_table("tests/fixtures/rational_quartic_p3.table")
+    table, _ = parse_table(dump_table(quartic, (-6, 6)))
+    for t in range(-6, 7):
+        assert table.hI(1, t) == quartic.hI(1, t)
+    with pytest.raises(MissingDataError):
+        table.hI(0, 0)
