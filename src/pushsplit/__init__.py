@@ -11,13 +11,13 @@ verdicts, all in integer arithmetic.
 from .adjunction import AdjunctionReport, BoundCheckReport, \
     CanonicalSystemReport, canonical_birationality_verdict, \
     canonical_system_dimensions, delta_l_bound_check, surface_adjunction
-from .endomorphism import Endomorphism, FinitenessReport, load_endomorphism, \
-    parse_endomorphism, power_map, random_endomorphism, \
+from .endomorphism import Endomorphism, FinitenessReport, hilbert_function, \
+    load_endomorphism, parse_endomorphism, power_map, random_endomorphism, \
     validate_finite
 from .errors import FormSyntaxError, InputError, IntegrityError, \
     MissingDataError, PushsplitError, TableRangeError
-from .exactla import DEFAULT_PRIMES, ExactMatrix, RankResult, binomial, \
-    is_prime, rank_mod, rank_rational, rank_verified
+from .exactla import DEFAULT_PRIMES, ExactMatrix, RankResult, is_prime, \
+    rank_mod, rank_rational, rank_verified
 from .polyring import HomogPoly, graded_dim, monomials_of_degree, \
     multiplication_matrix, multiply, parse_form
 from .pullback import CompletenessVerdict, PullbackReport, Verdict, \
@@ -26,8 +26,7 @@ from .pullback import CompletenessVerdict, PullbackReport, Verdict, \
     ideal_pushforward_cohomology, injectivity_hypothesis_check, \
     pullback_degree, pushforward_cohomology
 from .splitting import HilbertCheckReport, SplittingType, delta, \
-    dual_multiplicities, hilbert_check, splitting_from_endo, \
-    splitting_universal
+    hilbert_check, splitting_from_endo, splitting_universal
 from .varieties import ExplicitTable, KoszulTable, ModelVariety, ci_h0, \
     complete_intersection, dump_table, load_custom_table, parse_table, \
     plane_in_p4, projective_space
@@ -41,12 +40,13 @@ __all__ = [
     "HilbertCheckReport", "HomogPoly", "InputError", "IntegrityError",
     "KoszulTable", "MissingDataError", "ModelVariety", "PullbackReport",
     "PushsplitError", "RankResult", "SplittingType", "TableRangeError",
-    "Verdict", "binomial", "build_pullback_report",
+    "Verdict", "build_pullback_report",
     "canonical_birationality_verdict", "canonical_system_dimensions",
     "ci_h0", "complete_intersection", "completeness_verdict",
-    "delta", "delta_l_bound_check", "dual_multiplicities",
+    "delta", "delta_l_bound_check",
     "dualizing_cohomology", "dump_table", "euler_characteristic",
-    "graded_dim", "hilbert_check", "hyperplane_section_verdict",
+    "graded_dim", "hilbert_check", "hilbert_function",
+    "hyperplane_section_verdict",
     "ideal_pushforward_cohomology",
     "injectivity_hypothesis_check", "is_prime", "load_custom_table",
     "load_endomorphism", "monomials_of_degree",

@@ -59,7 +59,7 @@ def delta_l_bound_check(n: int, k: int) -> BoundCheckReport:
 
 
 def _is_plane(m: ModelVariety) -> bool:
-    return m.dim == 2 and m.degree == 1
+    return m.dim == 2 and m.is_linear_pm
 
 
 def canonical_birationality_verdict(m: ModelVariety, k: int) -> Verdict:

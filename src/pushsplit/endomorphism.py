@@ -1,14 +1,11 @@
 """Finite endomorphisms of projective space given by n+1 degree-k forms.
 
-Finiteness (no common projective zero) is decided by one rank computation:
-n+1 forms of degree k in n+1 variables are a regular sequence exactly when
-the quotient ring vanishes past the socle degree (n+1)(k-1), so it
-suffices that every monomial of degree D = (n+1)(k-1)+1 lies in the ideal,
-i.e. that the multiplication matrix (+)_i S'_{D-k} -> S'_D has full row
-rank, decided by ``exactla.rank_verified``: full rank modulo a single
-prime already certifies FINITE (modular rank never exceeds rational
-rank); without full rank, primes that disagree escalate to a rational
-rank, and so does an explicit request.
+The linear algebra on a map computes one function, the Hilbert function
+HF(t) of S/(f_0, ..., f_n) (``hilbert_function``), every rank decided by
+``exactla.rank_verified``.  The forms have no common projective zero (are
+a regular sequence) exactly when HF vanishes past the socle degree
+(n+1)(k-1), so the map is finite iff HF(D) = 0 at D = (n+1)(k-1)+1
+(``validate_finite``).
 """
 
 from __future__ import annotations
@@ -17,7 +14,7 @@ import random
 from dataclasses import dataclass, field
 
 from .errors import InputError
-from .exactla import DEFAULT_PRIMES, rank_verified
+from .exactla import DEFAULT_PRIMES, RankResult, rank_verified
 from .polyring import HomogPoly, graded_dim, monomials_of_degree, \
     multiplication_matrix, parse_form
 
@@ -31,8 +28,7 @@ class FinitenessReport:
 
     ``test_degree`` is D = (n+1)(k-1)+1 and ``required_rank`` the dimension
     of S'_D; ``modular_ranks`` maps prime -> computed rank; ``rational_rank``
-    is set when an exact confirmation pass ran.  ``certificate`` names how
-    the verdict was reached.
+    is set when an exact confirmation pass ran.
     """
 
     verdict: str
@@ -40,7 +36,6 @@ class FinitenessReport:
     required_rank: int
     modular_ranks: tuple[tuple[int, int], ...] = ()
     rational_rank: int | None = None
-    certificate: str = "rank-test"
 
     @property
     def is_finite(self) -> bool:
@@ -74,64 +69,50 @@ class Endomorphism:
             if f.is_zero():
                 raise InputError(f"form f{i} is zero")
 
-    @property
-    def finiteness(self) -> FinitenessReport | None:
-        """Cached verdict from validate_finite, or None if not yet run."""
-        return self._finiteness[0] if self._finiteness else None
-
-    def require_finite(self):
-        report = self.finiteness
-        if report is None:
-            raise InputError(
-                "endomorphism not validated; run validate_finite first")
-        if not report.is_finite:
-            raise InputError("endomorphism is not finite")
-
 
 def power_map(n: int, k: int) -> Endomorphism:
-    """The coordinate-power map (y_0^k, ..., y_n^k).
-
-    Its forms are a regular sequence for every k >= 1, so the finiteness
-    certificate is attached analytically, without a rank computation.
-    """
+    """The coordinate-power map (y_0^k, ..., y_n^k)."""
     forms = tuple(
         HomogPoly.monomial(tuple(k if j == i else 0 for j in range(n + 1)))
         for i in range(n + 1))
-    e = Endomorphism(n, k, forms)
-    degree = (n + 1) * (k - 1) + 1
-    e._finiteness.append(FinitenessReport(
-        verdict=FINITE,
-        test_degree=degree,
-        required_rank=graded_dim(n + 1, degree),
-        certificate="regular-sequence"))
-    return e
+    return Endomorphism(n, k, forms)
+
+
+def hilbert_function(e: Endomorphism, t: int, primes=DEFAULT_PRIMES,
+                     exact: bool = False) -> tuple[int, RankResult]:
+    """HF(t) = dim S_t - rank of (g_i)_i |-> sum f_i g_i from (+)_i S_{t-k},
+    the Hilbert function of S/(f_0, ..., f_n), and the RankResult it rests
+    on (``exactla.rank_verified``)."""
+    rank = rank_verified(multiplication_matrix(e.forms, t - e.k), primes, exact)
+    return graded_dim(e.n + 1, t) - rank.value, rank
 
 
 def validate_finite(e: Endomorphism, primes=DEFAULT_PRIMES,
                     exact: bool = False) -> FinitenessReport:
-    """Decide finiteness by the socle-degree rank test and cache the result.
+    """FINITE iff HF(D) = 0 at the test degree D = (n+1)(k-1)+1.
 
     FINITE as soon as one prime shows full row rank (that alone is a
     certificate).  When no prime does, the rank is computed in rational
     arithmetic if ``exact`` is set or the primes disagree, and decides the
     verdict.  Otherwise the verdict is NOT_FINITE, resting on primes that
     agree and can only err by under-reporting rank.
+
+    A FINITE report is cached on ``e`` and returned whatever a later call's
+    ``primes`` or ``exact``: a full rank modulo any prime certifies it.  A
+    NOT_FINITE report is computed afresh by every call.
     """
-    if e.finiteness is not None:
-        return e.finiteness
+    if e._finiteness:
+        return e._finiteness[0]
     degree = (e.n + 1) * (e.k - 1) + 1
-    required = graded_dim(e.n + 1, degree)
-    matrix = multiplication_matrix(e.forms, degree - e.k)
-    # the matrix has ``required`` rows and at least as many columns, so
-    # full rank is full row rank
-    rank = rank_verified(matrix, primes, exact)
+    value, rank = hilbert_function(e, degree, primes, exact)
     report = FinitenessReport(
-        verdict=FINITE if rank.value == required else NOT_FINITE,
+        verdict=NOT_FINITE if value else FINITE,
         test_degree=degree,
-        required_rank=required,
+        required_rank=graded_dim(e.n + 1, degree),
         modular_ranks=rank.modular,
         rational_rank=rank.rational)
-    e._finiteness.append(report)
+    if report.is_finite:
+        e._finiteness.append(report)
     return report
 
 
@@ -213,7 +194,7 @@ def parse_endomorphism(text: str, source: str = "<string>") -> Endomorphism:
         key = f"f{i}"
         value, lineno = statements[key]
         try:
-            form = parse_form(value, n + 1, letter="y")
+            form = parse_form(value, n + 1)
         except InputError as exc:
             raise InputError(f"{source}:{lineno}: {key}: {exc}") from None
         if form.degree != k:

@@ -86,13 +86,6 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def binomial(a: int, b: int) -> int:
-    """C(a, b) when 0 <= b <= a, else 0."""
-    if b < 0 or b > a:
-        return 0
-    return math.comb(a, b)
-
-
 def value_array(values) -> np.ndarray:
     """Matrix values as ``int64`` when all fit, else as Python-int objects.
 

@@ -13,13 +13,14 @@ which drives both the splitting computation and the finiteness test.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from .errors import FormSyntaxError, InputError
-from .exactla import ExactMatrix, binomial, value_array
+from .exactla import ExactMatrix, value_array
 
 Monomial = tuple[int, ...]
 
@@ -27,13 +28,13 @@ Monomial = tuple[int, ...]
 def graded_dim(num_vars: int, degree: int) -> int:
     """Dimension of the degree-``degree`` piece of Z[y_0..y_{num_vars-1}].
 
-    binomial(degree + num_vars - 1, num_vars - 1) for degree >= 0, else 0.
+    C(degree + num_vars - 1, num_vars - 1) for degree >= 0, else 0.
     """
     if num_vars < 1:
         raise InputError(f"num_vars must be >= 1, got {num_vars}")
     if degree < 0:
         return 0
-    return binomial(degree + num_vars - 1, num_vars - 1)
+    return math.comb(degree + num_vars - 1, num_vars - 1)
 
 
 @lru_cache(maxsize=None)
@@ -98,7 +99,7 @@ class HomogPoly:
                 return c
         return 0
 
-    def text(self, letter: str = "y") -> str:
+    def text(self) -> str:
         """Render in the input grammar (round-trips through parse_form)."""
         if not self.terms:
             return "0"
@@ -107,9 +108,9 @@ class HomogPoly:
             factors = []
             for i, e in enumerate(mono):
                 if e == 1:
-                    factors.append(f"{letter}{i}")
+                    factors.append(f"y{i}")
                 elif e > 1:
-                    factors.append(f"{letter}{i}^{e}")
+                    factors.append(f"y{i}^{e}")
             mag = abs(coeff)
             if mag != 1 or not factors:
                 factors.insert(0, str(mag))
@@ -187,7 +188,7 @@ def _monomial_rank(exps: np.ndarray, degree: int) -> np.ndarray:
 # form    := ['+'|'-'] term (('+' | '-') term)*
 # term    := [natural '*'] factor ('*' factor)*
 # factor  := variable ['^' natural]
-# variable := letter natural
+# variable := 'y' natural
 #
 # Whitespace insignificant.  No parentheses, no implicit multiplication;
 # constants appear only as leading coefficients of a term.
@@ -221,7 +222,7 @@ class _Scanner:
         return int(self.text[start:self.pos])
 
 
-def parse_form(text: str, num_vars: int, letter: str = "y") -> HomogPoly:
+def parse_form(text: str, num_vars: int) -> HomogPoly:
     """Parse an integer-coefficient homogeneous form.
 
     Raises FormSyntaxError (with character position) on bad syntax or a
@@ -235,8 +236,8 @@ def parse_form(text: str, num_vars: int, letter: str = "y") -> HomogPoly:
     def parse_factor() -> tuple[int, int]:
         sc.skip_ws()
         at = sc.pos
-        if sc.peek() != letter:
-            raise FormSyntaxError(f"expected variable '{letter}<index>'", at)
+        if sc.peek() != "y":
+            raise FormSyntaxError("expected variable 'y<index>'", at)
         sc.take()
         idx = sc.natural()
         if idx >= num_vars:

@@ -20,8 +20,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .errors import IntegrityError, MissingDataError, TableRangeError
-from .splitting import delta, dual_multiplicities, splitting_universal
+from .errors import InputError, IntegrityError, MissingDataError, \
+    TableRangeError
+from .splitting import delta, splitting_universal
 from .varieties import KoszulTable, ModelVariety
 
 NOT_APPLICABLE = "NOT_APPLICABLE"
@@ -54,14 +55,18 @@ def ideal_pushforward_cohomology(m: ModelVariety, k: int, l: int, i: int) -> int
 def dualizing_cohomology(m: ModelVariety, k: int, l: int, i: int) -> int:
     """h^i(omega_{X'}(-l)) = sum_{d=0}^{delta_l} m_{l,d} * h^i(omega_X(d)).
 
-    Stated for 0 <= l < k only; the d-th dual summand is omega_X(dH).
+    Stated for 0 <= l < k only (an InputError otherwise); the d-th dual
+    summand is omega_X(dH), with multiplicity m_{l,d}.
     """
     if not m.has_dualizing:
         raise MissingDataError(
             f"model {m.name} has no dualizing data; "
             "dualizing cohomology unavailable")
-    duals = dual_multiplicities(splitting_universal(m.n, k, l))
-    return sum(mult * m.h_omega(i, d) for d, mult in sorted(duals.items()))
+    if not 0 <= l < k:
+        raise InputError(
+            f"dualizing decomposition requires 0 <= l < k, got l={l}, k={k}")
+    st = splitting_universal(m.n, k, l)
+    return sum(mult * m.h_omega(i, d) for d, mult in st.multiplicities)
 
 
 def euler_characteristic(m: ModelVariety, k: int, l: int) -> int:

@@ -13,12 +13,12 @@ multiplicities m_{l,d}:
   three-term recurrence, about (n+1)(k-1)/2 big-int steps per table.
 
 * ``splitting_from_endo``: exact linear algebra on a concrete
-  endomorphism.  m_{l,d} is the corank of the multiplication matrix
-  (+)_i V_{l,d-1} -> V_{l,d}, where V_{l,d} is the graded piece of
-  degree l+kd in the source variables.  Every rank is decided by
-  ``exactla.rank_verified``: a full rank modulo one prime is final, and
-  a rank below full rests on primes that agree, or on a certified rank
-  over Q when they disagree or ``exact`` is set.
+  endomorphism.  m_{l,d} = HF(l+kd), where HF is the Hilbert function of
+  S/(f_0, ..., f_n) (``endomorphism.hilbert_function``), the corank of
+  the multiplication matrix (+)_i S_{l+kd-k} -> S_{l+kd}.  Every rank is
+  decided by ``exactla.rank_verified``: a full rank modulo one prime is
+  final, and a rank below full rests on primes that agree, or on a
+  certified rank over Q when they disagree or ``exact`` is set.
 
 The second route always cross-checks against the first; a mismatch is an
 IntegrityError, never a silent preference for one side.
@@ -31,10 +31,10 @@ import sys
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .endomorphism import Endomorphism
+from .endomorphism import Endomorphism, hilbert_function, validate_finite
 from .errors import InputError, IntegrityError
-from .exactla import DEFAULT_PRIMES, rank_verified
-from .polyring import graded_dim, multiplication_matrix
+from .exactla import DEFAULT_PRIMES
+from .polyring import graded_dim
 
 
 def delta(n: int, k: int, l: int) -> int:
@@ -170,28 +170,26 @@ def splitting_universal(n: int, k: int, l: int) -> SplittingType:
 
 def splitting_from_endo(e: Endomorphism, l: int, primes=DEFAULT_PRIMES,
                         exact: bool = False) -> SplittingType:
-    """Multiplicities by corank of multiplication matrices, cross-checked.
+    """Multiplicities m_{l,d} = HF(l+kd) of a finite map, cross-checked.
 
-    For d from -floor(l/k) up to delta(n,k,l): m_{l,d} is
-    dim V_{l,d} - rank of (g_i)_i |-> sum f_i g_i from (+)_i V_{l,d-1},
-    stopping early at the first zero (zero multiplicities stay zero from
-    then on).  Requires a FINITE certificate on ``e``.  The result is
-    always compared with splitting_universal, and a mismatch raises
+    HF is read for d from -floor(l/k) up to delta(n,k,l).  A map that
+    ``validate_finite`` does not show finite is an InputError.  The result
+    is always compared with splitting_universal, and a mismatch raises
     IntegrityError carrying both values.
     """
-    e.require_finite()
+    report = validate_finite(e, primes, exact)
+    if not report.is_finite:
+        rank = report.rational_rank if report.rational_rank is not None \
+            else report.modular_ranks[-1][1]
+        raise InputError(
+            f"endomorphism is not finite: the socle-degree test has rank "
+            f"{rank}, below the required {report.required_rank}")
     n, k = e.n, e.k
-    lower = -(l // k)
-    upper = delta(n, k, l)
     pairs = []
-    for d in range(lower, upper + 1):
-        dim_target = graded_dim(n + 1, l + k * d)
-        matrix = multiplication_matrix(e.forms, l + k * d - k)
-        m = dim_target - rank_verified(matrix, primes, exact).value
+    for d in range(-(l // k), delta(n, k, l) + 1):
+        m = hilbert_function(e, l + k * d, primes, exact)[0]
         if m:
             pairs.append((d, m))
-        elif d > lower:
-            break
     computed = SplittingType(n, k, l, tuple(pairs))
     expected = splitting_universal(n, k, l)
     if computed.multiplicities != expected.multiplicities:
@@ -240,16 +238,3 @@ def hilbert_check(st: SplittingType, e_max: int) -> HilbertCheckReport:
         if lhs != rhs:
             return HilbertCheckReport(False, (lower, e_max), e, lhs, rhs)
     return HilbertCheckReport(True, (lower, e_max))
-
-
-def dual_multiplicities(st: SplittingType) -> dict[int, int]:
-    """Multiplicities of the dualizing decomposition of pi_*(omega(-lH')).
-
-    For 0 <= l < k the d-th summand is omega_X(dH) with the same
-    multiplicity m_{l,d} (dualizing a sum of line bundles preserves
-    dimensions).  Outside that range the decomposition is not stated.
-    """
-    if not 0 <= st.l < st.k:
-        raise InputError(
-            f"dualizing decomposition requires 0 <= l < k, got l={st.l}, k={st.k}")
-    return st.as_dict()

@@ -191,20 +191,23 @@ class ExplicitTable:
 
 @dataclass(frozen=True)
 class ModelVariety:
-    """A variety X in P^n: a name, its cohomology table and two flags.
+    """A variety X in P^n: a name, its cohomology table and one flag.
 
     The table is the only source of the model's numbers: ``n``, ``dim``,
-    ``degree``, ``codim`` and ``subcanonical_twist`` (the e with
-    omega_X = O_X(e), or None) are read from it.
+    ``degree``, ``codim``, ``subcanonical_twist`` (the e with
+    omega_X = O_X(e), or None) and ``is_linear_pm`` are read from it.
     ``smooth_general_position`` is a user assertion, never computed;
-    verdict operations echo it.  ``is_linear_pm`` marks the excluded pair
-    (linear P^m, O(1)).
+    verdict operations echo it.
     """
 
     name: str
     table: KoszulTable | ExplicitTable
     smooth_general_position: bool = False
-    is_linear_pm: bool = False
+
+    @property
+    def is_linear_pm(self) -> bool:
+        """X is a linear P^m (the excluded pair (P^m, O(1))): degree 1."""
+        return self.table.degree == 1
 
     @property
     def n(self) -> int:
@@ -241,8 +244,7 @@ class ModelVariety:
 
 
 def projective_space(n: int, smooth_general_position: bool = True) -> ModelVariety:
-    return ModelVariety(f"p{n}", KoszulTable(n, ()), smooth_general_position,
-                        is_linear_pm=True)
+    return ModelVariety(f"p{n}", KoszulTable(n, ()), smooth_general_position)
 
 
 def complete_intersection(n: int, degrees,
@@ -251,8 +253,7 @@ def complete_intersection(n: int, degrees,
     if not degrees:
         raise InputError("a complete intersection needs at least one degree")
     name = "ci:" + ",".join(str(d) for d in degrees) + f"@{n}"
-    return ModelVariety(name, KoszulTable(n, degrees), smooth_general_position,
-                        is_linear_pm=all(d == 1 for d in degrees))
+    return ModelVariety(name, KoszulTable(n, degrees), smooth_general_position)
 
 
 PLANE_TRANGE = (-60, 60)
@@ -262,8 +263,7 @@ def plane_in_p4(smooth_general_position: bool = True) -> ModelVariety:
     """The 2-plane in P^4 as an explicit bounded table.
 
     Values are those of the linear section P^2 in P^4 (degree 1,
-    omega = O(-3)); the model carries the is_linear_pm flag that drives
-    the excluded-case logic of the canonical-map verdicts.
+    omega = O(-3)).
     """
     reference = KoszulTable(4, (1, 1))
     lo, hi = PLANE_TRANGE
@@ -273,15 +273,15 @@ def plane_in_p4(smooth_general_position: bool = True) -> ModelVariety:
                   for i in range(5) for t in range(lo, hi + 1)}
     table = ExplicitTable(4, 2, 1, PLANE_TRANGE, rows, ideal_rows,
                           omega_twist=-3)
-    return ModelVariety("plane@4", table, smooth_general_position,
-                        is_linear_pm=True)
+    return ModelVariety("plane@4", table, smooth_general_position)
 
 
 # ---------------------------------------------------------------------------
 # table file format
 #
 # Header statements (one per line): n=, dim=, degree=, omega_twist=<int|none>,
-# trange=<a>..<b>, and optional flags linear_pm=<bool>, general_position=<bool>.
+# trange=<a>..<b>, and optional flags general_position=<bool> and
+# linear_pm=<bool>, which must be true exactly when degree=1.
 # Then one row per line: 'h <i> <t> <value>' or 'hI <i> <t> <value>'.
 # '#' starts a comment.  Every (i, t) with 0 <= i <= dim, t in trange must be
 # present; hI coverage is per declared i.
@@ -363,9 +363,11 @@ def parse_table(text: str, source: str = "<string>") -> tuple[ExplicitTable, dic
                               omega_twist)
     except InputError as exc:
         raise InputError(f"{source}: {exc}") from None
-    flags = {"linear_pm": header_bool("linear_pm"),
-             "general_position": header_bool("general_position")}
-    return table, flags
+    if "linear_pm" in headers and header_bool("linear_pm") != (degree == 1):
+        raise InputError(
+            f"{source}: header linear_pm={headers['linear_pm']} contradicts "
+            f"degree={degree}: a linear P^m is exactly a degree-1 table")
+    return table, {"general_position": header_bool("general_position")}
 
 
 def load_custom_table(path: str) -> ModelVariety:
@@ -376,8 +378,7 @@ def load_custom_table(path: str) -> ModelVariety:
         raise InputError(f"cannot read table file: {exc}") from None
     table, flags = parse_table(text, source=path)
     return ModelVariety(f"table:{path}", table,
-                        smooth_general_position=flags["general_position"],
-                        is_linear_pm=flags["linear_pm"])
+                        smooth_general_position=flags["general_position"])
 
 
 def dump_table(m: ModelVariety, trange: tuple[int, int]) -> str:

@@ -21,6 +21,7 @@ from pushsplit import cli, exactla, pullback
 from pushsplit.cli import main
 from pushsplit.errors import IntegrityError
 from pushsplit.exactla import PRIME_LIMIT, is_prime
+from pushsplit.varieties import dump_table, plane_in_p4
 
 
 def run(capsys, *argv):
@@ -114,17 +115,17 @@ def test_split_argument_validation(capsys):
     assert code == 2 and "either" in err
 
 
-def test_closed_form_split_uses_no_primes(capsys, monkeypatch):
+def test_closed_form_split_uses_no_primes(capsys, tmp_path):
     closed_form = ["split", "--n", "2", "--k", "2", "--l", "0"]
-    expected = run(capsys, *closed_form)
-    assert expected[0] == 0
-    # an unusable prime list in the environment is never read
-    monkeypatch.setenv("PUSHSPLIT_PRIMES", "15")
-    assert run(capsys, *closed_form) == expected
+    assert run(capsys, *closed_form)[0] == 0
+    # an unusable prime list in a config file is read with --endo
+    config = tmp_path / "primes.cfg"
+    config.write_text("primes = 15\n")
     assert run(capsys, "split", "--endo", "tests/fixtures/power42.endo",
-               "--l", "0")[0] == 2
+               "--l", "0", "--config", str(config))[0] == 2
     # but asking for primes or --exact beside --n/--k is refused
-    for extra in (["--primes", "101"], ["--exact"]):
+    for extra in (["--primes", "101"], ["--exact"],
+                  ["--config", str(config)]):
         code, out, err = run(capsys, *closed_form, *extra)
         assert (code, out) == (2, "") and "only with --endo" in err
 
@@ -360,20 +361,22 @@ def test_table_with_bad_omega_twist_is_an_input_error(capsys, tmp_path):
     assert "omega_twist" in err
 
 
-def test_primes_environment_variable(capsys, monkeypatch):
-    monkeypatch.setenv("PUSHSPLIT_PRIMES", "211")
+def test_primes_config_key(capsys, tmp_path):
+    config = tmp_path / "primes.cfg"
+    config.write_text("primes = 211\n")
     code, out, _ = run(capsys, "verify-endo", "--endo",
-                       "tests/fixtures/power42.endo", "--json")
+                       "tests/fixtures/power42.endo", "--config", str(config),
+                       "--json")
     assert code == 0
     assert [p for p, _ in json.loads(out)["modular_ranks"]] == [211]
-    # the command-line flag wins over the environment
+    # the command-line flag wins over the config file
     code, out, _ = run(capsys, "verify-endo", "--endo",
-                       "tests/fixtures/power42.endo", "--primes", "101",
-                       "--json")
+                       "tests/fixtures/power42.endo", "--config", str(config),
+                       "--primes", "101", "--json")
     assert [p for p, _ in json.loads(out)["modular_ranks"]] == [101]
-    monkeypatch.setenv("PUSHSPLIT_PRIMES", "15")
+    config.write_text("primes = 15\n")
     assert run(capsys, "verify-endo", "--endo",
-               "tests/fixtures/power42.endo")[0] == 2
+               "tests/fixtures/power42.endo", "--config", str(config))[0] == 2
 
 
 def test_pullback_json_success(capsys):
@@ -457,6 +460,21 @@ def test_adjoint_success_and_negative(capsys):
     payload = json.loads(out)
     assert payload["e_prime"] == -1
     assert payload["verdicts"]["del_pezzo_exception"]["holds"] is True
+
+
+def test_table_contradicting_its_degree_is_refused(capsys, tmp_path):
+    # a degree-1 table is a linear P^m, so the Del Pezzo exception and the
+    # canonical-birationality exclusion read one rule; a linear_pm header
+    # that denies it is an input error
+    text = dump_table(plane_in_p4(), (-20, 20))
+    table = tmp_path / "plane.table"
+    table.write_text(text)
+    model = ["adjoint", "--model", f"table:{table}", "--k", "3"]
+    assert run(capsys, *model)[0] == 0
+    table.write_text(text.replace("linear_pm=true", "linear_pm=false"))
+    code, out, err = run(capsys, *model)
+    assert (code, out) == (2, "")
+    assert "linear_pm=false contradicts degree=1" in err
 
 
 def test_adjoint_requires_a_surface(capsys):

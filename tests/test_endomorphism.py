@@ -22,13 +22,14 @@ from pushsplit.endomorphism import (
     random_endomorphism,
     validate_finite,
 )
-from pushsplit.exactla import rank_mod
+from pushsplit.exactla import DEFAULT_PRIMES, rank_mod
 from pushsplit.polyring import (
     HomogPoly,
     graded_dim,
     multiplication_matrix,
     parse_form,
 )
+from pushsplit.splitting import splitting_from_endo
 
 SCAN_PRIMES = (2, 3, 5, 7)
 
@@ -114,8 +115,10 @@ def test_power_map_shapes():
     e = power_map(3, 2)
     assert e.n == 3 and e.k == 2
     assert all(f.degree == 2 for f in e.forms)
-    assert e.finiteness.verdict == FINITE
-    assert e.finiteness.certificate == "regular-sequence"
+    # the rank test certifies it: full rank modulo the first prime
+    report = validate_finite(e)
+    assert report.verdict == FINITE
+    assert report.modular_ranks == ((DEFAULT_PRIMES[0], report.required_rank),)
 
 
 def test_power_maps_validate_finite():
@@ -138,8 +141,8 @@ def test_degenerate_map_not_finite():
     # the oracle sees the common zero (0 : 1) in every characteristic
     for p in SCAN_PRIMES:
         assert smooth_common_zero_exists(e, p)
-    with pytest.raises(InputError):
-        e.require_finite()
+    with pytest.raises(InputError, match="not finite"):
+        splitting_from_endo(e, 0)
 
 
 def test_disagreeing_primes_escalate_to_rational_rank():
@@ -148,6 +151,15 @@ def test_disagreeing_primes_escalate_to_rational_rank():
     assert report.modular_ranks == ((2, 2), (3, 3))
     assert report.rational_rank == 4
     assert report.verdict == FINITE
+
+
+def test_not_finite_is_recomputed_for_a_later_request():
+    e = load_endomorphism("tests/fixtures/nonfinite12.endo")
+    assert validate_finite(e).rational_rank is None
+    report = validate_finite(e, primes=(1048583,), exact=True)
+    assert report.verdict == NOT_FINITE
+    assert report.rational_rank is not None
+    assert [p for p, _ in report.modular_ranks] == [1048583]
 
 
 def test_agreeing_primes_do_not_escalate():
@@ -200,7 +212,10 @@ def test_finite_verdicts_agree_with_scan():
 def test_random_endomorphism_is_finite_and_seeded():
     rng = random.Random(1)
     e = random_endomorphism(2, 2, rng)
-    assert e.finiteness.verdict == FINITE
+    # random_endomorphism's own check is cached and returned
+    [cached] = e._finiteness
+    assert cached.verdict == FINITE
+    assert validate_finite(e, primes=(101,), exact=True) is cached
     again = random_endomorphism(2, 2, random.Random(1))
     assert again.forms == e.forms
 

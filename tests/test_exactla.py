@@ -17,7 +17,6 @@ from pushsplit.exactla import (
     PRIME_LIMIT,
     ExactMatrix,
     RankResult,
-    binomial,
     is_prime,
     rank_mod,
     rank_rational,
@@ -267,13 +266,6 @@ def test_rank_mod_reduces_huge_integers():
     m = ExactMatrix.from_rows([[big, 1], [big * p, 2]])
     assert rank_mod(m, p) == reference_rank_mod([[big, 1], [big * p, 2]], p)
     assert rank_rational(m) == 2
-
-
-def test_binomial_values():
-    assert binomial(7, 4) == 35
-    assert binomial(4, 0) == 1
-    assert binomial(3, 5) == 0
-    assert binomial(-1, 0) == 0
 
 
 def test_default_primes_are_prime():

@@ -148,13 +148,6 @@ def test_parse_form_examples():
     assert parse_form("  y0 \t+ y1 ", 2).degree == 1
 
 
-def test_parse_form_alternate_letter():
-    p = parse_form("x0*x1", 2, letter="x")
-    assert p.coeff((1, 1)) == 1
-    with pytest.raises(FormSyntaxError):
-        parse_form("y0*y1", 2, letter="x")
-
-
 def test_parse_form_errors():
     with pytest.raises(InputError):
         parse_form("y0 + y1^2", 2)

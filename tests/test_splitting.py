@@ -25,17 +25,18 @@ from pushsplit.endomorphism import (
     validate_finite,
 )
 from pushsplit.polyring import graded_dim, parse_form
+from pushsplit.pullback import dualizing_cohomology
 from pushsplit.splitting import (
     MAX_BOX_COEFFS,
     HilbertCheckReport,
     SplittingType,
     _box_counts,
     delta,
-    dual_multiplicities,
     hilbert_check,
     splitting_from_endo,
     splitting_universal,
 )
+from pushsplit.varieties import complete_intersection
 
 
 def oracle_multiplicities(n, k, l):
@@ -258,16 +259,15 @@ def test_splitting_type_validation():
 
 
 def test_dual_multiplicities():
-    st = splitting_universal(4, 2, 1)
-    assert dual_multiplicities(st) == st.as_dict()
+    model = complete_intersection(4, (2, 2))
     with pytest.raises(InputError):
-        dual_multiplicities(splitting_universal(4, 2, 2))
+        dualizing_cohomology(model, 2, 2, 0)
     with pytest.raises(InputError):
-        dual_multiplicities(splitting_universal(4, 2, -1))
+        dualizing_cohomology(model, 2, -1, 0)
 
 
 def test_from_endo_matches_universal_on_power_maps():
-    for n, k in ((1, 2), (2, 2), (2, 3), (3, 2)):
+    for n, k in ((1, 2), (2, 2), (2, 3), (3, 2), (4, 2)):
         e = power_map(n, k)
         for l in range(0, k + 2):
             st = splitting_from_endo(e, l)
@@ -282,9 +282,6 @@ def test_from_endo_negative_twist():
 
 def test_from_endo_on_fixture_endomorphism():
     e = load_endomorphism("tests/fixtures/perturbed22.endo")
-    with pytest.raises(InputError):
-        splitting_from_endo(e, 0)  # finiteness must be established first
-    validate_finite(e)
     for l in (0, 1, 2):
         assert splitting_from_endo(e, l).as_dict() == \
             splitting_universal(2, 2, l).as_dict()

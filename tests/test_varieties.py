@@ -278,7 +278,6 @@ def test_dump_table_round_trip():
     rebuilt = ModelVariety(
         "rebuilt", table,
         smooth_general_position=flags["general_position"],
-        is_linear_pm=flags["linear_pm"],
     )
     assert rebuilt.dim == model.dim and rebuilt.degree == model.degree
     assert rebuilt.subcanonical_twist == model.subcanonical_twist
