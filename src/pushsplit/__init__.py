@@ -19,7 +19,7 @@ from .errors import FormSyntaxError, InputError, IntegrityError, \
 from .exactla import DEFAULT_PRIMES, ExactMatrix, RankResult, is_prime, \
     rank_mod, rank_rational, rank_verified
 from .polyring import HomogPoly, graded_dim, monomials_of_degree, \
-    multiplication_matrix, multiply, parse_form
+    multiplication_matrix, parse_form
 from .pullback import CompletenessVerdict, PullbackReport, Verdict, \
     build_pullback_report, completeness_verdict, dualizing_cohomology, \
     euler_characteristic, hyperplane_section_verdict, \
@@ -50,7 +50,7 @@ __all__ = [
     "ideal_pushforward_cohomology",
     "injectivity_hypothesis_check", "is_prime", "load_custom_table",
     "load_endomorphism", "monomials_of_degree",
-    "multiplication_matrix", "multiply", "parse_endomorphism", "parse_form",
+    "multiplication_matrix", "parse_endomorphism", "parse_form",
     "parse_table", "plane_in_p4", "power_map", "projective_space",
     "pullback_degree", "pushforward_cohomology",
     "random_endomorphism", "rank_mod", "rank_rational", "rank_verified",

@@ -9,8 +9,8 @@ CSV are renderings of that payload and read nothing else.
 
 Exit codes are disjoint: 0 success, 1 negative mathematical verdict
 (not finite, not linearly complete, canonical bundle not very ample),
-2 input error, 3 integrity error (two routes that must agree disagreed),
-4 table range exceeded.
+2 input error, 3 integrity error (two routes that must agree disagreed,
+or a rank certificate failed), 4 table range exceeded.
 
 Every long flag of a subcommand but ``--config``, ``--help``, ``--json``
 and ``--csv`` can also come from a ``--config`` file of ``key = value``
@@ -387,13 +387,13 @@ def _cmd_verify_endo(args: argparse.Namespace) -> tuple[dict, int]:
         "verdict": report.verdict,
         "test_degree": report.test_degree,
         "required_rank": report.required_rank,
-        "modular_ranks": [[p, r] for p, r in report.modular_ranks],
+        "modular_ranks": [[p, r] for p, r in report.rank.modular],
         "certificate": "rank-test",
         "source": source,
         "forms": [f.text() for f in endo.forms],
     }
-    if report.rational_rank is not None:
-        payload["rational_rank"] = report.rational_rank
+    if report.rank.rational is not None:
+        payload["rational_rank"] = report.rank.rational
     return payload, EXIT_OK if report.is_finite else EXIT_NEGATIVE
 
 
@@ -496,7 +496,7 @@ def _split_arguments(sub: argparse.ArgumentParser):
     sub.add_argument("--exact", action="store_const", const=True,
                      help="confirm every rank below full by a certified rank "
                           "over Q (kernel vectors checked over the "
-                          "integers, Bareiss as fallback)")
+                          "integers)")
 
 
 def _verify_endo_arguments(sub: argparse.ArgumentParser):
@@ -511,7 +511,7 @@ def _verify_endo_arguments(sub: argparse.ArgumentParser):
     sub.add_argument("--exact", action="store_const", const=True,
                      help="confirm a NOT_FINITE verdict by a certified rank "
                           "over Q (kernel vectors checked over the "
-                          "integers, Bareiss as fallback)")
+                          "integers)")
 
 
 def _pullback_arguments(sub: argparse.ArgumentParser):

@@ -26,20 +26,22 @@ NOT_FINITE = "NOT_FINITE"
 class FinitenessReport:
     """Evidence behind a FINITE / NOT_FINITE verdict.
 
-    ``test_degree`` is D = (n+1)(k-1)+1 and ``required_rank`` the dimension
-    of S'_D; ``modular_ranks`` maps prime -> computed rank; ``rational_rank``
-    is set when an exact confirmation pass ran.
+    ``test_degree`` is D = (n+1)(k-1)+1, ``required_rank`` the dimension
+    of S'_D, and ``rank`` the RankResult of the socle-degree test: the
+    map is FINITE iff its rank reaches ``required_rank``.
     """
 
-    verdict: str
     test_degree: int
     required_rank: int
-    modular_ranks: tuple[tuple[int, int], ...] = ()
-    rational_rank: int | None = None
+    rank: RankResult
 
     @property
     def is_finite(self) -> bool:
-        return self.verdict == FINITE
+        return self.rank.value == self.required_rank
+
+    @property
+    def verdict(self) -> str:
+        return FINITE if self.is_finite else NOT_FINITE
 
 
 @dataclass(frozen=True)
@@ -104,13 +106,8 @@ def validate_finite(e: Endomorphism, primes=DEFAULT_PRIMES,
     if e._finiteness:
         return e._finiteness[0]
     degree = (e.n + 1) * (e.k - 1) + 1
-    value, rank = hilbert_function(e, degree, primes, exact)
-    report = FinitenessReport(
-        verdict=NOT_FINITE if value else FINITE,
-        test_degree=degree,
-        required_rank=graded_dim(e.n + 1, degree),
-        modular_ranks=rank.modular,
-        rational_rank=rank.rational)
+    report = FinitenessReport(degree, graded_dim(e.n + 1, degree),
+                              hilbert_function(e, degree, primes, exact)[1])
     if report.is_finite:
         e._finiteness.append(report)
     return report

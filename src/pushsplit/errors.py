@@ -26,7 +26,8 @@ class MissingDataError(InputError):
 
 
 class IntegrityError(PushsplitError):
-    """Two routes that must agree disagreed; carries both values.
+    """Two routes that must agree disagreed, or a proof failed; carries
+    both values when there are two.
 
     Never downgraded to a warning: it means either an implementation bug
     or a counterexample, and both must be loud.

@@ -30,8 +30,9 @@ left-kernel vectors of what is left, computed modulo a few primes, are
 combined by CRT, rationally reconstructed (Wang 1981) and checked to
 annihilate it in integer arithmetic.  The modular rank then bounds the
 rank from below, the codimension of the checked vectors' span bounds it
-from above, and the two agree.  Only when a bounded number of primes
-gives no such certificate does Bareiss elimination over Z decide.
+from above, and the two agree.  A bounded number of primes always gives
+such a certificate (``_prime_budget``), so there is no other route: a
+budget spent without one is a broken proof and raises IntegrityError.
 
 ``rank_verified`` decides every rank the package reports: modular ranks
 first, stopping at a full one, and the rank over Q when asked for or
@@ -46,6 +47,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+
+from .errors import IntegrityError
 
 # Two fixed primes just above 2**20.  A silent rank drop requires the same
 # minor to vanish modulo both, which the splitting-level cross-checks would
@@ -141,22 +144,6 @@ class ExactMatrix:
                    np.array([c for (_, c), _ in kept], dtype=np.int64),
                    value_array(v for _, v in kept))
 
-    @classmethod
-    def from_rows(cls, rows_list, cols: int | None = None) -> "ExactMatrix":
-        rows = len(rows_list)
-        if rows:
-            if cols is not None and cols != len(rows_list[0]):
-                raise ValueError("cols does not match row length")
-            cols = len(rows_list[0])
-        else:
-            cols = cols or 0
-        for row in rows_list:
-            if len(row) != cols:
-                raise ValueError("ragged rows")
-        return cls.from_coo(rows, cols, ((r, c, x)
-                                         for r, row in enumerate(rows_list)
-                                         for c, x in enumerate(row)))
-
     @property
     def entries(self) -> tuple:
         """Dense row-major entries, of length rows*cols, built on each call."""
@@ -185,8 +172,8 @@ def rank_rational(m: ExactMatrix) -> int:
     y is checked to satisfy y^T A = 0 in integer arithmetic.  When all m
     pass, A has rank n - m: the vectors are independent (look at their
     free coordinates), so rank <= n - m, and the modular rank gives
-    rank >= r = n - m.  After ``_prime_budget`` primes without such a
-    proof, Bareiss elimination over Z ranks A instead.
+    rank >= r = n - m.  ``_prime_budget`` primes always give such a proof;
+    when they do not, IntegrityError is raised, naming A's shape.
     """
     if m.rows == 0 or m.cols == 0:
         return 0
@@ -197,8 +184,8 @@ def rank_rational(m: ExactMatrix) -> int:
     if n > c:
         rows, cols, n, c = cols, rows, c, n
     best = None
-    for p in itertools.islice(_certificate_primes(),
-                              _prime_budget(rows, cols, values, n, c)):
+    budget = _prime_budget(rows, cols, values, n, c)
+    for p in itertools.islice(_certificate_primes(), budget):
         pivots, block = _left_kernel_mod(rows, cols, values, n, c, p)
         key = (-len(pivots), pivots)
         if best is None or key < best:
@@ -210,7 +197,8 @@ def rank_rational(m: ExactMatrix) -> int:
         kernel = _lift(residues, modulus, pivots, n)
         if kernel is not None and _annihilates(kernel, rows, cols, values, c):
             return count + n - len(kernel)
-    return count + _rank_bareiss(_dense_rows(rows, cols, values, n, c))
+    raise IntegrityError(f"no rank certificate for a {n}x{c} matrix "
+                         f"within the prime budget of {budget}")
 
 
 def rank_mod(m: ExactMatrix, p: int) -> int:
@@ -235,12 +223,8 @@ def rank_mod(m: ExactMatrix, p: int) -> int:
         raise ValueError(f"modulus {p} is not below the prime limit 2**26")
     if m.rows == 0 or m.cols == 0:
         return 0
-    if m.values.dtype == object:
-        residues = np.array([v % p for v in m.values.tolist()], dtype=np.int64)
-    else:
-        residues = m.values % p
     count, rows, cols, residues, n, c = _prune_singletons(
-        m.row_index, m.col_index, residues, m.rows, m.cols)
+        m.row_index, m.col_index, _residues(m.values, p), m.rows, m.cols)
     if rows.size == 0:
         return count
     a = np.zeros((n, c), dtype=np.int32)
@@ -331,12 +315,11 @@ def _prune_singletons(rows, cols, values, n: int, c: int):
     return count, rows, cols, values, rows_left.size, cols_left.size
 
 
-def _dense_rows(rows, cols, values, n: int, c: int) -> list[list[int]]:
-    """The n x c matrix of the COO arrays as lists of Python ints."""
-    dense = [[0] * c for _ in range(n)]
-    for r, j, v in zip(rows.tolist(), cols.tolist(), values.tolist()):
-        dense[r][j] = v
-    return dense
+def _residues(values: np.ndarray, p: int) -> np.ndarray:
+    """``values`` modulo p as ``int64``, Python ints reduced one by one."""
+    if values.dtype == object:
+        return np.array([v % p for v in values.tolist()], dtype=np.int64)
+    return values % p
 
 
 def _certificate_primes():
@@ -349,7 +332,7 @@ def _certificate_primes():
 
 
 def _prime_budget(rows, cols, values, n: int, c: int) -> int:
-    """Primes rank_rational tries before it falls back to Bareiss.
+    """The number 2K of primes rank_rational tries; they always suffice.
 
     Every reconstructed entry is a ratio of two minors of A, each at most
     the Hadamard bound H (the product of the norms of A's rows, or of its
@@ -359,6 +342,10 @@ def _prime_budget(rows, cols, values, n: int, c: int) -> int:
     nonzero minor, so fewer than K/2 primes are discarded, and 2K primes
     always yield the certificate.  Each squared norm is bounded by its
     entry count times its largest square.
+
+    The argument needs all 2K primes above 2**25.  ``_certificate_primes``
+    yields the 1,894,120 primes between 2**25 and PRIME_LIMIT first, so
+    this holds whenever log2 H**2 is below about 23.67 million bits.
     """
     if values.dtype == object:
         logs = np.array([math.log2(max(abs(v), 1)) for v in values.tolist()])
@@ -391,12 +378,8 @@ def _left_kernel_mod(rows, cols, values, n: int, c: int,
     ``(2**63 - p) // p**2`` pivots, so that no entry, grown by less than
     p**2 per pivot, leaves int64.
     """
-    if values.dtype == object:
-        residues = np.array([v % p for v in values.tolist()], dtype=np.int64)
-    else:
-        residues = values % p
     b = np.zeros((c, n), dtype=np.int64)
-    b[cols, rows] = residues
+    b[cols, rows] = _residues(values, p)
     period = ((1 << 63) - p) // (p * p)
     pivots, reduced_at = [], 0
     for j in range(n):
@@ -572,28 +555,3 @@ def _eliminate(a: np.ndarray, p: int, width: int | None = None,
         r += 1
     return r
 
-
-def _rank_bareiss(rows: list[list[int]]) -> int:
-    """Bareiss elimination over Z; divisions are exact (entries are minors)."""
-    nrows = len(rows)
-    ncols = len(rows[0]) if nrows else 0
-    r = 0
-    prev = 1
-    for c in range(ncols):
-        if r == nrows:
-            break
-        piv = next((i for i in range(r, nrows) if rows[i][c]), None)
-        if piv is None:
-            continue
-        if piv != r:
-            rows[r], rows[piv] = rows[piv], rows[r]
-        pivot = rows[r][c]
-        for i in range(r + 1, nrows):
-            row_i, row_r = rows[i], rows[r]
-            f = row_i[c]
-            for j in range(c + 1, ncols):
-                row_i[j] = (pivot * row_i[j] - f * row_r[j]) // prev
-            row_i[c] = 0
-        prev = pivot
-        r += 1
-    return r

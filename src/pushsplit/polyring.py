@@ -120,18 +120,6 @@ class HomogPoly:
         return " ".join([head] + parts[1:])
 
 
-def multiply(p: HomogPoly, q: HomogPoly) -> HomogPoly:
-    """Product of homogeneous polynomials; degrees add, zero terms pruned."""
-    if p.num_vars != q.num_vars:
-        raise InputError("product of forms in different variable counts")
-    coeffs: dict[Monomial, int] = {}
-    for mp, cp in p.terms:
-        for mq, cq in q.terms:
-            mono = tuple(a + b for a, b in zip(mp, mq))
-            coeffs[mono] = coeffs.get(mono, 0) + cp * cq
-    return HomogPoly.from_dict(p.num_vars, p.degree + q.degree, coeffs)
-
-
 def multiplication_matrix(forms, source_degree: int) -> ExactMatrix:
     """Matrix of (g_i)_i |-> sum_i forms[i]*g_i between graded pieces.
 

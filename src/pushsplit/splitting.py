@@ -179,11 +179,9 @@ def splitting_from_endo(e: Endomorphism, l: int, primes=DEFAULT_PRIMES,
     """
     report = validate_finite(e, primes, exact)
     if not report.is_finite:
-        rank = report.rational_rank if report.rational_rank is not None \
-            else report.modular_ranks[-1][1]
         raise InputError(
             f"endomorphism is not finite: the socle-degree test has rank "
-            f"{rank}, below the required {report.required_rank}")
+            f"{report.rank.value}, below the required {report.required_rank}")
     n, k = e.n, e.k
     pairs = []
     for d in range(-(l // k), delta(n, k, l) + 1):

@@ -225,11 +225,7 @@ f3 = y3^3 + y0^2*y2 - 2*y1*y2*y3
 """
 
 
-def test_verify_endo_exact_flag(capsys, tmp_path, monkeypatch):
-    # the kernel certificate decides; fraction-free elimination never runs
-    bareiss = []
-    monkeypatch.setattr(exactla, "_rank_bareiss",
-                        lambda rows: bareiss.append(rows) or 0)
+def test_verify_endo_exact_flag(capsys, tmp_path):
     code, out, _ = run(capsys, "verify-endo", "--endo",
                        "tests/fixtures/nonfinite12.endo", "--exact", "--json")
     assert code == 1
@@ -241,7 +237,17 @@ def test_verify_endo_exact_flag(capsys, tmp_path, monkeypatch):
     assert code == 1
     payload = json.loads(out)
     assert (payload["verdict"], payload["rational_rank"]) == ("NOT_FINITE", 216)
-    assert bareiss == []
+
+
+def test_missing_rank_certificate_is_an_integrity_error(capsys, tmp_path,
+                                                        monkeypatch):
+    # too few primes for the kernel certificate is a broken proof: exit 3
+    monkeypatch.setattr(exactla, "_prime_budget", lambda *args: 0)
+    endo = tmp_path / "nonfinite33.endo"
+    endo.write_text(NOT_FINITE_33)
+    code, out, err = run(capsys, "verify-endo", "--endo", str(endo), "--exact")
+    assert (code, out) == (3, "")
+    assert err.startswith("integrity error: no rank certificate")
 
 
 def test_split_endo_exact_matches_default(capsys):

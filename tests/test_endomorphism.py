@@ -118,7 +118,7 @@ def test_power_map_shapes():
     # the rank test certifies it: full rank modulo the first prime
     report = validate_finite(e)
     assert report.verdict == FINITE
-    assert report.modular_ranks == ((DEFAULT_PRIMES[0], report.required_rank),)
+    assert report.rank.modular == ((DEFAULT_PRIMES[0], report.required_rank),)
 
 
 def test_power_maps_validate_finite():
@@ -136,8 +136,8 @@ def test_degenerate_map_not_finite():
     e = Endomorphism(1, 2, (parse_form("y0^2", 2), parse_form("y0*y1", 2)))
     report = validate_finite(e, exact=True)
     assert report.verdict == NOT_FINITE
-    assert report.rational_rank is not None
-    assert report.rational_rank < report.required_rank
+    assert report.rank.rational is not None
+    assert report.rank.rational < report.required_rank
     # the oracle sees the common zero (0 : 1) in every characteristic
     for p in SCAN_PRIMES:
         assert smooth_common_zero_exists(e, p)
@@ -148,25 +148,25 @@ def test_degenerate_map_not_finite():
 def test_disagreeing_primes_escalate_to_rational_rank():
     e = load_endomorphism("tests/fixtures/disagree23.endo")
     report = validate_finite(e, primes=(2, 3))
-    assert report.modular_ranks == ((2, 2), (3, 3))
-    assert report.rational_rank == 4
+    assert report.rank.modular == ((2, 2), (3, 3))
+    assert report.rank.rational == 4
     assert report.verdict == FINITE
 
 
 def test_not_finite_is_recomputed_for_a_later_request():
     e = load_endomorphism("tests/fixtures/nonfinite12.endo")
-    assert validate_finite(e).rational_rank is None
+    assert validate_finite(e).rank.rational is None
     report = validate_finite(e, primes=(1048583,), exact=True)
     assert report.verdict == NOT_FINITE
-    assert report.rational_rank is not None
-    assert [p for p, _ in report.modular_ranks] == [1048583]
+    assert report.rank.rational is not None
+    assert [p for p, _ in report.rank.modular] == [1048583]
 
 
 def test_agreeing_primes_do_not_escalate():
     e = Endomorphism(1, 2, (parse_form("y0^2", 2), parse_form("y0*y1", 2)))
     report = validate_finite(e)
     assert report.verdict == NOT_FINITE
-    assert report.rational_rank is None
+    assert report.rank.rational is None
 
 
 def test_perturbed_squaring_map_finite():

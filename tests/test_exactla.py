@@ -4,14 +4,15 @@ import itertools
 import math
 import random
 from fractions import Fraction
-from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import matrix, rank_bareiss
 from pushsplit import exactla
+from pushsplit.errors import IntegrityError
 from pushsplit.exactla import (
     DEFAULT_PRIMES,
     PRIME_LIMIT,
@@ -51,19 +52,19 @@ def oracle_rank(rows):
 
 def test_identity_rank():
     rows = [[1 if i == j else 0 for j in range(3)] for i in range(3)]
-    m = ExactMatrix.from_rows(rows)
+    m = matrix(rows)
     assert rank_rational(m) == 3
     assert rank_mod(m, DEFAULT_PRIMES[0]) == 3
 
 
 def test_proportional_rows_rank_one():
-    m = ExactMatrix.from_rows([[1, 2], [2, 4]])
+    m = matrix([[1, 2], [2, 4]])
     assert rank_rational(m) == 1
     assert rank_mod(m, DEFAULT_PRIMES[0]) == 1
 
 
 def test_empty_matrix_rank_zero():
-    m = ExactMatrix.from_rows([], cols=5)
+    m = matrix([], cols=5)
     assert m.rows == 0 and m.cols == 5
     assert rank_rational(m) == 0
     assert rank_mod(m, DEFAULT_PRIMES[0]) == 0
@@ -71,7 +72,7 @@ def test_empty_matrix_rank_zero():
 
 def test_modular_rank_can_undercount():
     p = DEFAULT_PRIMES[0]
-    m = ExactMatrix.from_rows([[1, 1], [1, 1 + p]])
+    m = matrix([[1, 1], [1, 1 + p]])
     assert rank_mod(m, p) == 1
     assert rank_rational(m) == 2
     assert rank_mod(m, DEFAULT_PRIMES[1]) == 2
@@ -101,9 +102,9 @@ P, Q = DEFAULT_PRIMES
 def test_rank_verified_policy(rows, primes, exact, expected):
     if expected is ValueError:
         with pytest.raises(ValueError):
-            rank_verified(ExactMatrix.from_rows(rows), primes, exact)
+            rank_verified(matrix(rows), primes, exact)
         return
-    result = rank_verified(ExactMatrix.from_rows(rows), primes, exact)
+    result = rank_verified(matrix(rows), primes, exact)
     assert result == expected
     assert result.value == oracle_rank(rows)
 
@@ -114,7 +115,7 @@ def test_random_integer_matrices_match_oracle():
         nrows = rng.randrange(1, 7)
         ncols = rng.randrange(1, 7)
         rows = [[rng.randrange(-5, 6) for _ in range(ncols)] for _ in range(nrows)]
-        m = ExactMatrix.from_rows(rows)
+        m = matrix(rows)
         expected = oracle_rank(rows)
         assert rank_rational(m) == expected
         for p in DEFAULT_PRIMES:
@@ -124,19 +125,18 @@ def test_random_integer_matrices_match_oracle():
 def test_rank_invariant_under_row_permutation():
     rng = random.Random(99)
     rows = [[rng.randrange(-3, 4) for _ in range(5)] for _ in range(5)]
-    base = rank_rational(ExactMatrix.from_rows(rows))
+    base = rank_rational(matrix(rows))
     for _ in range(5):
         shuffled = rows[:]
         rng.shuffle(shuffled)
-        assert rank_rational(ExactMatrix.from_rows(shuffled)) == base
+        assert rank_rational(matrix(shuffled)) == base
 
 
 def test_transpose_preserves_rank():
     rng = random.Random(3)
     rows = [[rng.randrange(-3, 4) for _ in range(6)] for _ in range(4)]
     columns = [list(col) for col in zip(*rows)]
-    assert rank_rational(ExactMatrix.from_rows(rows)) == \
-        rank_rational(ExactMatrix.from_rows(columns))
+    assert rank_rational(matrix(rows)) == rank_rational(matrix(columns))
 
 
 def test_from_coo_accumulates_duplicates():
@@ -145,7 +145,7 @@ def test_from_coo_accumulates_duplicates():
 
 
 def test_rank_mod_requires_prime():
-    m = ExactMatrix.from_rows([[1]])
+    m = matrix([[1]])
     with pytest.raises(ValueError):
         rank_mod(m, 10)
 
@@ -203,7 +203,7 @@ def combined_rows(rng, rows, extra):
 
 
 def assert_rank_matches_reference(rows, primes):
-    m = ExactMatrix.from_rows(rows)
+    m = matrix(rows)
     for p in primes:
         assert rank_mod(m, p) == reference_rank_mod(rows, p), p
 
@@ -237,7 +237,7 @@ def test_rank_mod_of_rank_deficient_matrix(density):
     rng = random.Random(23)
     base = random_rows(rng, 60, 190, density, -4, 5)
     rows = combined_rows(rng, base, 50)
-    m = ExactMatrix.from_rows(rows)
+    m = matrix(rows)
     assert rank_mod(m, DEFAULT_PRIMES[0]) <= 60
     assert_rank_matches_reference(rows, DEFAULT_PRIMES + (7, TOP_PRIME))
 
@@ -245,7 +245,7 @@ def test_rank_mod_of_rank_deficient_matrix(density):
 def test_rank_mod_with_largest_residues():
     for p in (TOP_PRIME, TOP_PRIME_WIDE_PANEL):
         rows = [[p - 1] * 150 for _ in range(90)]
-        assert rank_mod(ExactMatrix.from_rows(rows), p) == 1
+        assert rank_mod(matrix(rows), p) == 1
         rng = random.Random(p)
         rows = [[rng.choice((p - 2, p - 1)) for _ in range(150)]
                 for _ in range(90)]
@@ -257,13 +257,13 @@ def test_rank_mod_refuses_primes_at_the_limit():
     while not is_prime(p):
         p += 1
     with pytest.raises(ValueError, match="2\\*\\*26"):
-        rank_mod(ExactMatrix.from_rows([[1]]), p)
+        rank_mod(matrix([[1]]), p)
 
 
 def test_rank_mod_reduces_huge_integers():
     big = 10 ** 30
     p = DEFAULT_PRIMES[0]
-    m = ExactMatrix.from_rows([[big, 1], [big * p, 2]])
+    m = matrix([[big, 1], [big * p, 2]])
     assert rank_mod(m, p) == reference_rank_mod([[big, 1], [big * p, 2]], p)
     assert rank_rational(m) == 2
 
@@ -359,9 +359,8 @@ def test_pruned_rank_mod_matches_reference(name):
 @pytest.mark.parametrize("name", PRUNING_CASES)
 def test_pruned_rank_rational_matches_bareiss(name):
     rows = as_rows(PRUNING_CASES[name])
-    expected = exactla._rank_bareiss([row[:] for row in rows])
-    with mock.patch.object(exactla, "_rank_bareiss", no_fallback):
-        assert rank_rational(ExactMatrix.from_rows(rows)) == expected
+    expected = rank_bareiss([row[:] for row in rows])
+    assert rank_rational(matrix(rows)) == expected
 
 
 def prune(m):
@@ -374,14 +373,14 @@ def test_prune_singletons_removes_only_singleton_lines():
     # nonzero over Z: the bidiagonal and triangular cases vanish entirely
     for rows in (bidiagonal(rng, 40, 40, (1, -2)), bidiagonal(rng, 40, 41, (3,)),
                  triangular(rng, 30, (1, 5))):
-        count, left, *_ = prune(ExactMatrix.from_rows(rows))
+        count, left, *_ = prune(matrix(rows))
         assert (count, left.size) == (min(len(rows), len(rows[0])), 0)
     dense = random_rows(rng, 20, 25, 1.0, 1, 6)
-    count, r, c, v, n, ncols = prune(ExactMatrix.from_rows(dense))
+    count, r, c, v, n, ncols = prune(matrix(dense))
     assert (count, n, ncols, v.size) == (0, 20, 25, 500)
     # the fringe peels off one row a pass, from its far end; the core stays
     count, r, c, v, n, ncols = prune(
-        ExactMatrix.from_rows(with_fringe(rng, dense, (1,))))
+        matrix(with_fringe(rng, dense, (1,))))
     assert (count, n, ncols) == (12, 20, 25)
     assert sorted(zip(r.tolist(), c.tolist(), v.tolist())) == sorted(
         (i, j, dense[i][j]) for i in range(20) for j in range(25))
@@ -397,10 +396,6 @@ def test_pruned_socle_matrices_collapse():
 
 # ---------------------------------------------------------------------------
 # rank_rational: kernel certificate against fraction-free elimination
-
-
-def no_fallback(rows):
-    raise AssertionError("rank_rational fell back to Bareiss")
 
 
 def integer_rows(rows):
@@ -442,11 +437,9 @@ def rank_deficient_rows(draw):
 @given(rank_deficient_rows())
 def test_certified_rank_equals_bareiss(rows):
     rows = integer_rows(rows)
-    m = ExactMatrix.from_rows(rows)
-    expected = exactla._rank_bareiss(rows)
-    # the kernel certificate must decide these, without the fallback
-    with mock.patch.object(exactla, "_rank_bareiss", no_fallback):
-        assert rank_rational(m) == expected
+    m = matrix(rows)
+    expected = rank_bareiss(rows)
+    assert rank_rational(m) == expected
 
 
 FIRST_PRIME, SECOND_PRIME = itertools.islice(exactla._certificate_primes(), 2)
@@ -464,35 +457,34 @@ def bad_prime_matrices(p):
 
 @pytest.mark.parametrize("bad", [FIRST_PRIME, SECOND_PRIME])
 def test_certificate_survives_a_bad_prime(monkeypatch, bad):
-    assert [rank_mod(ExactMatrix.from_rows(rows), bad)
+    assert [rank_mod(matrix(rows), bad)
             for rows in bad_prime_matrices(bad)] == [0, 1, 2]
     primes = []
     kernel = exactla._left_kernel_mod
     monkeypatch.setattr(exactla, "_left_kernel_mod",
                         lambda *args: primes.append(args[-1]) or kernel(*args))
-    monkeypatch.setattr(exactla, "_rank_bareiss", no_fallback)
     for rows in bad_prime_matrices(bad):
         primes.clear()
-        assert rank_rational(ExactMatrix.from_rows(rows)) == 2
+        assert rank_rational(matrix(rows)) == 2
         assert primes[-1] != bad
     # the last matrix has the kernel vector (1/bad, -1/bad, 1), which takes
     # more primes than two to reconstruct, so the bad prime is met
     assert bad in primes
 
 
-def test_exhausted_prime_budget_falls_back_to_bareiss(monkeypatch):
-    calls = []
-    bareiss = exactla._rank_bareiss
+def test_exhausted_prime_budget_is_an_integrity_error(monkeypatch):
     monkeypatch.setattr(exactla, "_prime_budget", lambda *args: 1)
-    monkeypatch.setattr(exactla, "_rank_bareiss",
-                        lambda rows: calls.append(rows) or bareiss(rows))
     for rows in bad_prime_matrices(FIRST_PRIME):
-        assert rank_rational(ExactMatrix.from_rows(rows)) == 2
-    assert len(calls) == 3
-    # a pruned singleton border adds its pivot to Bareiss's rank of the rest
+        with pytest.raises(IntegrityError, match="no rank certificate"):
+            rank_rational(matrix(rows))
+    # the message names the matrix left after pruning a singleton border
     rows = [row + [0] for row in bad_prime_matrices(FIRST_PRIME)[2]]
-    assert rank_rational(ExactMatrix.from_rows(rows + [[0, 0, 0, 5]])) == 3
-    assert len(calls) == 4 and len(calls[-1]) == 3
+    bordered = matrix(rows + [[0, 0, 0, 5]])
+    with pytest.raises(IntegrityError,
+                       match="3x3 matrix within the prime budget of 1"):
+        rank_rational(bordered)
+    monkeypatch.undo()
+    assert rank_rational(bordered) == 3
 
 
 def reference_left_kernel(rows, p):
@@ -530,7 +522,7 @@ def test_left_kernel_mod_matches_reference():
                 coeffs = [rng.randrange(-2, 3) for _ in basis]
                 rows.append([sum(a * b[j] for a, b in zip(coeffs, basis))
                              for j in range(ncols)])
-            m = ExactMatrix.from_rows(rows)
+            m = matrix(rows)
             pivots, block = exactla._left_kernel_mod(
                 m.row_index, m.col_index, m.values, nrows, ncols, p)
             assert len(pivots) == rank_

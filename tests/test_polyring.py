@@ -5,13 +5,13 @@ import random
 
 import pytest
 
+from oracles import multiply
 from pushsplit.errors import FormSyntaxError, InputError
 from pushsplit.polyring import (
     HomogPoly,
     graded_dim,
     monomials_of_degree,
     multiplication_matrix,
-    multiply,
     parse_form,
 )
 from pushsplit.exactla import rank_rational

@@ -16,7 +16,6 @@ from hypothesis import strategies as hst
 
 from pushsplit.errors import InputError, IntegrityError
 from pushsplit.endomorphism import (
-    FINITE,
     Endomorphism,
     FinitenessReport,
     load_endomorphism,
@@ -24,6 +23,7 @@ from pushsplit.endomorphism import (
     random_endomorphism,
     validate_finite,
 )
+from pushsplit.exactla import RankResult
 from pushsplit.polyring import graded_dim, parse_form
 from pushsplit.pullback import dualizing_cohomology
 from pushsplit.splitting import (
@@ -307,7 +307,8 @@ def test_forged_certificate_trips_integrity_check():
     forms = (parse_form("y0^2", 2), parse_form("2*y0^2", 2))
     e = Endomorphism(1, 2, forms)
     e._finiteness.append(
-        FinitenessReport(verdict=FINITE, test_degree=3, required_rank=4)
+        FinitenessReport(test_degree=3, required_rank=4,
+                         rank=RankResult(((1048583, 4),)))
     )
     with pytest.raises(IntegrityError) as err:
         splitting_from_endo(e, 0)
