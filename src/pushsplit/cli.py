@@ -494,9 +494,9 @@ def _split_arguments(sub: argparse.ArgumentParser):
                      help="upper twist for the Hilbert identity check")
     sub.add_argument("--primes", help="comma-separated modular primes")
     sub.add_argument("--exact", action="store_const", const=True,
-                     help="confirm every rank below full by a certified rank "
-                          "over Q (kernel vectors checked over the "
-                          "integers)")
+                     help="confirm over Q every rank that no prime brings "
+                          "to its known bound (kernel vectors checked over "
+                          "the integers)")
 
 
 def _verify_endo_arguments(sub: argparse.ArgumentParser):

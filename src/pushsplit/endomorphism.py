@@ -1,11 +1,15 @@
 """Finite endomorphisms of projective space given by n+1 degree-k forms.
 
 The linear algebra on a map computes one function, the Hilbert function
-HF(t) of S/(f_0, ..., f_n) (``hilbert_function``), every rank decided by
-``exactla.rank_verified``.  The forms have no common projective zero (are
-a regular sequence) exactly when HF vanishes past the socle degree
-(n+1)(k-1), so the map is finite iff HF(D) = 0 at D = (n+1)(k-1)+1
-(``validate_finite``).
+HF(t) of S/(f_0, ..., f_n) (``hilbert_function``).  HF(t) is never below
+box(t), the Hilbert function of the power map (``splitting._box_counts``),
+so each rank has the known upper bound dim S_t - box(t).  Macaulay's
+columns, one per degree-t monomial divisible by some y_i^k, are ranked
+first modulo one prime; when they fall short of the bound, the whole
+matrix is ranked by ``exactla.rank_verified``.  The forms have no common
+projective zero (are a regular sequence) exactly when HF vanishes past
+the socle degree (n+1)(k-1), so the map is finite iff HF(D) = 0 at
+D = (n+1)(k-1)+1 (``validate_finite``).
 """
 
 from __future__ import annotations
@@ -13,10 +17,14 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .errors import InputError
-from .exactla import DEFAULT_PRIMES, RankResult, rank_verified
+from .exactla import DEFAULT_PRIMES, ExactMatrix, RankResult, rank_mod, \
+    rank_verified
 from .polyring import HomogPoly, graded_dim, monomials_of_degree, \
     multiplication_matrix, parse_form
+from .splitting import _box_counts
 
 FINITE = "FINITE"
 NOT_FINITE = "NOT_FINITE"
@@ -84,9 +92,51 @@ def hilbert_function(e: Endomorphism, t: int, primes=DEFAULT_PRIMES,
                      exact: bool = False) -> tuple[int, RankResult]:
     """HF(t) = dim S_t - rank of (g_i)_i |-> sum f_i g_i from (+)_i S_{t-k},
     the Hilbert function of S/(f_0, ..., f_n), and the RankResult it rests
-    on (``exactla.rank_verified``)."""
-    rank = rank_verified(multiplication_matrix(e.forms, t - e.k), primes, exact)
-    return graded_dim(e.n + 1, t) - rank.value, rank
+    on.
+
+    Over Q the rank is at most bound = dim S_t - box(t): rank is lower
+    semicontinuous in the coefficients, so no map exceeds the generic
+    rank, which the power map attains (Froeberg, Math. Scand. 56, 1985).
+    A modular rank never exceeds the rational one, so a modular rank that
+    reaches the bound is certified.  Macaulay's columns
+    (``_macaulay_columns``) are ranked first modulo ``primes[0]``; when
+    they reach the bound, so does the whole matrix, and that is the rank.
+    Otherwise the whole matrix is ranked by ``exactla.rank_verified``
+    with that bound.  Either way the (prime, rank) pairs reported are
+    those ``rank_verified`` gives on the whole matrix.
+    """
+    v, k = e.n + 1, e.k
+    dim = graded_dim(v, t)
+    box = _box_counts(v, k)
+    bound = dim - (box[t] if 0 <= t < len(box) else 0)
+    m = multiplication_matrix(e.forms, t - k)
+    if bound > 0 and primes:
+        keep = _macaulay_columns(v, k, t)
+        number = np.cumsum(keep) - 1
+        cells = keep[m.col_index]
+        macaulay = ExactMatrix(m.rows, bound, m.row_index[cells],
+                               number[m.col_index[cells]], m.values[cells])
+        if rank_mod(macaulay, primes[0]) == bound:
+            return dim - bound, RankResult(((primes[0], bound),))
+    rank = rank_verified(m, primes, exact, bound)
+    return dim - rank.value, rank
+
+
+def _macaulay_columns(num_vars: int, k: int, t: int) -> np.ndarray:
+    """The mask of Macaulay's columns in multiplication_matrix(forms, t-k).
+
+    Column (i, b) is kept when b_j < k for every j < i.  Then a = b + k*e_i
+    is a degree-t monomial divisible by y_i^k and by no y_j^k with j < i,
+    so the kept columns correspond one to one to the degree-t monomials
+    divisible by some y_i^k: there are dim S_t - box(t) of them
+    (Macaulay 1902; Cox, Little and O'Shea, *Using Algebraic Geometry*,
+    ch. 3 section 4).
+    """
+    source = np.array(monomials_of_degree(num_vars, t - k),
+                      dtype=np.int64).reshape(-1, num_vars)
+    below = np.logical_and.accumulate(source < k, axis=1)
+    return np.concatenate([np.ones(len(source), dtype=bool),
+                           below[:, :-1].T.ravel()])
 
 
 def validate_finite(e: Endomorphism, primes=DEFAULT_PRIMES,

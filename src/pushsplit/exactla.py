@@ -35,9 +35,10 @@ such a certificate (``_prime_budget``), so there is no other route: a
 budget spent without one is a broken proof and raises IntegrityError.
 
 ``rank_verified`` decides every rank the package reports: modular ranks
-first, stopping at a full one, and the rank over Q when asked for or
-when the primes disagree.  It returns the rank together with the ranks
-it rests on (``RankResult``).
+first, stopping at the first that reaches a known upper bound on the
+rank over Q (full rank unless the caller knows a lower one), and the
+rank over Q when asked for or when the primes disagree.  It returns the
+rank together with the ranks it rests on (``RankResult``).
 """
 
 from __future__ import annotations
@@ -247,30 +248,33 @@ class RankResult:
     @property
     def value(self) -> int:
         """The rational rank when computed, else the last modular rank:
-        a full one, or the one on which every prime agreed."""
+        one that reached its bound, or the one on which every prime agreed."""
         return self.rational if self.rational is not None else self.modular[-1][1]
 
 
-def rank_verified(m: ExactMatrix, primes=DEFAULT_PRIMES, exact: bool = False) -> RankResult:
+def rank_verified(m: ExactMatrix, primes=DEFAULT_PRIMES, exact: bool = False,
+                  bound: int | None = None) -> RankResult:
     """The rank of ``m`` over Q, decided by the package's one rank policy.
 
-    Ranks modulo ``primes`` are computed in turn, stopping at the first
-    that equals min(rows, cols): a modular rank never exceeds the rank
-    over Q, so a full one is the rank.  Below full rank, the certified
-    rank over Q (``rank_rational``) decides when ``exact`` is set or the
-    primes disagree.  Otherwise the rank on which the primes agree is
-    returned; it is too low only if every prime divides every nonzero
-    minor of the size of the rank over Q.  Raises ValueError on an empty
-    prime list.
+    ``bound`` is a known upper bound on the rank over Q, by default
+    min(rows, cols).  Ranks modulo ``primes`` are computed in turn,
+    stopping at the first that reaches ``bound``: a modular rank never
+    exceeds the rank over Q, so one that reaches an upper bound is the
+    rank.  Below the bound, the certified rank over Q
+    (``rank_rational``) decides when ``exact`` is set or the primes
+    disagree.  Otherwise the rank on which the primes agree is returned;
+    it is too low only if every prime divides every nonzero minor of the
+    size of the rank over Q.  Raises ValueError on an empty prime list.
     """
     if not primes:
         raise ValueError("at least one prime required")
-    full = min(m.rows, m.cols)
+    if bound is None:
+        bound = min(m.rows, m.cols)
     modular = []
     for p in primes:
         r = rank_mod(m, p)
         modular.append((p, r))
-        if r == full:
+        if r == bound:
             return RankResult(tuple(modular))
     if exact or len({r for _, r in modular}) > 1:
         return RankResult(tuple(modular), rank_rational(m))

@@ -15,10 +15,12 @@ multiplicities m_{l,d}:
 * ``splitting_from_endo``: exact linear algebra on a concrete
   endomorphism.  m_{l,d} = HF(l+kd), where HF is the Hilbert function of
   S/(f_0, ..., f_n) (``endomorphism.hilbert_function``), the corank of
-  the multiplication matrix (+)_i S_{l+kd-k} -> S_{l+kd}.  Every rank is
-  decided by ``exactla.rank_verified``: a full rank modulo one prime is
-  final, and a rank below full rests on primes that agree, or on a
-  certified rank over Q when they disagree or ``exact`` is set.
+  the multiplication matrix (+)_i S_{l+kd-k} -> S_{l+kd}.  That rank is
+  at most dim S_t - box(t), t = l+kd, where box(t) is the coefficient
+  above: a rank modulo one prime that reaches this bound is final, and
+  a finite map's ranks all reach it over Q.  A rank below its bound
+  rests on primes that agree, or on a certified rank over Q when they
+  disagree or ``exact`` is set (``exactla.rank_verified``).
 
 The second route always cross-checks against the first; a mismatch is an
 IntegrityError, never a silent preference for one side.
@@ -30,11 +32,14 @@ import math
 import sys
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import TYPE_CHECKING
 
-from .endomorphism import Endomorphism, hilbert_function, validate_finite
 from .errors import InputError, IntegrityError
 from .exactla import DEFAULT_PRIMES
 from .polyring import graded_dim
+
+if TYPE_CHECKING:
+    from .endomorphism import Endomorphism
 
 
 def delta(n: int, k: int, l: int) -> int:
@@ -177,6 +182,9 @@ def splitting_from_endo(e: Endomorphism, l: int, primes=DEFAULT_PRIMES,
     is always compared with splitting_universal, and a mismatch raises
     IntegrityError carrying both values.
     """
+    # endomorphism reads the box counts from here, so it is imported late
+    from .endomorphism import hilbert_function, validate_finite
+
     report = validate_finite(e, primes, exact)
     if not report.is_finite:
         raise InputError(

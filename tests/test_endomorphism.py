@@ -11,11 +11,15 @@ import random
 
 import pytest
 
+from oracles import rank_bareiss
+from pushsplit import endomorphism
 from pushsplit.errors import InputError
 from pushsplit.endomorphism import (
     FINITE,
     NOT_FINITE,
     Endomorphism,
+    _macaulay_columns,
+    hilbert_function,
     load_endomorphism,
     parse_endomorphism,
     power_map,
@@ -26,10 +30,12 @@ from pushsplit.exactla import DEFAULT_PRIMES, rank_mod
 from pushsplit.polyring import (
     HomogPoly,
     graded_dim,
+    monomials_of_degree,
     multiplication_matrix,
     parse_form,
 )
-from pushsplit.splitting import splitting_from_endo
+from pushsplit.splitting import _box_counts, splitting_from_endo, \
+    splitting_universal
 
 SCAN_PRIMES = (2, 3, 5, 7)
 
@@ -174,6 +180,70 @@ def test_perturbed_squaring_map_finite():
     assert validate_finite(e, exact=True).verdict == FINITE
     for p in SCAN_PRIMES:
         assert not smooth_common_zero_exists(e, p)
+
+
+def box(v, k, t):
+    """box(t), the Hilbert function of the power map, 0 outside its table."""
+    counts = _box_counts(v, k)
+    return counts[t] if 0 <= t < len(counts) else 0
+
+
+@pytest.mark.parametrize("v", range(2, 6))
+@pytest.mark.parametrize("k", range(1, 6))
+def test_macaulay_columns_count_the_bound(v, k):
+    for t in range(v * (k - 1) + 2):
+        keep = _macaulay_columns(v, k, t)
+        assert keep.size == v * graded_dim(v, t - k)
+        assert int(keep.sum()) == graded_dim(v, t) - box(v, k, t)
+        # each kept column (i, b) stands for b + k*e_i, and together they
+        # are the degree-t monomials divisible by some y_i^k
+        columns = itertools.product(range(v), monomials_of_degree(v, t - k))
+        images = {tuple(x + k * (j == i) for j, x in enumerate(b))
+                  for c, (i, b) in enumerate(columns) if keep[c]}
+        assert images == {a for a in monomials_of_degree(v, t) if max(a) >= k}
+
+
+def spy_on_full_ranks(monkeypatch):
+    """The row counts of the matrices, with columns, that hilbert_function
+    hands to rank_verified because Macaulay's columns fell short."""
+    sizes = []
+    real = endomorphism.rank_verified
+
+    def spy(m, *args):
+        if m.cols:
+            sizes.append(m.rows)
+        return real(m, *args)
+
+    monkeypatch.setattr(endomorphism, "rank_verified", spy)
+    return sizes
+
+
+def test_power_maps_reach_the_bound_on_macaulay_columns(monkeypatch):
+    full = spy_on_full_ranks(monkeypatch)
+    for n, k in ((1, 2), (2, 3), (3, 2), (3, 3), (4, 2)):
+        e = power_map(n, k)
+        for t in range((n + 1) * (k - 1) + 2):
+            value, rank = hilbert_function(e, t)
+            assert value == box(n + 1, k, t)
+            assert len(rank.modular) == 1 and rank.rational is None
+    assert full == []
+
+
+def test_short_macaulay_columns_fall_back_to_the_whole_matrix(monkeypatch):
+    e = load_endomorphism("tests/fixtures/dense33.endo")
+    full = spy_on_full_ranks(monkeypatch)
+    for t in range(10):
+        m = multiplication_matrix(e.forms, t - 3)
+        rows = [[0] * m.cols for _ in range(m.rows)]
+        for r, c, x in zip(m.row_index.tolist(), m.col_index.tolist(),
+                           m.values.tolist()):
+            rows[r][c] = x
+        assert hilbert_function(e, t)[0] == \
+            graded_dim(4, t) - rank_bareiss(rows)
+    assert full == [graded_dim(4, t) for t in (6, 7, 8, 9)]
+    assert validate_finite(e).verdict == FINITE
+    for l in range(7):
+        assert splitting_from_endo(e, l) == splitting_universal(3, 3, l)
 
 
 def test_finite_verdicts_agree_with_scan():

@@ -81,30 +81,47 @@ def test_modular_rank_can_undercount():
 P, Q = DEFAULT_PRIMES
 
 
-@pytest.mark.parametrize("rows, primes, exact, expected", [
+@pytest.mark.parametrize("rows, primes, exact, bound, expected", [
     # a full rank at the first prime is the rank, even with exact set
-    ([[2, 0], [0, 3]], DEFAULT_PRIMES, True, RankResult(((P, 2),))),
+    ([[2, 0], [0, 3]], DEFAULT_PRIMES, True, None, RankResult(((P, 2),))),
     # a full rank at a later prime ends the modular passes there
-    ([[1, 1], [1, 1 + P]], DEFAULT_PRIMES, False,
+    ([[1, 1], [1, 1 + P]], DEFAULT_PRIMES, False, None,
      RankResult(((P, 1), (Q, 2)))),
     # primes agreeing below full rank need no rational pass
-    ([[1, 2], [2, 4]], DEFAULT_PRIMES, False, RankResult(((P, 1), (Q, 1)))),
+    ([[1, 2], [2, 4]], DEFAULT_PRIMES, False, None,
+     RankResult(((P, 1), (Q, 1)))),
     # primes disagreeing below full rank escalate
-    ([[1, 1, 0], [1, 1 + P, 0], [0, 0, 0]], DEFAULT_PRIMES, False,
+    ([[1, 1, 0], [1, 1 + P, 0], [0, 0, 0]], DEFAULT_PRIMES, False, None,
      RankResult(((P, 1), (Q, 2)), 2)),
     # exact escalates below full rank, after the modular passes
-    ([[1, 2], [2, 4]], DEFAULT_PRIMES, True, RankResult(((P, 1), (Q, 1)), 1)),
-    ([[1]], (), False, ValueError),
-    ([[Fraction(1, 2)]], DEFAULT_PRIMES, False, ValueError),
+    ([[1, 2], [2, 4]], DEFAULT_PRIMES, True, None,
+     RankResult(((P, 1), (Q, 1)), 1)),
+    ([[1]], (), False, None, ValueError),
+    ([[Fraction(1, 2)]], DEFAULT_PRIMES, False, None, ValueError),
+    # a known bound reached at the first prime is the rank, even with exact
+    ([[1, 2], [2, 4]], DEFAULT_PRIMES, False, 1, RankResult(((P, 1),))),
+    ([[1, 2], [2, 4]], DEFAULT_PRIMES, True, 1, RankResult(((P, 1),))),
+    # a bound reached at a later prime ends the passes there, unescalated
+    ([[1, 1, 0], [1, 1 + P, 0], [0, 0, 0]], DEFAULT_PRIMES, False, 2,
+     RankResult(((P, 1), (Q, 2)))),
+    # below the bound the policy is the one for full rank
+    ([[1, 2, 0], [2, 4, 0], [0, 0, 0]], DEFAULT_PRIMES, False, 2,
+     RankResult(((P, 1), (Q, 1)))),
+    ([[1, 2, 0], [2, 4, 0], [0, 0, 0]], DEFAULT_PRIMES, True, 2,
+     RankResult(((P, 1), (Q, 1)), 1)),
+    ([[1, 1, 0], [1, 1 + P, 0], [0, 0, 0]], DEFAULT_PRIMES, False, 3,
+     RankResult(((P, 1), (Q, 2)), 2)),
 ], ids=["full-at-first-prime", "full-at-second-prime", "agree-below-full",
         "disagree-escalates", "exact-escalates", "no-primes",
-        "fraction-entry"])
-def test_rank_verified_policy(rows, primes, exact, expected):
+        "fraction-entry", "bound-at-first-prime", "bound-at-first-prime-exact",
+        "bound-at-second-prime", "agree-below-bound", "exact-below-bound",
+        "disagree-below-bound"])
+def test_rank_verified_policy(rows, primes, exact, bound, expected):
     if expected is ValueError:
         with pytest.raises(ValueError):
-            rank_verified(matrix(rows), primes, exact)
+            rank_verified(matrix(rows), primes, exact, bound)
         return
-    result = rank_verified(matrix(rows), primes, exact)
+    result = rank_verified(matrix(rows), primes, exact, bound)
     assert result == expected
     assert result.value == oracle_rank(rows)
 
