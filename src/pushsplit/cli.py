@@ -547,22 +547,29 @@ _COMMANDS = {
 
 
 def build_parser(argv=()) -> argparse.ArgumentParser:
-    """The CLI parser.  Every subcommand is listed, but only the one named
-    by argv[0] gets its arguments; when argv[0] names none (--help, an
-    empty argv, a bad command) every subcommand gets them."""
+    """The CLI parser.  When argv[0] names a subcommand, only that
+    subparser is built, under a metavar that lists all four, so usage
+    lines and errors read as with the full parser.  Otherwise (--help, an
+    empty argv, a bad command) every subcommand is built, with no metavar,
+    so argparse names the missing or bad subcommand ``command``."""
     parser = argparse.ArgumentParser(
         prog="pushsplit",
         description="Exact splitting types of pushforwards of line bundles "
                     "under finite endomorphisms of projective space, and "
                     "the cohomology of inverse-image varieties.")
-    subs = parser.add_subparsers(dest="command", required=True)
-    chosen = argv[0] if argv and argv[0] in _COMMANDS else None
-    for name, (help_text, add_arguments, _) in _COMMANDS.items():
+    if argv and argv[0] in _COMMANDS:
+        names = [argv[0]]
+        subs = parser.add_subparsers(dest="command", required=True,
+                                     metavar="{" + ",".join(_COMMANDS) + "}")
+    else:
+        names = list(_COMMANDS)
+        subs = parser.add_subparsers(dest="command", required=True)
+    for name in names:
+        help_text, add_arguments, _ = _COMMANDS[name]
         sub = subs.add_parser(name, help=help_text)
         sub.set_defaults(parser=sub)
-        if chosen in (None, name):
-            add_arguments(sub)
-            _add_common(sub)
+        add_arguments(sub)
+        _add_common(sub)
     return parser
 
 

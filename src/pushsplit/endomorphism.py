@@ -22,8 +22,8 @@ import numpy as np
 from .errors import InputError
 from .exactla import DEFAULT_PRIMES, ExactMatrix, RankResult, rank_mod, \
     rank_verified
-from .polyring import HomogPoly, graded_dim, monomials_of_degree, \
-    multiplication_matrix, parse_form
+from .polyring import HomogPoly, graded_dim, monomial_array, \
+    monomials_of_degree, multiplication_matrix, parse_form
 from .splitting import _box_counts
 
 FINITE = "FINITE"
@@ -132,8 +132,7 @@ def _macaulay_columns(num_vars: int, k: int, t: int) -> np.ndarray:
     (Macaulay 1902; Cox, Little and O'Shea, *Using Algebraic Geometry*,
     ch. 3 section 4).
     """
-    source = np.array(monomials_of_degree(num_vars, t - k),
-                      dtype=np.int64).reshape(-1, num_vars)
+    source = monomial_array(num_vars, t - k)
     below = np.logical_and.accumulate(source < k, axis=1)
     return np.concatenate([np.ones(len(source), dtype=bool),
                            below[:, :-1].T.ravel()])

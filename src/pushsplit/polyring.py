@@ -6,13 +6,19 @@ tuples; within a fixed degree this agrees with graded-lex with
 y0 > y1 > ... and it is fixed once so every matrix layout is reproducible
 byte for byte.
 
+Each graded basis is one cached, read-only ``int64`` array
+(``monomial_array``), built without recursion, so any number of variables
+works; ``monomials_of_degree`` gives the same basis as tuples.
+
 The one piece of linear algebra built here is ``multiplication_matrix``:
 the matrix of (g_0,...,g_m) |-> sum_i f_i * g_i between graded pieces,
-which drives both the splitting computation and the finiteness test.
+which drives both the splitting computation and the finiteness test.  It
+is built in one pass over the terms of all forms together.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -38,19 +44,35 @@ def graded_dim(num_vars: int, degree: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def monomials_of_degree(num_vars: int, degree: int) -> tuple[Monomial, ...]:
-    """All exponent tuples of the given degree, in canonical order."""
+def monomial_array(num_vars: int, degree: int) -> np.ndarray:
+    """The degree-``degree`` monomials as rows of a read-only int64 array,
+    in canonical order.
+
+    Stars and bars: a monomial is a choice of num_vars - 1 bar positions
+    among degree + num_vars - 1 slots, and its exponents are the gaps
+    between bars.  ``itertools.combinations`` yields the bar positions in
+    ascending lex order, which is ascending lex order on exponents, so the
+    rows are taken in reverse.
+    """
     if num_vars < 1:
         raise InputError(f"num_vars must be >= 1, got {num_vars}")
-    if degree < 0:
-        return ()
-    if num_vars == 1:
-        return ((degree,),)
-    out = []
-    for e0 in range(degree, -1, -1):
-        for rest in monomials_of_degree(num_vars - 1, degree - e0):
-            out.append((e0,) + rest)
-    return tuple(out)
+    count = graded_dim(num_vars, degree)
+    bars = np.fromiter(itertools.chain.from_iterable(itertools.combinations(
+        range(degree + num_vars - 1), num_vars - 1)),
+        dtype=np.int64, count=count * (num_vars - 1))
+    fenced = np.empty((count, num_vars + 1), dtype=np.int64)
+    fenced[:, 0] = -1
+    fenced[:, 1:-1] = bars.reshape(count, num_vars - 1)[::-1]
+    fenced[:, -1] = degree + num_vars - 1
+    out = np.diff(fenced, axis=1) - 1
+    out.flags.writeable = False
+    return out
+
+
+@lru_cache(maxsize=None)
+def monomials_of_degree(num_vars: int, degree: int) -> tuple[Monomial, ...]:
+    """All exponent tuples of the given degree, in canonical order."""
+    return tuple(map(tuple, monomial_array(num_vars, degree).tolist()))
 
 
 @dataclass(frozen=True)
@@ -126,7 +148,8 @@ def multiplication_matrix(forms, source_degree: int) -> ExactMatrix:
     Rows: canonical monomials of degree source_degree + k.  Columns:
     pairs (i, canonical monomial of degree source_degree), i outermost.
     Degrees below zero give empty graded pieces, hence zero columns.
-    Built as COO arrays, one triple per (column, term of forms[i]).
+    Built as COO arrays in one pass over the terms of all forms: one
+    triple per (source monomial, term of some forms[i]).
     """
     forms = tuple(forms)
     if not forms:
@@ -136,38 +159,43 @@ def multiplication_matrix(forms, source_degree: int) -> ExactMatrix:
     for f in forms:
         if f.degree != k or f.num_vars != v:
             raise InputError("forms must share degree and variable count")
-    source = np.array(monomials_of_degree(v, source_degree),
-                      dtype=np.int64).reshape(-1, v)
-    target_degree = source_degree + k
-    nrows = graded_dim(v, target_degree)
-    ncols = len(forms) * len(source)
-    row_parts, col_parts, value_parts = [], [], []
-    for i, f in enumerate(forms):
-        exps = np.array([mono for mono, _ in f.terms], dtype=np.int64).reshape(-1, v)
-        products = (source[:, None, :] + exps[None, :, :]).reshape(-1, v)
-        row_parts.append(_monomial_rank(products, target_degree))
-        col_parts.append(np.repeat(np.arange(i * len(source), (i + 1) * len(source)),
-                                   len(f.terms)))
-        value_parts.append(np.tile(value_array(c for _, c in f.terms), len(source)))
-    return ExactMatrix(nrows, ncols, np.concatenate(row_parts),
-                       np.concatenate(col_parts), np.concatenate(value_parts))
+    source = monomial_array(v, source_degree)
+    terms = [term for f in forms for term in f.terms]
+    exps = np.array([mono for mono, _ in terms], dtype=np.int64).reshape(-1, v)
+    owner = np.repeat(np.arange(len(forms)), [len(f.terms) for f in forms])
+    # one triple per (source monomial, term), source monomial outermost
+    cols = owner[None, :] * len(source) + np.arange(len(source))[:, None]
+    rows = _product_rank(source, exps, source_degree + k)
+    return ExactMatrix(graded_dim(v, source_degree + k),
+                       len(forms) * len(source), rows.ravel(), cols.ravel(),
+                       np.tile(value_array(c for _, c in terms), len(source)))
 
 
-def _monomial_rank(exps: np.ndarray, degree: int) -> np.ndarray:
-    """Position of each row of ``exps`` in monomials_of_degree(v, degree).
+def _product_rank(source: np.ndarray, exps: np.ndarray,
+                  degree: int) -> np.ndarray:
+    """Position of each product source[j] + exps[t] in
+    monomials_of_degree(v, degree), as an array of shape
+    (len(source), len(exps)).
 
     In descending lex order, the monomials before (e_0, ..., e_{v-1}) are,
     for each position i < v-1, those that agree with it before i and have
     a larger exponent at i.  There are graded_dim(v - i, d_i - e_i - 1) of
-    them, where d_i = degree - e_0 - ... - e_{i-1}.
+    them, where d_i = degree - e_0 - ... - e_{i-1}.  The prefix sums of a
+    product are those of its factors added, so the products themselves
+    are never formed.
     """
-    v = exps.shape[1]
+    v = source.shape[1]
     # counts[u, s] = graded_dim(u, s - 1): monomials of degree s-1 in u variables
     counts = np.array([[0] * (degree + 1)] + [
         [graded_dim(u, s - 1) for s in range(degree + 1)] for u in range(1, v + 1)],
         dtype=np.int64)
-    remaining = degree - np.cumsum(exps[:, :-1], axis=1)
-    return counts[np.arange(v, 1, -1), remaining].sum(axis=1)
+    left = degree - np.cumsum(source[:, :-1], axis=1)
+    right = np.cumsum(exps[:, :-1], axis=1)
+    out = np.zeros((len(source), len(exps)), dtype=np.int64)
+    # one column at a time: numpy is slow along a short last axis
+    for i in range(v - 1):
+        out += counts[v - i][left[:, i, None] - right[None, :, i]]
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -2,8 +2,9 @@
 
 None of them is used by the package itself: ``rank_bareiss`` is the
 oracle of the certified rational rank, ``matrix`` builds an ExactMatrix
-from dense rows, and ``multiply`` is the polynomial product behind
-``multiplication_matrix``.
+from dense rows, ``multiply`` is the polynomial product behind
+``multiplication_matrix``, and ``monomials_by_recursion`` enumerates the
+graded basis that ``monomial_array`` holds.
 """
 
 from pushsplit.errors import InputError
@@ -64,3 +65,14 @@ def multiply(p: HomogPoly, q: HomogPoly) -> HomogPoly:
             mono = tuple(a + b for a, b in zip(mp, mq))
             coeffs[mono] = coeffs.get(mono, 0) + cp * cq
     return HomogPoly.from_dict(p.num_vars, p.degree + q.degree, coeffs)
+
+
+def monomials_by_recursion(num_vars: int, degree: int) -> tuple[Monomial, ...]:
+    """Exponent tuples of one degree in descending lex order, the first
+    exponent outermost; recurses once per variable."""
+    if degree < 0:
+        return ()
+    if num_vars == 1:
+        return ((degree,),)
+    return tuple((e0,) + rest for e0 in range(degree, -1, -1)
+                 for rest in monomials_by_recursion(num_vars - 1, degree - e0))

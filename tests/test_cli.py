@@ -357,6 +357,18 @@ def test_verify_endo_huge_coefficient(capsys, tmp_path):
     assert json.loads(out)["verdict"] == "FINITE"
 
 
+def test_verify_endo_with_a_thousand_variables(capsys, tmp_path):
+    # the graded bases are built without recursion, so n is not bounded by
+    # the interpreter's recursion limit
+    n = 1100
+    endo = tmp_path / "linear.endo"
+    endo.write_text(f"n = {n}\nk = 1\n"
+                    + "".join(f"f{i} = y{i}\n" for i in range(n + 1)))
+    code, out, err = run(capsys, "verify-endo", "--endo", str(endo), "--json")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["verdict"] == "FINITE"
+
+
 def test_table_with_bad_omega_twist_is_an_input_error(capsys, tmp_path):
     table = tmp_path / "bad.table"
     table.write_text("n=3\ndim=1\ndegree=2\nomega_twist=abc\n"
@@ -743,9 +755,13 @@ def test_usage_matches_golden(capsys, monkeypatch, name):
                                      if expected_err.exists() else b"")
 
 
+def subparsers(parser):
+    return next(a for a in parser._actions
+                if isinstance(a, argparse._SubParsersAction))
+
+
 def subparser(parser, command):
-    return next(a for a in parser._actions if isinstance(
-        a, argparse._SubParsersAction)).choices[command]
+    return subparsers(parser).choices[command]
 
 
 def flags(parser, command):
@@ -755,10 +771,13 @@ def flags(parser, command):
 
 def test_parser_adds_only_the_named_subcommands_arguments():
     full = cli.build_parser()
+    assert set(subparsers(full).choices) == set(cli._COMMANDS)
     assert flags(full, "adjoint") >= {"--model", "--k", "--out"}
-    narrow = cli.build_parser(["split", "--n", "2"])
-    assert flags(narrow, "split") == flags(full, "split")
-    assert flags(narrow, "adjoint") == {"-h", "--help"}
+    for command in cli._COMMANDS:
+        narrow = cli.build_parser([command, "--k", "2"])
+        assert set(subparsers(narrow).choices) == {command}
+        assert flags(narrow, command) == flags(full, command)
+        assert narrow.format_usage() == full.format_usage()
     assert flags(cli.build_parser(["--help"]), "pullback") == \
         flags(full, "pullback")
 

@@ -3,13 +3,15 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
-from oracles import multiply
+from oracles import monomials_by_recursion, multiply
 from pushsplit.errors import FormSyntaxError, InputError
 from pushsplit.polyring import (
     HomogPoly,
     graded_dim,
+    monomial_array,
     monomials_of_degree,
     multiplication_matrix,
     parse_form,
@@ -53,6 +55,29 @@ def test_monomials_enumeration():
             assert list(monos) == sorted(monos, reverse=True)
     assert monomials_of_degree(3, 2)[0] == (2, 0, 0)
     assert monomials_of_degree(3, 2)[-1] == (0, 0, 2)
+
+
+def test_monomial_array_matches_recursive_enumeration():
+    for num_vars in range(1, 7):
+        for degree in range(-1, 13):
+            expected = monomials_by_recursion(num_vars, degree)
+            array = monomial_array(num_vars, degree)
+            assert array.dtype == np.int64
+            assert array.shape == (len(expected), num_vars)
+            assert [tuple(row) for row in array.tolist()] == list(expected)
+            assert monomials_of_degree(num_vars, degree) == expected
+    assert monomial_array(1, 5).tolist() == [[5]]
+    assert monomial_array(1, -1).shape == (0, 1)
+    assert monomial_array(4, -3).shape == (0, 4)
+    with pytest.raises(InputError):
+        monomial_array(0, 2)
+
+
+def test_monomial_array_is_read_only():
+    array = monomial_array(3, 2)
+    with pytest.raises(ValueError):
+        array[0, 0] = 7
+    assert monomial_array(3, 2)[0].tolist() == [2, 0, 0]
 
 
 def test_basis_index_round_trip():
@@ -124,15 +149,30 @@ def direct_multiplication_matrix(forms, source_degree):
 
 def test_multiplication_matrix_matches_direct_build():
     rng = random.Random(5)
+    cases = []
     for num_vars, k in [(1, 3), (2, 2), (3, 3), (4, 2), (5, 1)]:
         forms = [random_poly(rng, num_vars, k) for _ in range(num_vars)]
         forms[0] = add(forms[0], HomogPoly.monomial(
             (k,) + (0,) * (num_vars - 1), 10 ** 25))
+        cases.append(forms)
+    # a zero form, a one-term form beside a many-term one, and a
+    # coefficient beyond int64 in a form other than f0
+    dense = HomogPoly.from_dict(3, 2, {m: i + 1 for i, m in
+                                       enumerate(monomials_of_degree(3, 2))})
+    cases += [
+        [HomogPoly(3, 2, ()), parse_form("y1^2", 3), dense],
+        [parse_form("y0*y2", 3), dense, HomogPoly(3, 2, ())],
+        [parse_form("y0^2", 3), add(dense, HomogPoly.monomial(
+            (0, 1, 1), 2 ** 63 + 5)), parse_form("-3*y2^2", 3)],
+        [HomogPoly(2, 3, ()), HomogPoly(2, 3, ())],
+    ]
+    for forms in cases:
         for source_degree in range(-1, 4):
             m = multiplication_matrix(forms, source_degree)
             rows = direct_multiplication_matrix(forms, source_degree)
             assert (m.rows, m.cols) == (len(rows), len(rows[0]) if rows else 0)
             assert m.entries == tuple(x for row in rows for x in row)
+            assert m.values.size == sum(x != 0 for row in rows for x in row)
 
 
 def test_parse_form_examples():
