@@ -16,8 +16,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import InputError
 from .exactla import DEFAULT_PRIMES, ExactMatrix, RankResult, rank_mod, \
@@ -25,6 +24,11 @@ from .exactla import DEFAULT_PRIMES, ExactMatrix, RankResult, rank_mod, \
 from .polyring import HomogPoly, graded_dim, monomial_array, \
     monomials_of_degree, multiplication_matrix, parse_form
 from .splitting import _box_counts
+
+# Each function that uses numpy imports it, so that commands which never
+# build a matrix (the closed-form ones) never load it.
+if TYPE_CHECKING:
+    import numpy as np
 
 FINITE = "FINITE"
 NOT_FINITE = "NOT_FINITE"
@@ -105,6 +109,8 @@ def hilbert_function(e: Endomorphism, t: int, primes=DEFAULT_PRIMES,
     with that bound.  Either way the (prime, rank) pairs reported are
     those ``rank_verified`` gives on the whole matrix.
     """
+    import numpy as np
+
     v, k = e.n + 1, e.k
     dim = graded_dim(v, t)
     box = _box_counts(v, k)
@@ -132,6 +138,8 @@ def _macaulay_columns(num_vars: int, k: int, t: int) -> np.ndarray:
     (Macaulay 1902; Cox, Little and O'Shea, *Using Algebraic Geometry*,
     ch. 3 section 4).
     """
+    import numpy as np
+
     source = monomial_array(num_vars, t - k)
     below = np.logical_and.accumulate(source < k, axis=1)
     return np.concatenate([np.ones(len(source), dtype=bool),

@@ -46,10 +46,14 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import IntegrityError
+
+# Each function that uses numpy imports it, so that commands which never
+# build a matrix (the closed-form ones) never load it.
+if TYPE_CHECKING:
+    import numpy as np
 
 # Two fixed primes just above 2**20.  A silent rank drop requires the same
 # minor to vanish modulo both, which the splitting-level cross-checks would
@@ -61,7 +65,7 @@ DEFAULT_PRIMES = (1048583, 1048589)
 PRIME_LIMIT = 1 << 26
 
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-_INT64 = np.iinfo(np.int64)
+_INT64_MIN, _INT64_MAX = -(1 << 63), (1 << 63) - 1
 _PANEL_CAP = 64
 _CHUNK_CELLS = 1 << 20
 
@@ -95,8 +99,10 @@ def value_array(values) -> np.ndarray:
 
     Raises ValueError on any value that is not an ``int``.
     """
+    import numpy as np
+
     values = list(values)
-    if all(type(v) is int and _INT64.min <= v <= _INT64.max for v in values):
+    if all(type(v) is int and _INT64_MIN <= v <= _INT64_MAX for v in values):
         return np.array(values, dtype=np.int64)
     bad = next((v for v in values if type(v) is not int), None)
     if bad is not None:
@@ -134,6 +140,8 @@ class ExactMatrix:
         Raises ValueError on a position outside the shape or a value
         that is not an ``int``.
         """
+        import numpy as np
+
         summed: dict[tuple[int, int], int] = {}
         for r, c, v in triples:
             if not (0 <= r < rows and 0 <= c < cols):
@@ -218,6 +226,8 @@ def rank_mod(m: ExactMatrix, p: int) -> int:
     meeting this bound, capped at 64 (64 for every p below about 1.19e7,
     2 just below 2**26).
     """
+    import numpy as np
+
     if not is_prime(p):
         raise ValueError(f"modulus {p} is not prime")
     if p >= PRIME_LIMIT:
@@ -296,6 +306,8 @@ def _prune_singletons(rows, cols, values, n: int, c: int):
     field.  Returns ``(count, rows, cols, values, n, c)``, the surviving
     triples renumbered onto the rows and columns that still hold one.
     """
+    import numpy as np
+
     nonzero = values != 0
     rows, cols, values = rows[nonzero], cols[nonzero], values[nonzero]
     count = 0
@@ -321,6 +333,8 @@ def _prune_singletons(rows, cols, values, n: int, c: int):
 
 def _residues(values: np.ndarray, p: int) -> np.ndarray:
     """``values`` modulo p as ``int64``, Python ints reduced one by one."""
+    import numpy as np
+
     if values.dtype == object:
         return np.array([v % p for v in values.tolist()], dtype=np.int64)
     return values % p
@@ -351,6 +365,8 @@ def _prime_budget(rows, cols, values, n: int, c: int) -> int:
     yields the 1,894,120 primes between 2**25 and PRIME_LIMIT first, so
     this holds whenever log2 H**2 is below about 23.67 million bits.
     """
+    import numpy as np
+
     if values.dtype == object:
         logs = np.array([math.log2(max(abs(v), 1)) for v in values.tolist()])
     else:
@@ -362,6 +378,8 @@ def _prime_budget(rows, cols, values, n: int, c: int) -> int:
 
 def _log_norms2(index: np.ndarray, logs: np.ndarray, size: int) -> float:
     """Upper bound on log2 of the product of the squared norms of the lines ``index`` names."""
+    import numpy as np
+
     counts = np.bincount(index, minlength=size)
     largest = np.zeros(size)
     np.maximum.at(largest, index, logs)
@@ -382,6 +400,8 @@ def _left_kernel_mod(rows, cols, values, n: int, c: int,
     ``(2**63 - p) // p**2`` pivots, so that no entry, grown by less than
     p**2 per pivot, leaves int64.
     """
+    import numpy as np
+
     b = np.zeros((c, n), dtype=np.int64)
     b[cols, rows] = _residues(values, p)
     period = ((1 << 63) - p) // (p * p)
@@ -415,6 +435,8 @@ def _left_kernel_mod(rows, cols, values, n: int, c: int,
 
 def _crt(residues: np.ndarray, modulus: int, block: np.ndarray, p: int) -> np.ndarray:
     """Combine residues mod ``modulus`` (Python ints) with ``block`` mod p."""
+    import numpy as np
+
     step = (block - (residues % p).astype(np.int64)) % p
     step = step * pow(modulus % p, -1, p) % p
     return residues + modulus * step.astype(object)
@@ -429,6 +451,8 @@ def _lift(residues: np.ndarray, modulus: int, pivots, n: int) -> np.ndarray | No
     after the other, times the denominator found so far (Wang 1981);
     each vector is then scaled by the product of its denominators.
     """
+    import numpy as np
+
     bound = math.isqrt(modulus // 2)
     free = np.setdiff1d(np.arange(n), pivots)
     kernel = np.zeros((free.size, n), dtype=object)
@@ -466,6 +490,8 @@ def _reconstruct(u: int, modulus: int, bound: int) -> tuple[int, int] | None:
 
 def _annihilates(kernel: np.ndarray, rows, cols, values, c: int) -> bool:
     """Whether y^T A = 0 over Z for every row y of ``kernel`` (Python ints)."""
+    import numpy as np
+
     for y in kernel:
         total = np.zeros(c, dtype=object)
         np.add.at(total, cols, y[rows] * values)
@@ -482,6 +508,8 @@ def _rank_panels(a: np.ndarray, p: int, width: int) -> int:
     to be reduced, and only their columns from the current panel on are
     read again; the r rows already used as pivots are dropped.
     """
+    import numpy as np
+
     nrows, ncols = a.shape
     r = 0
     for c0 in range(0, ncols, width):

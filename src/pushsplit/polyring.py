@@ -20,13 +20,18 @@ from __future__ import annotations
 
 import itertools
 import math
+import re
 from dataclasses import dataclass
 from functools import lru_cache
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import FormSyntaxError, InputError
 from .exactla import ExactMatrix, value_array
+
+# Each function that uses numpy imports it, so that commands which never
+# build a matrix (the closed-form ones) never load it.
+if TYPE_CHECKING:
+    import numpy as np
 
 Monomial = tuple[int, ...]
 
@@ -54,6 +59,8 @@ def monomial_array(num_vars: int, degree: int) -> np.ndarray:
     ascending lex order, which is ascending lex order on exponents, so the
     rows are taken in reverse.
     """
+    import numpy as np
+
     if num_vars < 1:
         raise InputError(f"num_vars must be >= 1, got {num_vars}")
     count = graded_dim(num_vars, degree)
@@ -151,6 +158,8 @@ def multiplication_matrix(forms, source_degree: int) -> ExactMatrix:
     Built as COO arrays in one pass over the terms of all forms: one
     triple per (source monomial, term of some forms[i]).
     """
+    import numpy as np
+
     forms = tuple(forms)
     if not forms:
         raise InputError("at least one form required")
@@ -184,6 +193,8 @@ def _product_rank(source: np.ndarray, exps: np.ndarray,
     product are those of its factors added, so the products themselves
     are never formed.
     """
+    import numpy as np
+
     v = source.shape[1]
     # counts[u, s] = graded_dim(u, s - 1): monomials of degree s-1 in u variables
     counts = np.array([[0] * (degree + 1)] + [
@@ -208,34 +219,14 @@ def _product_rank(source: np.ndarray, exps: np.ndarray,
 #
 # Whitespace insignificant.  No parentheses, no implicit multiplication;
 # constants appear only as leading coefficients of a term.
+#
+# _TOKEN reads one token and the whitespace before it: a whole factor
+# (index and optional exponent), a natural, or any other single
+# character.  A 'y' or '^' left as a character token is a factor missing
+# its number.  ``\s`` and ``\d`` match exactly the characters that
+# str.isspace and str.isdecimal accept.
 
-
-class _Scanner:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-
-    def skip_ws(self):
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-
-    def peek(self) -> str:
-        self.skip_ws()
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
-    def take(self) -> str:
-        ch = self.peek()
-        self.pos += 1
-        return ch
-
-    def natural(self) -> int:
-        self.skip_ws()
-        start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdecimal():
-            self.pos += 1
-        if self.pos == start:
-            raise FormSyntaxError("expected a number", start)
-        return int(self.text[start:self.pos])
+_TOKEN = re.compile(r"\s*(?:y\s*(\d+)(?:\s*\^\s*(\d+))?|(\d+)|(\S))")
 
 
 def parse_form(text: str, num_vars: int) -> HomogPoly:
@@ -243,60 +234,64 @@ def parse_form(text: str, num_vars: int) -> HomogPoly:
 
     Raises FormSyntaxError (with character position) on bad syntax or a
     variable index >= num_vars, InputError if the terms are not all of
-    one degree.
+    one degree.  The position is that of the first offending token, the
+    end of the text when the form stops short, and one past the end of a
+    form with no token at all.
     """
-    sc = _Scanner(text)
+    # (index, exponent, natural, character), '' where absent; token
+    # ``end`` is an all-empty sentinel
+    tokens = _TOKEN.findall(text)
+    end = len(tokens)
+    if not end:
+        raise FormSyntaxError("expected variable 'y<index>'", len(text) + 1)
+    tokens.append(("", "", "", ""))
     coeffs: dict[Monomial, int] = {}
     degrees = set()
-
-    def parse_factor() -> tuple[int, int]:
-        sc.skip_ws()
-        at = sc.pos
-        if sc.peek() != "y":
-            raise FormSyntaxError("expected variable 'y<index>'", at)
-        sc.take()
-        idx = sc.natural()
-        if idx >= num_vars:
-            raise FormSyntaxError(
-                f"variable index {idx} out of range (num_vars={num_vars})", at)
-        exp = 1
-        if sc.peek() == "^":
-            sc.take()
-            exp = sc.natural()
-        return idx, exp
-
-    def parse_term(sign: int):
+    sign, i = 1, 0
+    if tokens[0][3] in ("+", "-"):
+        sign, i = (-1 if tokens[0][3] == "-" else 1), 1
+    while True:
         coeff = sign
-        if sc.peek().isdecimal():
-            coeff *= sc.natural()
-            sc.skip_ws()
-            at = sc.pos
-            if sc.take() != "*":
-                raise FormSyntaxError("expected '*' after coefficient", at)
+        if tokens[i][2]:
+            coeff *= int(tokens[i][2])
+            i += 1
+            if tokens[i][3] != "*":
+                raise FormSyntaxError("expected '*' after coefficient",
+                                      _position(text, i))
+            i += 1
         mono = [0] * num_vars
-        idx, exp = parse_factor()
-        mono[idx] += exp
-        while sc.peek() == "*":
-            sc.take()
-            idx, exp = parse_factor()
-            mono[idx] += exp
+        while True:
+            index, exp, _, char = tokens[i]
+            if not index:
+                if char != "y":
+                    raise FormSyntaxError("expected variable 'y<index>'",
+                                          _position(text, i))
+                raise FormSyntaxError("expected a number", _position(text, i + 1))
+            idx = int(index)
+            if idx >= num_vars:
+                raise FormSyntaxError(
+                    f"variable index {idx} out of range (num_vars={num_vars})",
+                    _position(text, i))
+            i += 1
+            if exp:
+                mono[idx] += int(exp)
+            elif tokens[i][3] == "^":
+                raise FormSyntaxError("expected a number", _position(text, i + 1))
+            else:
+                mono[idx] += 1
+            if tokens[i][3] != "*":
+                break
+            i += 1
         mono_t = tuple(mono)
         degrees.add(sum(mono_t))
         coeffs[mono_t] = coeffs.get(mono_t, 0) + coeff
-
-    sign = 1
-    if sc.peek() in "+-":
-        sign = -1 if sc.take() == "-" else 1
-    parse_term(sign)
-    while True:
-        ch = sc.peek()
-        if ch == "":
+        if i == end:
             break
-        at = sc.pos
-        if ch not in "+-":
-            raise FormSyntaxError("expected '+', '-' or end of form", at)
-        sc.take()
-        parse_term(-1 if ch == "-" else 1)
+        char = tokens[i][3]
+        if char not in ("+", "-"):
+            raise FormSyntaxError("expected '+', '-' or end of form",
+                                  _position(text, i))
+        sign, i = (-1 if char == "-" else 1), i + 1
 
     if len(degrees) > 1:
         raise InputError(
@@ -306,3 +301,9 @@ def parse_form(text: str, num_vars: int) -> HomogPoly:
     if poly.is_zero():
         raise InputError("form cancels to zero")
     return poly
+
+
+def _position(text: str, i: int) -> int:
+    """Where token ``i`` of ``text`` starts, or the end of ``text``."""
+    starts = [m.end() - len(m.group().lstrip()) for m in _TOKEN.finditer(text)]
+    return starts[i] if i < len(starts) else len(text)

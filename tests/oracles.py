@@ -3,11 +3,12 @@
 None of them is used by the package itself: ``rank_bareiss`` is the
 oracle of the certified rational rank, ``matrix`` builds an ExactMatrix
 from dense rows, ``multiply`` is the polynomial product behind
-``multiplication_matrix``, and ``monomials_by_recursion`` enumerates the
-graded basis that ``monomial_array`` holds.
+``multiplication_matrix``, ``monomials_by_recursion`` enumerates the
+graded basis that ``monomial_array`` holds, and ``parse_form_by_scanner``
+reads a form one character at a time, as ``parse_form`` must agree with.
 """
 
-from pushsplit.errors import InputError
+from pushsplit.errors import FormSyntaxError, InputError
 from pushsplit.exactla import ExactMatrix
 from pushsplit.polyring import HomogPoly, Monomial
 
@@ -76,3 +77,97 @@ def monomials_by_recursion(num_vars: int, degree: int) -> tuple[Monomial, ...]:
         return ((degree,),)
     return tuple((e0,) + rest for e0 in range(degree, -1, -1)
                  for rest in monomials_by_recursion(num_vars - 1, degree - e0))
+
+
+class _Scanner:
+    def __init__(self, text: str):
+        self.text = text
+        self.pos = 0
+
+    def skip_ws(self):
+        while self.pos < len(self.text) and self.text[self.pos].isspace():
+            self.pos += 1
+
+    def peek(self) -> str:
+        self.skip_ws()
+        return self.text[self.pos] if self.pos < len(self.text) else ""
+
+    def take(self) -> str:
+        ch = self.peek()
+        self.pos += 1
+        return ch
+
+    def natural(self) -> int:
+        self.skip_ws()
+        start = self.pos
+        while self.pos < len(self.text) and self.text[self.pos].isdecimal():
+            self.pos += 1
+        if self.pos == start:
+            raise FormSyntaxError("expected a number", start)
+        return int(self.text[start:self.pos])
+
+
+def parse_form_by_scanner(text: str, num_vars: int) -> HomogPoly:
+    """``parse_form`` by recursive descent over single characters: the
+    same forms, errors, messages and positions."""
+    sc = _Scanner(text)
+    coeffs: dict[Monomial, int] = {}
+    degrees = set()
+
+    def parse_factor() -> tuple[int, int]:
+        sc.skip_ws()
+        at = sc.pos
+        if sc.peek() != "y":
+            raise FormSyntaxError("expected variable 'y<index>'", at)
+        sc.take()
+        idx = sc.natural()
+        if idx >= num_vars:
+            raise FormSyntaxError(
+                f"variable index {idx} out of range (num_vars={num_vars})", at)
+        exp = 1
+        if sc.peek() == "^":
+            sc.take()
+            exp = sc.natural()
+        return idx, exp
+
+    def parse_term(sign: int):
+        coeff = sign
+        if sc.peek().isdecimal():
+            coeff *= sc.natural()
+            sc.skip_ws()
+            at = sc.pos
+            if sc.take() != "*":
+                raise FormSyntaxError("expected '*' after coefficient", at)
+        mono = [0] * num_vars
+        idx, exp = parse_factor()
+        mono[idx] += exp
+        while sc.peek() == "*":
+            sc.take()
+            idx, exp = parse_factor()
+            mono[idx] += exp
+        mono_t = tuple(mono)
+        degrees.add(sum(mono_t))
+        coeffs[mono_t] = coeffs.get(mono_t, 0) + coeff
+
+    sign = 1
+    if sc.peek() in "+-":
+        sign = -1 if sc.take() == "-" else 1
+    parse_term(sign)
+    while True:
+        ch = sc.peek()
+        if ch == "":
+            break
+        at = sc.pos
+        if ch not in "+-":
+            raise FormSyntaxError("expected '+', '-' or end of form", at)
+        sc.take()
+        parse_term(-1 if ch == "-" else 1)
+
+    if len(degrees) > 1:
+        raise InputError(
+            f"form is not homogeneous: term degrees {sorted(degrees)}")
+    degree = degrees.pop()
+    poly = HomogPoly.from_dict(num_vars, degree, coeffs)
+    if poly.is_zero():
+        raise InputError("form cancels to zero")
+    return poly

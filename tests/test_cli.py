@@ -1,12 +1,14 @@
 """CLI behavior: exit codes, canonical JSON, CSV, config, environment."""
 
 import argparse
+import ast
 import contextlib
 import csv
 import errno
 import io
 import json
 import os
+import runpy
 import shutil
 import subprocess
 import sys
@@ -614,6 +616,58 @@ def test_cli_module_entry_point_keeps_the_exit_code():
                        "tests/fixtures/nonfinite12.endo")
     assert done.returncode == 1
     assert b"NOT_FINITE" in done.stdout
+
+
+# Runs main() on each argv of argv[1] (JSON) in one interpreter and prints
+# the exit codes, then whether numpy is loaded, before and after ranking
+# the random map of argv[2].
+NUMPY_PROBE = """
+import contextlib, io, json, sys
+from pushsplit.cli import main
+
+def call(argv):
+    with contextlib.redirect_stdout(io.StringIO()):
+        try:
+            return main(argv)
+        except SystemExit as exc:
+            return exc.code
+
+print([call(argv) for argv in json.loads(sys.argv[1])])
+print("numpy" in sys.modules)
+print(call(json.loads(sys.argv[2])), "numpy" in sys.modules)
+"""
+
+
+def test_closed_form_commands_never_load_numpy():
+    closed_form = [
+        ["split", "--n", "4", "--k", "2", "--l", "0"],
+        ["split", "--n", "3", "--k", "3", "--l", "1", "--json"],
+        ["pullback", "--model", "ci:2,2@4", "--k", "2"],
+        ["pullback", "--model",
+         "table:tests/fixtures/rational_quartic_p3.table", "--k", "2",
+         "--csv"],
+        ["adjoint", "--model", "ci:2,2@4", "--k", "2"],
+        ["--help"],
+    ]
+    endo = ["verify-endo", "--random", "--n", "2", "--k", "2"]
+    done = run_process("-c", NUMPY_PROBE, json.dumps(closed_form),
+                       json.dumps(endo))
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.decode().splitlines() == [
+        "[0, 0, 0, 0, 0, 0]", "False", "0 True"]
+
+
+def test_importing_the_cli_loads_every_traced_module():
+    # bench/tracer.py wraps LAYERS in sys.modules["pushsplit.<module>"]
+    # after importing only pushsplit.cli, so none of them may load lazily
+    tracer = runpy.run_path(str(SRC.parent / "bench" / "tracer.py"))
+    modules = sorted({f"pushsplit.{module}" for module, _ in tracer["LAYERS"]})
+    done = run_process("-c", "import sys, pushsplit.cli; "
+                       "print(sorted(m for m in sys.modules "
+                       "if m.startswith('pushsplit.')))")
+    assert done.returncode == 0, done.stderr
+    loaded = ast.literal_eval(done.stdout.decode())
+    assert modules and [m for m in modules if m not in loaded] == []
 
 
 def test_format_flags_are_exclusive():

@@ -1,7 +1,9 @@
-"""Package-wide rules: runtime checks survive -O, the exports resolve, and
-malformed input files raise only InputError."""
+"""Package-wide rules: runtime checks survive -O, the exports resolve,
+numpy is imported only where the linear algebra runs, and malformed input
+files raise only InputError."""
 
 import ast
+import sys
 from pathlib import Path
 from types import ModuleType
 
@@ -9,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pushsplit
+from oracles import parse_form_by_scanner
 from pushsplit.endomorphism import parse_endomorphism
 from pushsplit.errors import InputError
 from pushsplit.polyring import parse_form
@@ -23,6 +26,32 @@ def test_no_assert_statements():
              for path in sorted(PACKAGE.glob("*.py"))
              for node in ast.walk(ast.parse(path.read_text(), str(path)))
              if isinstance(node, ast.Assert)]
+    assert found == []
+
+
+def test_numpy_is_imported_only_inside_functions():
+    # a module-level import would load numpy for closed-form commands too;
+    # an ``if TYPE_CHECKING:`` block runs only under a type checker
+    def numpy_imports(nodes):
+        for node in nodes:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            if (isinstance(node, ast.If) and isinstance(node.test, ast.Name)
+                    and node.test.id == "TYPE_CHECKING"):
+                yield from numpy_imports(node.orelse)
+                continue
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                names = []
+            if any(name.split(".")[0] == "numpy" for name in names):
+                yield node.lineno
+            yield from numpy_imports(ast.iter_child_nodes(node))
+
+    found = [f"{path.name}:{line}" for path in sorted(PACKAGE.glob("*.py"))
+             for line in numpy_imports([ast.parse(path.read_text(), str(path))])]
     assert found == []
 
 
@@ -80,3 +109,60 @@ def test_parsers_raise_only_input_error(call):
         parser(*args)
     except InputError:
         pass
+
+
+
+@st.composite
+def grammar_forms(draw):
+    """Forms put together from the grammar with random spacing, then with
+    at most one character deleted or inserted."""
+    def gap():
+        return draw(st.sampled_from(("", "", " ", "\t ")))
+
+    pieces = [draw(st.sampled_from(("", "", "-", "+")))]
+    for t in range(draw(st.integers(1, 3))):
+        if t:
+            pieces.append(draw(st.sampled_from(("+", "-"))))
+        if draw(st.booleans()):
+            pieces += [draw(st.sampled_from(("0", "1", "2", "12"))), "*"]
+        for f in range(draw(st.integers(1, 3))):
+            if f:
+                pieces.append("*")
+            pieces += ["y", str(draw(st.integers(0, 4)))]
+            if draw(st.booleans()):
+                pieces += ["^", str(draw(st.integers(0, 3)))]
+    text = "".join(gap() + piece for piece in pieces) + gap()
+    at = draw(st.integers(0, len(text)))
+    edit = draw(st.sampled_from(("", "", "delete", "insert")))
+    if edit == "delete":
+        return text[:at] + text[at + 1:]
+    if edit == "insert":
+        return text[:at] + draw(st.sampled_from("y^*+-0 #")) + text[at:]
+    return text
+
+
+def parsed(text, num_vars, parser):
+    """The form ``parser`` reads, or its error's type, message and position."""
+    try:
+        return parser(text, num_vars)
+    except InputError as exc:
+        return type(exc), str(exc), getattr(exc, "position", None)
+
+
+@settings(max_examples=500, deadline=None, derandomize=True, database=None)
+@given(st.one_of(FORMS, grammar_forms(), st.text(max_size=12)),
+       st.integers(1, 4))
+def test_parse_form_agrees_with_the_character_scanner(text, num_vars):
+    assert parsed(text, num_vars, parse_form) == \
+        parsed(text, num_vars, parse_form_by_scanner)
+
+
+def test_parse_form_reads_every_space_and_digit_as_the_scanner_does():
+    odd = [c for c in map(chr, range(sys.maxunicode + 1))
+           if c.isspace() or c.isdecimal()]
+    assert len(odd) > 600
+    for c in odd:
+        for text in (f"{c}y{c}1{c}^{c}2{c}-{c}3{c}*{c}y0^2{c}", f"y0^{c}",
+                     f"{c}", f"y{c}", f"{c}*y0 + y1{c}{c}"):
+            assert parsed(text, 2, parse_form) == \
+                parsed(text, 2, parse_form_by_scanner), text
