@@ -15,24 +15,27 @@ over every field and does no arithmetic.  The socle matrices of sparse
 perturbed power maps vanish entirely or nearly so; dense ones are left
 whole or almost whole.
 
-Rank over Z/p reduces every value modulo p (as a Python int when it does
-not fit int64), drops the zero residues, prunes, scatters what is left
-into one dense array and eliminates it in column panels: each panel is
-reduced by a plain row-reduction loop, and the columns to its right are
-then updated by one float64 matrix product whose accumulation is exact,
-so reduction modulo p happens once per panel (the delayed reduction of
-FFLAS-FFPACK; Dumas, Giorgi and Pernet, 2008).  The modular rank is a
-lower bound for the rational rank, with equality for all primes outside
-a finite bad set.
+Both ranks then run one elimination (``_rank_panels``).  What is left
+is reduced modulo p (as a Python int when it does not fit int64),
+scattered into one dense array and eliminated in column panels: each
+panel is row-reduced by a plain loop, and the other rows are then
+updated by one float64 matrix product whose accumulation is exact, so
+reduction modulo p happens once per panel (the delayed reduction of
+FFLAS-FFPACK; Dumas, Giorgi and Pernet, 2008).  Between two reductions
+an entry takes at most one update below p**2 per pivot of its panel.
+The modular rank is a lower bound for the rational rank, with equality
+for all primes outside a finite bad set.
 
 Rank over Q is certified rather than eliminated: after pruning,
-left-kernel vectors of what is left, computed modulo a few primes, are
-combined by CRT, rationally reconstructed (Wang 1981) and checked to
-annihilate it in integer arithmetic.  The modular rank then bounds the
-rank from below, the codimension of the checked vectors' span bounds it
-from above, and the two agree.  A bounded number of primes always gives
-such a certificate (``_prime_budget``), so there is no other route: a
-budget spent without one is a broken proof and raises IntegrityError.
+left-kernel vectors of what is left are read, modulo a few primes, from
+the reduced echelon form that the same elimination gives in its reduced
+mode; they are combined by CRT, rationally reconstructed (Wang 1981)
+and checked to annihilate it in integer arithmetic.  The modular rank
+then bounds the rank from below, the codimension of the checked vectors'
+span bounds it from above, and the two agree.  A bounded number of
+primes always gives such a certificate (``_prime_budget``), so there is
+no other route: a budget spent without one is a broken proof and raises
+IntegrityError.
 
 ``rank_verified`` decides every rank the package reports: modular ranks
 first, stopping at the first that reaches a known upper bound on the
@@ -133,26 +136,6 @@ class ExactMatrix:
         if not len(self.row_index) == len(self.col_index) == len(self.values):
             raise ValueError("COO arrays differ in length")
 
-    @classmethod
-    def from_coo(cls, rows: int, cols: int, triples) -> "ExactMatrix":
-        """Build from (row, col, value) triples; repeated positions add.
-
-        Raises ValueError on a position outside the shape or a value
-        that is not an ``int``.
-        """
-        import numpy as np
-
-        summed: dict[tuple[int, int], int] = {}
-        for r, c, v in triples:
-            if not (0 <= r < rows and 0 <= c < cols):
-                raise ValueError(f"position ({r}, {c}) outside {rows}x{cols}")
-            summed[(r, c)] = summed.get((r, c), 0) + v
-        kept = [(rc, v) for rc, v in summed.items() if v != 0]
-        return cls(rows, cols,
-                   np.array([r for (r, _), _ in kept], dtype=np.int64),
-                   np.array([c for (_, c), _ in kept], dtype=np.int64),
-                   value_array(v for _, v in kept))
-
     @property
     def entries(self) -> tuple:
         """Dense row-major entries, of length rows*cols, built on each call."""
@@ -171,10 +154,11 @@ def rank_rational(m: ExactMatrix) -> int:
     the rank over Q of the rest, and the rest's checked kernel vectors
     together with the count are still a proof.  The rest is transposed
     when it has more rows than columns; call the result A, n x c with
-    n <= c.  For each prime of ``_certificate_primes`` in turn, the
-    reduced echelon form of A^T modulo p gives a rank r and the
-    m = n - r left-kernel vectors of A that are 1 at one free coordinate
-    and 0 at the others.  Only primes with the largest rank and, among
+    n <= c.  For each prime of ``_certificate_primes`` in turn,
+    ``_rank_panels`` in reduced mode brings A^T modulo p to reduced
+    echelon form, whose rank r and free columns give the m = n - r
+    left-kernel vectors of A that are 1 at one free coordinate and 0 at
+    the others.  Only primes with the largest rank and, among
     those, the lexicographically first pivot set are combined by CRT; a
     better prime restarts the combination.  The combined residues are
     rationally reconstructed, denominators are cleared, and each vector
@@ -184,6 +168,8 @@ def rank_rational(m: ExactMatrix) -> int:
     rank >= r = n - m.  ``_prime_budget`` primes always give such a proof;
     when they do not, IntegrityError is raised, naming A's shape.
     """
+    import numpy as np
+
     if m.rows == 0 or m.cols == 0:
         return 0
     count, rows, cols, values, n, c = _prune_singletons(
@@ -195,8 +181,11 @@ def rank_rational(m: ExactMatrix) -> int:
     best = None
     budget = _prime_budget(rows, cols, values, n, c)
     for p in itertools.islice(_certificate_primes(), budget):
-        pivots, block = _left_kernel_mod(rows, cols, values, n, c, p)
-        key = (-len(pivots), pivots)
+        r, pivots, a = _echelon(cols, rows, _residues(values, p), c, n, p,
+                                reduced=True)
+        # the pivot coordinates of the kernel vectors, one per free column
+        block = -a[:r, np.setdiff1d(np.arange(n), pivots)] % p
+        key = (-r, pivots)
         if best is None or key < best:
             best, residues, modulus = key, block.astype(object), p
         elif key != best:
@@ -215,19 +204,9 @@ def rank_mod(m: ExactMatrix, p: int) -> int:
 
     ``p`` must be a prime below ``PRIME_LIMIT`` (2**26), else ValueError.
     Residues are pruned of zeros and of singleton rows and columns
-    (``_prune_singletons``); the rank is the pruned count plus
-    the rank of the rest, which alone is scattered into a dense int32
-    array.  Its columns are eliminated in panels of width b.  The rows
-    touching a panel are row-reduced in int64, tracking each as a
-    combination of the panel's pivot rows; one float64 product of those
-    combinations with the pivot rows then updates every column right of
-    the panel.  Every term of that product is a non-negative integer, so
-    it is exact when ``b*(p-1)**2 + p <= 2**53``: b is the largest width
-    meeting this bound, capped at 64 (64 for every p below about 1.19e7,
-    2 just below 2**26).
+    (``_prune_singletons``); the rank is the pruned count plus the rank
+    of the rest, which ``_rank_panels`` eliminates.
     """
-    import numpy as np
-
     if not is_prime(p):
         raise ValueError(f"modulus {p} is not prime")
     if p >= PRIME_LIMIT:
@@ -238,10 +217,7 @@ def rank_mod(m: ExactMatrix, p: int) -> int:
         m.row_index, m.col_index, _residues(m.values, p), m.rows, m.cols)
     if rows.size == 0:
         return count
-    a = np.zeros((n, c), dtype=np.int32)
-    a[rows, cols] = residues
-    width = min(_PANEL_CAP, ((1 << 53) - p) // (p - 1) ** 2)
-    return count + _rank_panels(a, p, width)
+    return count + _echelon(rows, cols, residues, n, c, p)[0]
 
 
 @dataclass(frozen=True)
@@ -341,12 +317,13 @@ def _residues(values: np.ndarray, p: int) -> np.ndarray:
 
 
 def _certificate_primes():
-    """The primes below PRIME_LIMIT, largest first."""
-    q = PRIME_LIMIT - 1
+    """The primes whose panels are ``_PANEL_CAP`` wide, largest first: every
+    prime p with ``_PANEL_CAP*(p-1)**2 + p <= 2**53``."""
+    q = math.isqrt((1 << 53) // _PANEL_CAP) + 1
     while q > 2:
-        if is_prime(q):
+        if _PANEL_CAP * (q - 1) ** 2 + q <= 1 << 53 and is_prime(q):
             yield q
-        q -= 2
+        q -= 1
 
 
 def _prime_budget(rows, cols, values, n: int, c: int) -> int:
@@ -355,15 +332,15 @@ def _prime_budget(rows, cols, values, n: int, c: int) -> int:
     Every reconstructed entry is a ratio of two minors of A, each at most
     the Hadamard bound H (the product of the norms of A's rows, or of its
     columns).  Reconstruction cannot fail once the combined primes'
-    product exceeds 2*H**2, which K primes above 2**25 achieve.  A prime
+    product exceeds 2*H**2, which K primes above 2**23 achieve.  A prime
     whose rank or pivot set differs from the rational ones divides one
     nonzero minor, so fewer than K/2 primes are discarded, and 2K primes
     always yield the certificate.  Each squared norm is bounded by its
     entry count times its largest square.
 
-    The argument needs all 2K primes above 2**25.  ``_certificate_primes``
-    yields the 1,894,120 primes between 2**25 and PRIME_LIMIT first, so
-    this holds whenever log2 H**2 is below about 23.67 million bits.
+    The argument needs all 2K primes above 2**23.  ``_certificate_primes``
+    yields the 215,475 primes in [2**23, 11,863,280) first, so this holds
+    whenever log2 H**2 is below about 2.48 million bits.
     """
     import numpy as np
 
@@ -373,7 +350,7 @@ def _prime_budget(rows, cols, values, n: int, c: int) -> int:
         logs = np.log2(np.maximum(np.abs(values.astype(np.float64)), 1))
     log_h2 = min(_log_norms2(index, logs, size)
                  for index, size in ((rows, n), (cols, c)))
-    return 2 * (int(log_h2 + 1) // 25 + 1)
+    return 2 * (int(log_h2 + 1) // 23 + 1)
 
 
 def _log_norms2(index: np.ndarray, logs: np.ndarray, size: int) -> float:
@@ -385,52 +362,6 @@ def _log_norms2(index: np.ndarray, logs: np.ndarray, size: int) -> float:
     np.maximum.at(largest, index, logs)
     used = counts > 0
     return float(np.sum(np.log2(counts[used]) + 2 * largest[used]))
-
-
-def _left_kernel_mod(rows, cols, values, n: int, c: int,
-                     p: int) -> tuple[tuple[int, ...], np.ndarray]:
-    """Pivot columns of the reduced echelon form of A^T modulo p, and its kernel.
-
-    A is the n x c matrix of the COO arrays.  Returns the pivots and the
-    r x m block whose column j holds, at the pivot coordinates, the left
-    kernel vector of A that is 1 at the j-th free coordinate and 0 at
-    the other free ones.  Residues stay in int64 and reduction is
-    delayed: only the column being searched and the pivot row are
-    reduced at each step, and the whole array once every
-    ``(2**63 - p) // p**2`` pivots, so that no entry, grown by less than
-    p**2 per pivot, leaves int64.
-    """
-    import numpy as np
-
-    b = np.zeros((c, n), dtype=np.int64)
-    b[cols, rows] = _residues(values, p)
-    period = ((1 << 63) - p) // (p * p)
-    pivots, reduced_at = [], 0
-    for j in range(n):
-        r = len(pivots)
-        if r == c:
-            break
-        if r - reduced_at == period:
-            b[:, j:] %= p
-            reduced_at = r
-        column = b[:, j] % p
-        nz = np.flatnonzero(column[r:])
-        if nz.size == 0:
-            b[:, j] = column
-            continue
-        i = r + int(nz[0])
-        if i != r:
-            b[[r, i], j:] = b[[i, r], j:]
-            column[[r, i]] = column[[i, r]]
-        pivot_row = b[r, j:] % p * pow(int(column[r]), p - 2, p) % p
-        column[r] = 0
-        touched = np.flatnonzero(column)
-        b[touched, j:] -= column[touched, None] * pivot_row
-        b[r, j:] = pivot_row
-        pivots.append(j)
-    r = len(pivots)
-    free = np.setdiff1d(np.arange(n), pivots)
-    return tuple(pivots), (-b[:r, free]) % p
 
 
 def _crt(residues: np.ndarray, modulus: int, block: np.ndarray, p: int) -> np.ndarray:
@@ -500,69 +431,117 @@ def _annihilates(kernel: np.ndarray, rows, cols, values, c: int) -> bool:
     return True
 
 
-def _rank_panels(a: np.ndarray, p: int, width: int) -> int:
-    """Rank modulo p of the residues in ``a``, overwriting ``a``.
+def _echelon(rows, cols, residues, n: int, c: int, p: int,
+             reduced: bool = False) -> tuple[int, tuple[int, ...], np.ndarray]:
+    """``_rank_panels`` on residues modulo p in n x c COO arrays, scattered
+    into a dense int32 array; returns the rank, the pivot columns and the
+    array.  Panels are min(64, (2**53 - p) // (p-1)**2) wide: 64 for every
+    p up to 11,863,279, 2 just below 2**26."""
+    import numpy as np
 
-    ``a`` holds residues in [0, p) as int32; the eliminations run in int64
-    and the updates in float64.  Invariant: ``a[r:]`` holds the rows still
-    to be reduced, and only their columns from the current panel on are
-    read again; the r rows already used as pivots are dropped.
+    a = np.zeros((n, c), dtype=np.int32)
+    a[rows, cols] = residues
+    width = min(_PANEL_CAP, ((1 << 53) - p) // (p - 1) ** 2)
+    return (*_rank_panels(a, p, width, reduced), a)
+
+
+def _rank_panels(a: np.ndarray, p: int, width: int,
+                 reduced: bool = False) -> tuple[int, tuple[int, ...]]:
+    """Row echelon form modulo p of the residues in ``a``, in place.
+
+    Returns the rank and the pivot columns.  ``a`` holds residues in
+    [0, p) as int32, and ``a[r:]`` the rows still to be reduced.  Each
+    panel of ``width`` columns is row-reduced in int64 by ``_eliminate``
+    on the rows of ``a[r:]`` that meet it, tracking each as a combination
+    of the panel's t pivot rows.  One chunked float64 step,
+    rows += coef @ pivot_rows (mod p), then applies the panel to the other
+    rows, and the pivot rows move to ``a[r:r+t]``.  Each term of that
+    product is in [0, p), so it is exact when width*(p-1)**2 + p <= 2**53.
+
+    In rank mode the step updates the rows below, right of the panel;
+    the pivot rows are dropped, and the last panel is eliminated in one
+    call.  In reduced mode pivots are 1 and cleared from the panel's
+    earlier pivot rows, and the step, from the panel's first column on,
+    also gives the pivot rows their reduced form and clears the panel's
+    pivot columns from the r rows above: ``a[:r]`` ends as the reduced
+    echelon form, and the rows below it as zero.
     """
     import numpy as np
 
     nrows, ncols = a.shape
-    r = 0
+    r, pivots = 0, []
     for c0 in range(0, ncols, width):
         if r == nrows:
             break
-        if ncols - c0 <= width:
-            return r + _eliminate(a[r:, c0:].astype(np.int64), p)
-        c1 = c0 + width
+        if ncols - c0 <= width and not reduced:
+            last = _eliminate(a[r:, c0:].astype(np.int64), p)
+            return r + len(last), tuple(pivots + [c0 + j for j in last])
+        c1 = min(c0 + width, ncols)
+        w = c1 - c0
         touched = r + np.flatnonzero(a[r:, c0:c1].any(axis=1))
         if touched.size == 0:
             continue
-        block = np.zeros((touched.size, 2 * width), dtype=np.int64)
-        block[:, :width] = a[touched, c0:c1]
-        t = _eliminate(block, p, width, touched)
-        pivots, rest = touched[:t], touched[t:]
-        if rest.size:
-            # rest row i becomes row_i + sum_j block[i, width+j] * pivot_j;
-            # terms are in [0, p), so the float64 sums below are exact
-            top = a[pivots, c1:].astype(np.float64)
-            combos = (block[t:, width:width + t] % p).astype(np.float64)
+        block = np.zeros((touched.size, 2 * w), dtype=np.int64)
+        block[:, :w] = a[touched, c0:c1]
+        local = _eliminate(block, p, w, touched, reduced)
+        t = len(local)
+        chosen, front = touched[:t], np.arange(r, r + t)
+        # row i becomes row_i + sum_j coef[i, j] * pivot_j, where block
+        # column w+j records pivot row j as it was before the panel
+        start, targets, coef = c1, touched[t:], block[t:, w:w + t] % p
+        moved, into = np.setdiff1d(front, chosen), np.setdiff1d(chosen, front)
+        if reduced:
+            start = c0
+            combos = block[:t, w:w + t] % p
+            # minus the pivot columns of the rows above, in pivot rows
+            above = (-a[:r, c0 + np.array(local)] % p).astype(np.float64)
+            above = (above @ combos.astype(np.float64)).astype(np.int64) % p
+            # a pivot row is replaced by its combination, not added to it
+            combos[np.arange(t), np.arange(t)] -= 1
+            targets = np.concatenate([np.arange(r), chosen, targets])
+            coef = np.concatenate([above, combos % p, coef])
+            moved = np.concatenate([chosen, moved])
+            into = np.concatenate([front, into])
+        if targets.size:
+            top = a[chosen, start:].astype(np.float64)
+            coef = coef.astype(np.float64)
             step = max(1, _CHUNK_CELLS // top.shape[1])
-            for s in range(0, rest.size, step):
-                rows = rest[s:s + step]
-                update = (combos[s:s + step] @ top).astype(np.int64)
-                update += a[rows, c1:]
+            for s in range(0, targets.size, step):
+                rows = targets[s:s + step]
+                update = (coef[s:s + step] @ top).astype(np.int64)
+                update += a[rows, start:]
                 np.remainder(update, p, out=update)
-                a[rows, c1:] = update
-        # move the rows that the pivots displace out of a[r:r+t]
-        front = np.arange(r, r + t)
-        a[np.setdiff1d(pivots, front), c1:] = a[np.setdiff1d(front, pivots), c1:]
+                a[rows, start:] = update
+        # move the rows that the pivots displace out of a[r:r+t] (and, when
+        # reduced, the pivot rows into it)
+        a[into, start:] = a[moved, start:]
+        pivots += [c0 + j for j in local]
         r += t
-    return r
+    return r, tuple(pivots)
 
 
 def _eliminate(a: np.ndarray, p: int, width: int | None = None,
-               order: np.ndarray | None = None) -> int:
+               order: np.ndarray | None = None,
+               reduced: bool = False) -> list[int]:
     """Row-reduce the first ``width`` (at most 64) columns of ``a`` modulo p.
 
-    Works in place and returns the pivot count t.  The pivot rows end up
+    Works in place and returns the pivot columns.  The pivot rows end up
     first, and ``order``, if given, is permuted along with the rows.
     When columns follow the first ``width``, column width+j of the j-th
     pivot row is set to 1 as it is chosen, so those columns record every
-    row as a combination of the original pivot rows.  Reduction modulo p
-    is delayed: only a column about to be searched and a chosen pivot row
-    are reduced.  Every other entry takes at most 64 updates below p**2,
-    so it stays below 2**59 in magnitude, and afterwards is correct only
-    modulo p.
+    row as a combination of the original pivot rows.  When ``reduced``,
+    each pivot row is scaled so that its pivot is 1, and its pivot column
+    is cleared from the earlier pivot rows as well as from the rows
+    below.  Reduction modulo p is delayed: only a column about to be
+    searched and a chosen pivot row are reduced.  Between reductions an
+    entry takes at most one update below p**2 per pivot, so it stays
+    below 2**59 in magnitude, and afterwards is correct only modulo p.
     """
     nrows = a.shape[0]
     if width is None:
         width = a.shape[1]
     track = width < a.shape[1]
-    r = 0
+    r, pivots = 0, []
     for c in range(width):
         if r == nrows:
             break
@@ -579,11 +558,15 @@ def _eliminate(a: np.ndarray, p: int, width: int | None = None,
         a[r, c:end] %= p
         if track:
             a[r, width + r] = 1
+        if reduced:
+            a[r, c:end] = a[r, c:end] * pow(int(column[nz[0]]), p - 2, p) % p
+            column[nz[0]] = 1
+            a[:r, c:end] -= (a[:r, c] % p)[:, None] * a[r, c:end]
         if nz.size > 1:
             # after the swap the rows below r that meet column c are r + nz[1:]
             idx = r + nz[1:]
             factors = column[nz[1:]] * pow(int(column[nz[0]]), p - 2, p) % p
             a[idx, c + 1:end] -= factors[:, None] * a[r, c + 1:end]
+        pivots.append(c)
         r += 1
-    return r
-
+    return pivots

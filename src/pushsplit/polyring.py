@@ -21,6 +21,7 @@ from __future__ import annotations
 import itertools
 import math
 import re
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import TYPE_CHECKING
@@ -232,11 +233,13 @@ _TOKEN = re.compile(r"\s*(?:y\s*(\d+)(?:\s*\^\s*(\d+))?|(\d+)|(\S))")
 def parse_form(text: str, num_vars: int) -> HomogPoly:
     """Parse an integer-coefficient homogeneous form.
 
-    Raises FormSyntaxError (with character position) on bad syntax or a
-    variable index >= num_vars, InputError if the terms are not all of
-    one degree.  The position is that of the first offending token, the
-    end of the text when the form stops short, and one past the end of a
-    form with no token at all.
+    Raises FormSyntaxError (with character position) on bad syntax, a
+    variable index >= num_vars or a number with more digits than
+    ``int()`` reads (sys.get_int_max_str_digits, 0 for no limit),
+    InputError if the terms are not all of one degree.  The position is
+    that of the first offending token (of the number's first digit for a
+    long number), the end of the text when the form stops short, and one
+    past the end of a form with no token at all.
     """
     # (index, exponent, natural, character), '' where absent; token
     # ``end`` is an all-empty sentinel
@@ -250,48 +253,60 @@ def parse_form(text: str, num_vars: int) -> HomogPoly:
     sign, i = 1, 0
     if tokens[0][3] in ("+", "-"):
         sign, i = (-1 if tokens[0][3] == "-" else 1), 1
-    while True:
-        coeff = sign
-        if tokens[i][2]:
-            coeff *= int(tokens[i][2])
-            i += 1
-            if tokens[i][3] != "*":
-                raise FormSyntaxError("expected '*' after coefficient",
-                                      _position(text, i))
-            i += 1
-        mono = [0] * num_vars
+    try:
         while True:
-            index, exp, _, char = tokens[i]
-            if not index:
-                if char != "y":
-                    raise FormSyntaxError("expected variable 'y<index>'",
+            coeff = sign
+            if tokens[i][2]:
+                coeff *= int(tokens[i][2])
+                i += 1
+                if tokens[i][3] != "*":
+                    raise FormSyntaxError("expected '*' after coefficient",
                                           _position(text, i))
-                raise FormSyntaxError("expected a number", _position(text, i + 1))
-            idx = int(index)
-            if idx >= num_vars:
-                raise FormSyntaxError(
-                    f"variable index {idx} out of range (num_vars={num_vars})",
-                    _position(text, i))
-            i += 1
-            if exp:
-                mono[idx] += int(exp)
-            elif tokens[i][3] == "^":
-                raise FormSyntaxError("expected a number", _position(text, i + 1))
-            else:
-                mono[idx] += 1
-            if tokens[i][3] != "*":
+                i += 1
+            mono = [0] * num_vars
+            while True:
+                index, exp, _, char = tokens[i]
+                if not index:
+                    if char != "y":
+                        raise FormSyntaxError("expected variable 'y<index>'",
+                                              _position(text, i))
+                    raise FormSyntaxError("expected a number",
+                                          _position(text, i + 1))
+                idx = int(index)
+                if idx >= num_vars:
+                    raise FormSyntaxError(f"variable index {idx} out of range "
+                                          f"(num_vars={num_vars})",
+                                          _position(text, i))
+                if exp:
+                    mono[idx] += int(exp)
+                elif tokens[i + 1][3] == "^":
+                    raise FormSyntaxError("expected a number",
+                                          _position(text, i + 2))
+                else:
+                    mono[idx] += 1
+                i += 1
+                if tokens[i][3] != "*":
+                    break
+                i += 1
+            mono_t = tuple(mono)
+            degrees.add(sum(mono_t))
+            coeffs[mono_t] = coeffs.get(mono_t, 0) + coeff
+            if i == end:
                 break
-            i += 1
-        mono_t = tuple(mono)
-        degrees.add(sum(mono_t))
-        coeffs[mono_t] = coeffs.get(mono_t, 0) + coeff
-        if i == end:
-            break
-        char = tokens[i][3]
-        if char not in ("+", "-"):
-            raise FormSyntaxError("expected '+', '-' or end of form",
-                                  _position(text, i))
-        sign, i = (-1 if char == "-" else 1), i + 1
+            char = tokens[i][3]
+            if char not in ("+", "-"):
+                raise FormSyntaxError("expected '+', '-' or end of form",
+                                      _position(text, i))
+            sign, i = (-1 if char == "-" else 1), i + 1
+    except ValueError:
+        # int() refuses only a natural longer than the interpreter's limit;
+        # token i holds the first one read: an index, exponent or natural
+        digits = sys.get_int_max_str_digits()
+        group = next(g for g in (1, 2, 3) if len(tokens[i][g - 1]) > digits)
+        raise FormSyntaxError(
+            f"number with more than {digits} digits, the interpreter's limit "
+            "for reading an integer (sys.set_int_max_str_digits)",
+            list(_TOKEN.finditer(text))[i].start(group)) from None
 
     if len(degrees) > 1:
         raise InputError(

@@ -8,8 +8,12 @@ graded basis that ``monomial_array`` holds, and ``parse_form_by_scanner``
 reads a form one character at a time, as ``parse_form`` must agree with.
 """
 
+import sys
+
+import numpy as np
+
 from pushsplit.errors import FormSyntaxError, InputError
-from pushsplit.exactla import ExactMatrix
+from pushsplit.exactla import ExactMatrix, value_array
 from pushsplit.polyring import HomogPoly, Monomial
 
 
@@ -51,9 +55,12 @@ def matrix(rows_list, cols: int | None = None) -> ExactMatrix:
     for row in rows_list:
         if len(row) != cols:
             raise ValueError("ragged rows")
-    return ExactMatrix.from_coo(rows, cols, ((r, c, x)
-                                             for r, row in enumerate(rows_list)
-                                             for c, x in enumerate(row)))
+    kept = [(r, c, x) for r, row in enumerate(rows_list)
+            for c, x in enumerate(row) if x != 0]
+    return ExactMatrix(rows, cols,
+                       np.array([r for r, _, _ in kept], dtype=np.int64),
+                       np.array([c for _, c, _ in kept], dtype=np.int64),
+                       value_array(x for _, _, x in kept))
 
 
 def multiply(p: HomogPoly, q: HomogPoly) -> HomogPoly:
@@ -104,6 +111,12 @@ class _Scanner:
             self.pos += 1
         if self.pos == start:
             raise FormSyntaxError("expected a number", start)
+        digits = sys.get_int_max_str_digits()
+        if digits and self.pos - start > digits:
+            raise FormSyntaxError(
+                f"number with more than {digits} digits, the interpreter's "
+                "limit for reading an integer (sys.set_int_max_str_digits)",
+                start)
         return int(self.text[start:self.pos])
 
 

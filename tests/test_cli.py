@@ -158,6 +158,29 @@ def test_oversized_closed_forms_exit_2_without_a_traceback():
         assert b"Traceback" not in done.stderr
 
 
+@pytest.mark.parametrize("form, position", [
+    ("{long}*y0^2", 0), ("y0^{long}", 3), ("y{long}^2", 1)],
+    ids=["coefficient", "exponent", "variable-index"])
+def test_oversized_numbers_in_a_form_exit_2_without_a_traceback(
+        capsys, tmp_path, form, position):
+    endo = tmp_path / "long.endo"
+    endo.write_text(f"n = 1\nk = 2\nf0 = {form.format(long='1' * 5000)}\n"
+                    "f1 = y1^2\n")
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        for argv in (["verify-endo", "--endo", str(endo)],
+                     ["split", "--endo", str(endo), "--l", "0"]):
+            code, out, err = run(capsys, *argv)
+            assert (code, out) == (2, "")
+            assert err.startswith("error: ")
+            assert "more than 4300 digits" in err
+            assert f"(at position {position})" in err
+            assert "Traceback" not in err
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 def test_large_closed_form_split_succeeds(capsys):
     code, out, err = run(capsys, "split", "--n", "2000", "--k", "50",
                          "--l", "0", "--json")
@@ -239,6 +262,16 @@ def test_verify_endo_exact_flag(capsys, tmp_path):
     assert code == 1
     payload = json.loads(out)
     assert (payload["verdict"], payload["rational_rank"]) == ("NOT_FINITE", 216)
+
+
+def test_verify_endo_exact_on_a_dense_nonfinite_map(capsys):
+    code, out, _ = run(capsys, "verify-endo", "--endo",
+                       "tests/fixtures/dense33_nonfinite.endo", "--exact",
+                       "--json")
+    payload = json.loads(out)
+    assert (code, payload["verdict"]) == (1, "NOT_FINITE")
+    assert payload["modular_ranks"] == [[1048583, 214], [1048589, 214]]
+    assert (payload["rational_rank"], payload["required_rank"]) == (214, 220)
 
 
 def test_missing_rank_certificate_is_an_integrity_error(capsys, tmp_path,

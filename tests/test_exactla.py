@@ -23,6 +23,7 @@ from pushsplit.exactla import (
     rank_rational,
     rank_verified,
 )
+from pushsplit.endomorphism import parse_endomorphism
 from pushsplit.polyring import multiplication_matrix, parse_form
 
 
@@ -156,11 +157,6 @@ def test_transpose_preserves_rank():
     assert rank_rational(matrix(rows)) == rank_rational(matrix(columns))
 
 
-def test_from_coo_accumulates_duplicates():
-    m = ExactMatrix.from_coo(2, 2, [(0, 0, 1), (0, 0, 2), (1, 1, 5)])
-    assert m.entries == (3, 0, 0, 5)
-
-
 def test_rank_mod_requires_prime():
     m = matrix([[1]])
     with pytest.raises(ValueError):
@@ -237,7 +233,7 @@ def test_rank_mod_matches_reference_across_panels(shape, density):
     for p in primes:
         width = min(64, ((1 << 53) - p) // (p - 1) ** 2)
         a = (np.array(rows, dtype=np.int64) % p).astype(np.int32)
-        assert exactla._rank_panels(a, p, width) == reference_rank_mod(rows, p)
+        assert exactla._rank_panels(a, p, width)[0] == reference_rank_mod(rows, p)
 
 
 def test_rank_mod_with_zero_columns():
@@ -411,6 +407,14 @@ def test_pruned_socle_matrices_collapse():
         assert (m.rows, m.cols, count, left.size) == (220, 336, rank_, 0)
 
 
+def test_dense_nonfinite_socle_matrix_is_not_pruned():
+    with open("tests/fixtures/dense33_nonfinite.endo") as fixture:
+        e = parse_endomorphism(fixture.read())
+    m = multiplication_matrix(e.forms, 6)
+    count, left, *_ = prune(m)
+    assert (m.rows, m.cols, count, left.size) == (220, 336, 0, m.values.size)
+
+
 # ---------------------------------------------------------------------------
 # rank_rational: kernel certificate against fraction-free elimination
 
@@ -477,9 +481,9 @@ def test_certificate_survives_a_bad_prime(monkeypatch, bad):
     assert [rank_mod(matrix(rows), bad)
             for rows in bad_prime_matrices(bad)] == [0, 1, 2]
     primes = []
-    kernel = exactla._left_kernel_mod
-    monkeypatch.setattr(exactla, "_left_kernel_mod",
-                        lambda *args: primes.append(args[-1]) or kernel(*args))
+    kernel = exactla._rank_panels
+    monkeypatch.setattr(exactla, "_rank_panels", lambda a, p, *args:
+                        primes.append(p) or kernel(a, p, *args))
     for rows in bad_prime_matrices(bad):
         primes.clear()
         assert rank_rational(matrix(rows)) == 2
@@ -526,21 +530,64 @@ def reference_left_kernel(rows, p):
                            for i in range(len(pivots))]
 
 
-def test_left_kernel_mod_matches_reference():
-    # at 2**31 - 1 the int64 delayed reduction must reduce every 2 pivots
-    rng = random.Random(11)
-    for p in (FIRST_PRIME, 2 ** 31 - 1):
-        for nrows, ncols, rank_ in ((9, 12, 5), (12, 12, 12), (6, 15, 0),
-                                    (30, 40, 25)):
-            basis = [[rng.randrange(-p, p) for _ in range(ncols)]
-                     for _ in range(rank_)]
-            rows = []
-            for _ in range(nrows):
-                coeffs = [rng.randrange(-2, 3) for _ in basis]
-                rows.append([sum(a * b[j] for a, b in zip(coeffs, basis))
-                             for j in range(ncols)])
-            m = matrix(rows)
-            pivots, block = exactla._left_kernel_mod(
-                m.row_index, m.col_index, m.values, nrows, ncols, p)
-            assert len(pivots) == rank_
-            assert (pivots, block.tolist()) == reference_left_kernel(rows, p)
+def panel_cases(rng):
+    """Matrices B whose columns span several 64-wide panels, as dense rows.
+    In ``structured``, columns 64..126 are combinations of columns 0..63,
+    so they hold no pivot, and column 127 is the last of its panel and the
+    only one there that can hold a pivot."""
+    def combination(columns):
+        coeffs = [rng.randrange(-2, 3) for _ in columns]
+        return [sum(a * b for a, b in zip(coeffs, row)) for row in zip(*columns)]
+
+    dense = [[rng.randrange(-9, 10) for _ in range(100)] for _ in range(66)]
+    columns = [[rng.randrange(-9, 10) for _ in range(70)] for _ in range(64)]
+    columns += [combination(columns[:64]) for _ in range(63)]
+    columns += [[rng.randrange(-9, 10) for _ in range(70)] for _ in range(9)]
+    return {
+        "dense-rank-deficient": combined_rows(rng, dense, 4),
+        "sparse": random_rows(rng, 90, 160, 0.04, -5, 6),
+        "structured": [list(row) for row in zip(*columns)],
+    }
+
+
+PANEL_CASES = panel_cases(random.Random(16))
+
+
+@pytest.mark.parametrize("name", PANEL_CASES)
+def test_both_panel_modes_match_the_references(name):
+    """B is A^T: rank mode against the plain rank of B, reduced mode
+    against the reduced echelon form of B, both mod p."""
+    b_rows = PANEL_CASES[name]
+    a_rows = [list(col) for col in zip(*b_rows)]
+    m = matrix(b_rows)
+    for p in (2, 3, 7, DEFAULT_PRIMES[0], FIRST_PRIME, TOP_PRIME):
+        residues = exactla._residues(m.values, p)
+        r, _, _ = exactla._echelon(m.row_index, m.col_index, residues,
+                                   m.rows, m.cols, p)
+        assert r == reference_rank_mod(b_rows, p), p
+        r, found, a = exactla._echelon(m.row_index, m.col_index, residues,
+                                       m.rows, m.cols, p, reduced=True)
+        pivots, kernel = reference_left_kernel(a_rows, p)
+        free = [j for j in range(m.cols) if j not in pivots]
+        assert (r, found) == (len(pivots), pivots), p
+        assert (-a[:r, free] % p).tolist() == kernel, p
+        assert not a[r:].any()
+
+
+def test_certificate_primes_give_64_wide_panels():
+    # the largest prime whose panels are 64 wide
+    assert FIRST_PRIME == TOP_PRIME_WIDE_PANEL == 11863279
+    above = next(q for q in itertools.count(FIRST_PRIME + 1) if is_prime(q))
+    assert 64 * (above - 1) ** 2 + above > 2 ** 53
+    # the primes are above 2**23, worth 23 bits each: [[2**11]] has
+    # log2 H**2 = 22, so int(22 + 1) // 23 + 1 = 2 primes (a budget of 4),
+    # where 25 bits a prime would give 1 (a budget of 2)
+    for value, budget in ((1, 2), (2 ** 10, 2), (2 ** 11, 4), (2 ** 23, 6),
+                          (3 ** 200, 56)):
+        m = matrix([[value]])
+        assert exactla._prime_budget(m.row_index, m.col_index, m.values,
+                                     1, 1) == budget, value
+    primes = list(itertools.islice(exactla._certificate_primes(), budget))
+    assert primes == sorted(primes, reverse=True)
+    assert all(is_prime(p) and p > 2 ** 23 for p in primes)
+    assert all(64 * (p - 1) ** 2 + p <= 2 ** 53 for p in primes)

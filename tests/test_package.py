@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 import pushsplit
 from oracles import parse_form_by_scanner
 from pushsplit.endomorphism import parse_endomorphism
-from pushsplit.errors import InputError
+from pushsplit.errors import FormSyntaxError, InputError
 from pushsplit.polyring import parse_form
 from pushsplit.varieties import parse_table
 
@@ -166,3 +166,27 @@ def test_parse_form_reads_every_space_and_digit_as_the_scanner_does():
                      f"{c}", f"y{c}", f"{c}*y0 + y1{c}{c}"):
             assert parsed(text, 2, parse_form) == \
                 parsed(text, 2, parse_form_by_scanner), text
+
+
+
+def test_parse_form_refuses_a_number_too_long_to_read_as_the_scanner_does():
+    # a coefficient, an exponent and a variable index one digit past the
+    # interpreter's limit, each at the position of its first digit
+    long = "1" * 641
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        for text, position in ((f"{long}*y0^2 + y1^2", 0), (f"y0^ {long}", 4),
+                               (f"y0^2 + y {long}^2", 9), (f"y0 - {long}", 5)):
+            error = parsed(text, 2, parse_form)
+            assert error == parsed(text, 2, parse_form_by_scanner)
+            assert error[0] is FormSyntaxError and error[2] == position
+            assert "number with more than 640 digits" in error[1]
+        # a syntax error read before the long number comes first
+        assert "expected '+', '-'" in parsed(f"y0 y1 + {long}*y1", 2,
+                                            parse_form)[1]
+        # without a limit the number is read
+        sys.set_int_max_str_digits(0)
+        assert parse_form(f"{long}*y0", 1).terms == (((1,), int(long)),)
+    finally:
+        sys.set_int_max_str_digits(limit)
