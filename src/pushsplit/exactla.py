@@ -280,7 +280,8 @@ def _prune_singletons(rows, cols, values, n: int, c: int):
     pivot: that nonzero's elimination changes only its own row or column,
     which is then discarded, so rank = count + rank of the rest over any
     field.  Returns ``(count, rows, cols, values, n, c)``, the surviving
-    triples renumbered onto the rows and columns that still hold one.
+    triples renumbered onto the rows and columns that still hold one, in
+    their original order.
     """
     import numpy as np
 
@@ -302,9 +303,14 @@ def _prune_singletons(rows, cols, values, n: int, c: int):
         if removed == 0:
             break
         count += removed
-    rows_left, rows = np.unique(rows, return_inverse=True)
-    cols_left, cols = np.unique(cols, return_inverse=True)
-    return count, rows, cols, values, rows_left.size, cols_left.size
+    rows_left = np.zeros(n, dtype=bool)
+    rows_left[rows] = True
+    cols_left = np.zeros(c, dtype=bool)
+    cols_left[cols] = True
+    rows = np.cumsum(rows_left)[rows] - 1
+    cols = np.cumsum(cols_left)[cols] - 1
+    return (count, rows, cols, values,
+            int(rows_left.sum()), int(cols_left.sum()))
 
 
 def _residues(values: np.ndarray, p: int) -> np.ndarray:

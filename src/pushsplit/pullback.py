@@ -8,7 +8,8 @@ of X' = pi^{-1}(X) is a direct sum over the splitting type:
 and likewise with I_X (flat pullback of the ideal sheaf) and, for
 0 <= l < k, with the dualizing sheaf where the d-th summand is twisted by
 +d.  Everything here is a finite exact integer sum against the model's
-table; no geometry is recomputed.
+table; no geometry is recomputed.  One report computes each splitting
+type once per twist l and sums every row and verdict at l against it.
 
 Verdicts are records with provenance: they echo the hypotheses they
 consumed (k >= 2, the user-asserted general-position flag, the
@@ -22,7 +23,7 @@ from dataclasses import dataclass, field
 
 from .errors import InputError, IntegrityError, MissingDataError, \
     TableRangeError
-from .splitting import delta, splitting_universal
+from .splitting import SplittingType, delta, splitting_universal
 from .varieties import KoszulTable, ModelVariety
 
 NOT_APPLICABLE = "NOT_APPLICABLE"
@@ -40,16 +41,39 @@ def pullback_degree(m: ModelVariety, k: int) -> int:
     return m.degree * k ** m.codim
 
 
+class _Splittings(dict):
+    """splitting_universal(n, k, l) for each twist l, computed on first use."""
+
+    def __init__(self, n: int, k: int):
+        super().__init__()
+        self.n = n
+        self.k = k
+
+    def __missing__(self, l: int) -> SplittingType:
+        st = self[l] = splitting_universal(self.n, self.k, l)
+        return st
+
+
+def _pushforward(m: ModelVariety, st: SplittingType, i: int) -> int:
+    return sum(mult * m.h(i, -d) for d, mult in st.multiplicities)
+
+
+def _ideal_pushforward(m: ModelVariety, st: SplittingType, i: int) -> int:
+    return sum(mult * m.hI(i, -d) for d, mult in st.multiplicities)
+
+
+def _dualizing(m: ModelVariety, st: SplittingType, i: int) -> int:
+    return sum(mult * m.h_omega(i, d) for d, mult in st.multiplicities)
+
+
 def pushforward_cohomology(m: ModelVariety, k: int, l: int, i: int) -> int:
     """h^i(O_{X'}(l)) = sum_d m_{l,d} * h^i(O_X(-d))."""
-    st = splitting_universal(m.n, k, l)
-    return sum(mult * m.h(i, -d) for d, mult in st.multiplicities)
+    return _pushforward(m, splitting_universal(m.n, k, l), i)
 
 
 def ideal_pushforward_cohomology(m: ModelVariety, k: int, l: int, i: int) -> int:
     """h^i(I_{X'}(l)) = sum_d m_{l,d} * h^i(I_X(-d))."""
-    st = splitting_universal(m.n, k, l)
-    return sum(mult * m.hI(i, -d) for d, mult in st.multiplicities)
+    return _ideal_pushforward(m, splitting_universal(m.n, k, l), i)
 
 
 def dualizing_cohomology(m: ModelVariety, k: int, l: int, i: int) -> int:
@@ -65,14 +89,13 @@ def dualizing_cohomology(m: ModelVariety, k: int, l: int, i: int) -> int:
     if not 0 <= l < k:
         raise InputError(
             f"dualizing decomposition requires 0 <= l < k, got l={l}, k={k}")
-    st = splitting_universal(m.n, k, l)
-    return sum(mult * m.h_omega(i, d) for d, mult in st.multiplicities)
+    return _dualizing(m, splitting_universal(m.n, k, l), i)
 
 
 def euler_characteristic(m: ModelVariety, k: int, l: int) -> int:
     """chi(O_{X'}(l)) = sum_i (-1)^i h^i(O_{X'}(l))."""
-    return sum((-1) ** i * pushforward_cohomology(m, k, l, i)
-               for i in range(m.dim + 1))
+    st = splitting_universal(m.n, k, l)
+    return sum((-1) ** i * _pushforward(m, st, i) for i in range(m.dim + 1))
 
 
 @dataclass(frozen=True)
@@ -146,6 +169,11 @@ def completeness_verdict(m: ModelVariety, k: int) -> CompletenessVerdict:
     l < sk; the claim is re-verified numerically on the range the table
     supports, and the value at l = sk is reported when reachable.
     """
+    return _completeness_verdict(m, k, _Splittings(m.n, k))
+
+
+def _completeness_verdict(m: ModelVariety, k: int,
+                          splits: _Splittings) -> CompletenessVerdict:
     assumptions = _base_assumptions(m, k)
     if k < 2:
         return CompletenessVerdict(
@@ -157,7 +185,7 @@ def completeness_verdict(m: ModelVariety, k: int) -> CompletenessVerdict:
             h1_vanishing=Verdict("h1_vanishing", NOT_APPLICABLE, None,
                                  K_GE_2_REASON, assumptions=assumptions))
     h0_x = m.h(0, 0)
-    h0_prime_1 = pushforward_cohomology(m, k, 1, 0)
+    h0_prime_1 = _pushforward(m, splits[1], 0)
     nondegenerate = Verdict(
         name="nondegenerate", status=NONDEGENERATE, holds=True,
         reason="X' spans its ambient space; asserted for every finite "
@@ -204,7 +232,7 @@ def completeness_verdict(m: ModelVariety, k: int) -> CompletenessVerdict:
     first_nonzero = None
     for l in range(0, l_top + 1):
         try:
-            value = ideal_pushforward_cohomology(m, k, l, 1)
+            value = _ideal_pushforward(m, splits[l], 1)
         except TableRangeError:
             break
         checked.append(l)
@@ -217,8 +245,8 @@ def completeness_verdict(m: ModelVariety, k: int) -> CompletenessVerdict:
         witness["first_nonzero"] = list(first_nonzero)
     if kind == "finite":
         try:
-            witness["value_at_sk"] = ideal_pushforward_cohomology(
-                m, k, s_value * k, 1)
+            witness["value_at_sk"] = _ideal_pushforward(
+                m, splits[s_value * k], 1)
         except TableRangeError:
             pass
     h1 = Verdict(
@@ -238,6 +266,11 @@ def hyperplane_section_verdict(m: ModelVariety, k: int) -> Verdict:
     numeric consequence is h^0(O_{Y'}(1)) = h^0(O_{X'}(1)) - h^0(O_{X'});
     the verdict covers every hyperplane meeting X' properly.
     """
+    return _hyperplane_section_verdict(m, k, _Splittings(m.n, k))
+
+
+def _hyperplane_section_verdict(m: ModelVariety, k: int,
+                                splits: _Splittings) -> Verdict:
     assumptions = _base_assumptions(m, k)
     if k < 2:
         return Verdict("hyperplane_section", NOT_APPLICABLE, None,
@@ -250,8 +283,8 @@ def hyperplane_section_verdict(m: ModelVariety, k: int) -> Verdict:
         return Verdict("hyperplane_section", NOT_APPLICABLE, None,
                        "general position not asserted",
                        assumptions=assumptions)
-    h0_1 = pushforward_cohomology(m, k, 1, 0)
-    h0_0 = pushforward_cohomology(m, k, 0, 0)
+    h0_1 = _pushforward(m, splits[1], 0)
+    h0_0 = _pushforward(m, splits[0], 0)
     return Verdict(
         name="hyperplane_section", status=LINEARLY_COMPLETE, holds=True,
         reason="the section of X' by any hyperplane meeting it properly "
@@ -335,16 +368,19 @@ def build_pullback_report(m: ModelVariety, k: int,
     """Assemble the full report.
 
     For a complete-intersection model every cohomology row is checked
-    against the Koszul table of X' (IntegrityError on a mismatch).
+    against the Koszul table of X' (IntegrityError on a mismatch).  Each
+    splitting type is computed once per twist l and shared by every row
+    and verdict at l.
     """
     if lrange is None:
         lrange = (-k, 3 * k)
     lo, hi = lrange
+    splits = _Splittings(m.n, k)
     h_rows = {}
     euler = {}
     for l in range(lo, hi + 1):
         for i in range(m.dim + 1):
-            h_rows[(i, l)] = pushforward_cohomology(m, k, l, i)
+            h_rows[(i, l)] = _pushforward(m, splits[l], i)
         euler[l] = sum((-1) ** i * h_rows[(i, l)] for i in range(m.dim + 1))
     if isinstance(m.table, KoszulTable):
         _check_against_pulled_back_ci(m.table, k, h_rows)
@@ -352,7 +388,7 @@ def build_pullback_report(m: ModelVariety, k: int,
     for i in range(m.n + 1):
         try:
             for l in range(lo, hi + 1):
-                ideal_rows[(i, l)] = ideal_pushforward_cohomology(m, k, l, i)
+                ideal_rows[(i, l)] = _ideal_pushforward(m, splits[l], i)
         except MissingDataError:
             ideal_rows = {key: value for key, value in ideal_rows.items()
                           if key[0] != i}
@@ -363,12 +399,12 @@ def build_pullback_report(m: ModelVariety, k: int,
         dualizing_rows = {}
         for l in range(0, k):
             for i in range(m.dim + 1):
-                dualizing_rows[(i, l)] = dualizing_cohomology(m, k, l, i)
+                dualizing_rows[(i, l)] = _dualizing(m, splits[l], i)
     return PullbackReport(
         model=m.name, n=m.n, k=k, dim=m.dim, degree=m.degree,
         degree_prime=pullback_degree(m, k), lrange=(lo, hi),
         assumptions=_base_assumptions(m, k),
         h_rows=h_rows, euler=euler,
-        completeness=completeness_verdict(m, k),
-        hyperplane=hyperplane_section_verdict(m, k),
+        completeness=_completeness_verdict(m, k, splits),
+        hyperplane=_hyperplane_section_verdict(m, k, splits),
         ideal_rows=ideal_rows, dualizing_rows=dualizing_rows)

@@ -15,7 +15,6 @@ decomposition sums built on top.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 
 from .errors import InputError, MissingDataError, TableRangeError
 from .polyring import graded_dim
@@ -24,16 +23,37 @@ from .polyring import graded_dim
 def ci_h0(n: int, degrees, t: int) -> int:
     """h^0(O_X(t)) for the complete intersection of the given degrees in P^n.
 
-    Koszul inclusion-exclusion over subsets of the defining forms:
-    sum_S (-1)^|S| graded_dim(n+1, t - sum(S)).  For the empty degree list
-    this is h^0(O_{P^n}(t)).
+    The truncated Koszul sum sum_s c_s graded_dim(n+1, t - s), where the
+    grouped terms c_s t^s expand prod_i (1 - t^{d_i}) (``_koszul_terms``).
+    For the empty degree list this is h^0(O_{P^n}(t)).
     """
     degrees = tuple(degrees)
     _check_ci(n, degrees)
+    return _koszul_sum(n, _koszul_terms(degrees), t)
+
+
+def _koszul_terms(degrees: tuple) -> tuple[tuple[int, int], ...]:
+    """prod_i (1 - t^{d_i}) as (shift, coefficient) pairs.
+
+    Subsets with equal degree sums are grouped into one term, zero
+    coefficients are dropped, and the shifts ascend.
+    """
+    poly = {0: 1}
+    for d in degrees:
+        product = dict(poly)
+        for shift, coef in poly.items():
+            product[shift + d] = product.get(shift + d, 0) - coef
+        poly = product
+    return tuple((shift, coef) for shift, coef in sorted(poly.items()) if coef)
+
+
+def _koszul_sum(n: int, terms: tuple, t: int) -> int:
+    """sum_s c_s graded_dim(n+1, t - s) over the grouped Koszul terms."""
     total = 0
-    for size in range(len(degrees) + 1):
-        for subset in combinations(degrees, size):
-            total += (-1) ** size * graded_dim(n + 1, t - sum(subset))
+    for shift, coef in terms:
+        if shift > t:
+            break
+        total += coef * graded_dim(n + 1, t - shift)
     return total
 
 
@@ -50,9 +70,12 @@ def _check_ci(n: int, degrees: tuple) -> None:
 class KoszulTable:
     """Cohomology of a complete intersection (or of P^n itself).
 
-    h^0 is the truncated Koszul sum, the top row comes from Serre duality
-    with the subcanonical twist e = sum(degrees) - n - 1, and middle
-    cohomology vanishes.  Zero-dimensional intersections are the one
+    h^0 is the truncated Koszul sum over the grouped terms of
+    prod_i (1 - t^{d_i}), expanded once when the table is built and
+    evaluated at most once per twist t on each table.  The top row comes
+    from Serre duality with the subcanonical twist
+    e = sum(degrees) - n - 1, and middle cohomology vanishes.
+    Zero-dimensional intersections are the one
     special case: h^0(O_X(t)) equals the degree for every t (line bundles
     on a finite scheme have no condition), while the truncated sum still
     gives the graded dimensions used by the ideal rows.
@@ -71,9 +94,14 @@ class KoszulTable:
         for d in degrees:
             self.degree *= d
         self.omega_twist = sum(degrees) - n - 1
+        self._terms = _koszul_terms(degrees)
+        self._truncated_at: dict[int, int] = {}
 
     def _truncated(self, t: int) -> int:
-        return ci_h0(self.n, self.degrees, t)
+        value = self._truncated_at.get(t)
+        if value is None:
+            value = self._truncated_at[t] = _koszul_sum(self.n, self._terms, t)
+        return value
 
     def h(self, i: int, t: int) -> int:
         if i < 0 or i > self.dim:

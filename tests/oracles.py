@@ -4,17 +4,20 @@ None of them is used by the package itself: ``rank_bareiss`` is the
 oracle of the certified rational rank, ``matrix`` builds an ExactMatrix
 from dense rows, ``multiply`` is the polynomial product behind
 ``multiplication_matrix``, ``monomials_by_recursion`` enumerates the
-graded basis that ``monomial_array`` holds, and ``parse_form_by_scanner``
-reads a form one character at a time, as ``parse_form`` must agree with.
+graded basis that ``monomial_array`` holds, ``parse_form_by_scanner``
+reads a form one character at a time, as ``parse_form`` must agree with,
+and ``ci_h0_by_subsets`` walks every subset of the defining degrees, as
+the grouped Koszul terms of ``ci_h0`` and ``KoszulTable`` must agree with.
 """
 
 import sys
+from itertools import combinations
 
 import numpy as np
 
 from pushsplit.errors import FormSyntaxError, InputError
 from pushsplit.exactla import ExactMatrix, value_array
-from pushsplit.polyring import HomogPoly, Monomial
+from pushsplit.polyring import HomogPoly, Monomial, graded_dim
 
 
 def rank_bareiss(rows: list[list[int]]) -> int:
@@ -84,6 +87,16 @@ def monomials_by_recursion(num_vars: int, degree: int) -> tuple[Monomial, ...]:
         return ((degree,),)
     return tuple((e0,) + rest for e0 in range(degree, -1, -1)
                  for rest in monomials_by_recursion(num_vars - 1, degree - e0))
+
+
+def ci_h0_by_subsets(n: int, degrees, t: int) -> int:
+    """The truncated Koszul sum sum_S (-1)^|S| graded_dim(n+1, t - sum(S))
+    over every subset S of the defining degrees, one term per subset."""
+    total = 0
+    for size in range(len(degrees) + 1):
+        for subset in combinations(degrees, size):
+            total += (-1) ** size * graded_dim(n + 1, t - sum(subset))
+    return total
 
 
 class _Scanner:

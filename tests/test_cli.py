@@ -204,12 +204,12 @@ def test_split_integrity_exit_code(capsys, monkeypatch):
 
 
 def test_pullback_rows_checked_against_the_pulled_back_ci(capsys, monkeypatch):
-    real = pullback.pushforward_cohomology
+    real = pullback._pushforward
 
-    def off_by_one(m, k, l, i):
-        return real(m, k, l, i) + (i == 0 and l == 1)
+    def off_by_one(m, st, i):
+        return real(m, st, i) + (i == 0 and st.l == 1)
 
-    monkeypatch.setattr(pullback, "pushforward_cohomology", off_by_one)
+    monkeypatch.setattr(pullback, "_pushforward", off_by_one)
     with pytest.raises(IntegrityError) as exc:
         pullback.build_pullback_report(cli._parse_model("ci:2,2@4", None), 2)
     assert (exc.value.expected, exc.value.actual) == (5, 6)

@@ -397,6 +397,17 @@ def test_prune_singletons_removes_only_singleton_lines():
     assert (count, n, ncols) == (12, 20, 25)
     assert sorted(zip(r.tolist(), c.tolist(), v.tolist())) == sorted(
         (i, j, dense[i][j]) for i in range(20) for j in range(25))
+    # shuffled, the core's lines are renumbered in their relative order
+    fringed = with_fringe(rng, dense, (1,))
+    row_order, col_order = rng.sample(range(32), 32), rng.sample(range(37), 37)
+    shuffled = [[fringed[i][j] for j in col_order] for i in row_order]
+    core_rows = [i for i, original in enumerate(row_order) if original < 20]
+    core_cols = [j for j, original in enumerate(col_order) if original < 25]
+    count, r, c, v, n, ncols = prune(matrix(shuffled))
+    assert (count, n, ncols) == (12, 20, 25)
+    assert sorted(zip(r.tolist(), c.tolist(), v.tolist())) == sorted(
+        (a, b, shuffled[i][j]) for a, i in enumerate(core_rows)
+        for b, j in enumerate(core_cols))
 
 
 def test_pruned_socle_matrices_collapse():

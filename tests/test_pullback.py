@@ -7,8 +7,12 @@ that independent table entry for entry, structure sheaf and ideal sheaf
 alike, and the dualizing route must be Serre-dual to the direct route.
 """
 
+from collections import Counter
+
 import pytest
 
+from pushsplit import pullback, varieties
+from pushsplit.adjunction import surface_adjunction
 from pushsplit.errors import MissingDataError
 from pushsplit.pullback import (
     HYPOTHESIS_FAILS,
@@ -237,3 +241,39 @@ def test_report_skips_unavailable_sections():
     assert p4_report.h_rows[(0, 1)] == 5
     assert p4_report.ideal_rows is None or all(
         value == 0 for value in p4_report.ideal_rows.values())
+
+
+@pytest.fixture
+def counted(monkeypatch):
+    """Calls of splitting_universal and of the grouped Koszul sum, by argument.
+
+    No two tables in the reports below share their degrees, so the
+    Koszul terms in a sum's arguments name the table it was asked on.
+    """
+    calls = Counter()
+    splitting_universal, koszul_sum = (pullback.splitting_universal,
+                                       varieties._koszul_sum)
+
+    def counted_splitting(n, k, l):
+        calls["splitting", n, k, l] += 1
+        return splitting_universal(n, k, l)
+
+    def counted_sum(n, terms, t):
+        calls["koszul", n, terms, t] += 1
+        return koszul_sum(n, terms, t)
+
+    monkeypatch.setattr(pullback, "splitting_universal", counted_splitting)
+    monkeypatch.setattr(varieties, "_koszul_sum", counted_sum)
+    return calls
+
+
+@pytest.mark.parametrize("build", (
+    lambda: build_pullback_report(complete_intersection(4, (3, 3)), 5),
+    lambda: build_pullback_report(plane_in_p4(), 3),
+    lambda: surface_adjunction(plane_in_p4(), 2),
+    lambda: surface_adjunction(complete_intersection(4, (2, 3)), 3),
+), ids=("pullback_ci33", "pullback_plane", "adjoint_plane", "adjoint_ci23"))
+def test_each_splitting_and_koszul_value_is_computed_once(counted, build):
+    build()
+    assert {key[0] for key in counted} == {"splitting", "koszul"}
+    assert max(counted.values()) == 1

@@ -11,6 +11,7 @@ import math
 from fractions import Fraction
 
 import pytest
+from oracles import ci_h0_by_subsets
 
 from pushsplit.errors import InputError, MissingDataError, TableRangeError
 from pushsplit.polyring import graded_dim
@@ -77,6 +78,31 @@ def test_ci_h0_values():
         ci_h0(2, (2, 2, 2), 0)
     with pytest.raises(InputError):
         ci_h0(2, (0,), 1)
+
+
+class SubsetTable(KoszulTable):
+    """A Koszul table whose truncated sum is the subset-by-subset oracle."""
+
+    def _truncated(self, t):
+        return ci_h0_by_subsets(self.n, self.degrees, t)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_grouped_koszul_terms_match_the_subset_sum(n):
+    # P^n, repeated, mixed, and zero-dimensional (c = n) degrees
+    zero_dimensional = tuple(1 + j % 3 for j in range(n))
+    cases = {(), (2, 2, 2, 2), (1, 2, 3), zero_dimensional}
+    twists = range(-30, 31)
+    for degrees in sorted(d for d in cases if len(d) <= n):
+        for t in twists:
+            assert ci_h0(n, degrees, t) == ci_h0_by_subsets(n, degrees, t)
+        table, reference = KoszulTable(n, degrees), SubsetTable(n, degrees)
+        for _ in range(2):  # the second pass reads the values the first stored
+            for i in range(-1, n + 2):
+                for t in twists:
+                    assert table.h(i, t) == reference.h(i, t)
+                    assert table.hI(i, t) == reference.hI(i, t)
+                    assert table.h_omega(i, t) == reference.h_omega(i, t)
 
 
 def test_koszul_invariants():
