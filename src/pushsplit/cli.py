@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import os
@@ -573,6 +574,14 @@ def build_parser(argv=()) -> argparse.ArgumentParser:
     return parser
 
 
+@functools.lru_cache(maxsize=None)
+def _command_parser(name: str) -> argparse.ArgumentParser:
+    """``build_parser([name])``, built once per process and then reused:
+    parsing leaves the parser as it was (each call's values live in its
+    own Namespace), and help and usage are formatted when printed."""
+    return build_parser([name])
+
+
 def _glue_range_values(argv: list) -> list:
     """Join '--lrange -2..4' into '--lrange=-2..4' so argparse does not
     mistake a range starting with a negative bound for a flag."""
@@ -589,7 +598,9 @@ def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     argv = _glue_range_values(list(argv))
-    args = build_parser(argv).parse_args(argv)
+    parser = _command_parser(argv[0]) if argv and argv[0] in _COMMANDS \
+        else build_parser(argv)
+    args = parser.parse_args(argv)
     try:
         if args.config:
             _apply_config(args, args.parser)

@@ -15,6 +15,7 @@ decomposition sums built on top.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .errors import InputError, MissingDataError, TableRangeError
 from .polyring import graded_dim
@@ -291,17 +292,22 @@ def plane_in_p4(smooth_general_position: bool = True) -> ModelVariety:
     """The 2-plane in P^4 as an explicit bounded table.
 
     Values are those of the linear section P^2 in P^4 (degree 1,
-    omega = O(-3)).
+    omega = O(-3)).  Every call shares one table, built once per process;
+    nothing writes to a table after it is built.
     """
+    return ModelVariety("plane@4", _plane_table(), smooth_general_position)
+
+
+@lru_cache(maxsize=None)
+def _plane_table() -> ExplicitTable:
     reference = KoszulTable(4, (1, 1))
     lo, hi = PLANE_TRANGE
     rows = {(i, t): reference.h(i, t)
             for i in range(3) for t in range(lo, hi + 1)}
     ideal_rows = {(i, t): reference.hI(i, t)
                   for i in range(5) for t in range(lo, hi + 1)}
-    table = ExplicitTable(4, 2, 1, PLANE_TRANGE, rows, ideal_rows,
-                          omega_twist=-3)
-    return ModelVariety("plane@4", table, smooth_general_position)
+    return ExplicitTable(4, 2, 1, PLANE_TRANGE, rows, ideal_rows,
+                         omega_twist=-3)
 
 
 # ---------------------------------------------------------------------------

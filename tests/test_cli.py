@@ -869,6 +869,78 @@ def test_parser_adds_only_the_named_subcommands_arguments():
         flags(full, "pullback")
 
 
+def run_any(capsys, argv):
+    """Exit code, stdout and stderr bytes of ``main(argv)``, also when
+    argparse exits."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out.encode(), captured.err.encode()
+
+
+def test_reused_parser_carries_nothing_between_calls(capsys, monkeypatch,
+                                                     tmp_path):
+    monkeypatch.setenv("COLUMNS", "80")
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("emax = 12\nexact = true\n")
+    plain = ["split", "--n", "4", "--k", "2", "--l", "0"]
+    calls = [
+        ["split", "--endo", "tests/fixtures/power42.endo", "--l", "1",
+         "--json", "--primes", "101,103", "--config", str(cfg)],
+        plain,
+        ["split", "--bogus"],
+        plain,
+        ["pullback", "--model", "plane@4", "--k", "2", "--csv",
+         "--lrange", "-2..4", "--general-position", "false"],
+        ["pullback", "--model", "ci:2,2@4", "--k", "2"],
+        ["split", "--n", "4", "--k", "2", "--l", "0", "--primes", "101"],
+        plain,
+    ]
+    cli._command_parser.cache_clear()
+    in_process = [run_any(capsys, argv) for argv in calls]
+    fresh = [run_process("-m", "pushsplit", *argv) for argv in calls]
+    assert in_process == [(p.returncode, p.stdout, p.stderr) for p in fresh]
+    assert [code for code, _, _ in in_process] == [0, 0, 2, 0, 0, 0, 2, 0]
+
+
+def test_help_is_formatted_when_printed(capsys, monkeypatch):
+    cli._command_parser.cache_clear()
+    monkeypatch.setenv("COLUMNS", "200")
+    assert run_any(capsys, ["split", "--n", "4", "--k", "2", "--l", "0"])[0] \
+        == 0
+    monkeypatch.setenv("COLUMNS", "80")
+    for name in ("usage_split_help", "usage_split_bogus"):
+        assert run_any(capsys, USAGE_CASES[name]) == golden(name)
+
+
+def test_each_subcommand_parser_is_built_once(capsys, monkeypatch):
+    assert callable(cli._command_parser.cache_clear)
+    cli._command_parser.cache_clear()
+    built = []
+    build_parser = cli.build_parser
+
+    def counted(argv=()):
+        built.append(list(argv))
+        return build_parser(argv)
+
+    monkeypatch.setattr(cli, "build_parser", counted)
+    for _ in range(3):
+        assert run_any(capsys, ["split", "--n", "3", "--k", "2",
+                                "--l", "1"])[0] == 0
+        assert run_any(capsys, ["pullback", "--model", "p2",
+                                "--k", "2"])[0] == 0
+    assert built == [["split"], ["pullback"]]
+    cli._command_parser.cache_clear()
+    run_any(capsys, ["split", "--n", "3", "--k", "2", "--l", "1"])
+    assert len(built) == 3
+    for argv in (["--help"], ["frobnicate"], ["--help"], ["frobnicate"]):
+        assert run_any(capsys, argv)[0] in (0, 2)
+    assert built[3:] == [["--help"], ["frobnicate"], ["--help"],
+                         ["frobnicate"]]
+
+
 # Argv and config files built from each subcommand's own flags, with small
 # integers (so n, k, --emax and --lrange stay cheap), model-spec pieces and
 # the fixture files.  --out writes only into the example's temporary

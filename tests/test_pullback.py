@@ -249,7 +249,10 @@ def counted(monkeypatch):
 
     No two tables in the reports below share their degrees, so the
     Koszul terms in a sum's arguments name the table it was asked on.
+    The plane@4 table is built once per process; emptying its cache
+    counts the work of a fresh process, the build included.
     """
+    varieties._plane_table.cache_clear()
     calls = Counter()
     splitting_universal, koszul_sum = (pullback.splitting_universal,
                                        varieties._koszul_sum)

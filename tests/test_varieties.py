@@ -13,6 +13,7 @@ from fractions import Fraction
 import pytest
 from oracles import ci_h0_by_subsets
 
+from pushsplit import varieties
 from pushsplit.errors import InputError, MissingDataError, TableRangeError
 from pushsplit.polyring import graded_dim
 from pushsplit.varieties import (
@@ -204,6 +205,26 @@ def test_plane_model_matches_linear_ci():
         for i in range(5):
             assert plane.hI(i, t) == reference.hI(i, t)
     assert plane.h_omega(0, 3) == reference.h(0, 0)
+
+
+def test_plane_table_is_built_once_and_shared(monkeypatch):
+    varieties._plane_table.cache_clear()
+    sums = []
+    koszul_sum = varieties._koszul_sum
+    monkeypatch.setattr(varieties, "_koszul_sum",
+                        lambda *args: sums.append(args) or koszul_sum(*args))
+    first = plane_in_p4()
+    built = len(sums)
+    second = plane_in_p4(False)
+    assert len(sums) == built > 0
+    assert first.table is second.table
+    assert (first.smooth_general_position,
+            second.smooth_general_position) == (True, False)
+    varieties._plane_table.cache_clear()
+    rebuilt = plane_in_p4()
+    assert rebuilt.table is not first.table
+    assert rebuilt.table._rows == first.table._rows
+    assert rebuilt.table._ideal_rows == first.table._ideal_rows
 
 
 def test_explicit_table_validation():
