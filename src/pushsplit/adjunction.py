@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 from .errors import InputError, IntegrityError
 from .pullback import K_GE_2_REASON, NOT_APPLICABLE, Verdict, \
-    _base_assumptions, _dualizing, _Splittings, dualizing_cohomology
+    _base_assumptions, dualizing_cohomology
 from .splitting import delta
 from .varieties import ModelVariety
 
@@ -70,11 +70,6 @@ def canonical_birationality_verdict(m: ModelVariety, k: int) -> Verdict:
     and the canonical map of X' is birational.  A computed zero where the
     criterion promises positivity raises IntegrityError.
     """
-    return _canonical_birationality_verdict(m, k, _Splittings(m.n, k))
-
-
-def _canonical_birationality_verdict(m: ModelVariety, k: int,
-                                     splits: _Splittings) -> Verdict:
     assumptions = _base_assumptions(m, k)
     if k < 2:
         return Verdict("canonical_birational", NOT_APPLICABLE, None,
@@ -96,7 +91,7 @@ def _canonical_birationality_verdict(m: ModelVariety, k: int,
         return Verdict("canonical_birational", NOT_APPLICABLE, None,
                        f"requires delta_1 >= dim X, got delta_1 = {delta_1} "
                        f"< {m.dim}", assumptions=assumptions)
-    h0 = _dualizing(m, splits[1], 0)
+    h0 = dualizing_cohomology(m, k, 1, 0)
     if h0 <= 0:
         raise IntegrityError(
             "canonical-birationality criterion promises "
@@ -202,7 +197,6 @@ def surface_adjunction(m: ModelVariety, k: int) -> AdjunctionReport:
     genus = twice_g_minus_2 // 2 + 1
     exception = _is_plane(m) and k == 2
     assumptions = _base_assumptions(m, k)
-    splits = _Splittings(m.n, k)
     very_ample = Verdict(
         name="canonical_very_ample",
         status=DEL_PEZZO if exception else VERY_AMPLE,
@@ -226,10 +220,10 @@ def surface_adjunction(m: ModelVariety, k: int) -> AdjunctionReport:
         e_source=e, e_prime=e_prime,
         degree=m.degree, degree_prime=degree_prime,
         k_dot_h=k_dot_h, k_squared=k_squared, sectional_genus=genus,
-        h0_omega=_dualizing(m, splits[0], 0),
-        h0_omega_minus_h=_dualizing(m, splits[1], 0),
+        h0_omega=dualizing_cohomology(m, k, 0, 0),
+        h0_omega_minus_h=dualizing_cohomology(m, k, 1, 0),
         general_type=e_prime > 0,
         canonical_very_ample=very_ample,
         del_pezzo_exception=del_pezzo,
-        canonical_birational=_canonical_birationality_verdict(m, k, splits),
+        canonical_birational=canonical_birationality_verdict(m, k),
         assumptions=assumptions)

@@ -35,7 +35,8 @@ import sys
 from . import adjunction, pullback, splitting, varieties
 from .endomorphism import load_endomorphism, random_endomorphism, \
     validate_finite
-from .errors import InputError, IntegrityError, PushsplitError, TableRangeError
+from .errors import InputError, IntegrityError, PushsplitError, \
+    TableRangeError, read_input_file
 from .exactla import DEFAULT_PRIMES, PRIME_LIMIT, is_prime
 
 REPORT_VERSION = "1"
@@ -57,11 +58,7 @@ _NOT_CONFIG = ("--config", "--help", "--json", "--csv")
 
 def _load_config(path: str) -> dict:
     values: dict[str, str] = {}
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            lines = handle.read().splitlines()
-    except OSError as exc:
-        raise InputError(f"cannot read config file: {exc}") from None
+    lines = read_input_file(path, "config").splitlines()
     for lineno, raw in enumerate(lines, start=1):
         # a comment is a whole line; '#' inside a value is part of it
         line = raw.strip()
@@ -304,7 +301,11 @@ def _parse_model(spec: str, general_position: bool | None) -> varieties.ModelVar
             raise InputError(f"bad model spec {spec!r}") from None
         model = varieties.complete_intersection(n, degrees)
     elif spec.startswith("p") and spec[1:].isdecimal():
-        model = varieties.projective_space(int(spec[1:]))
+        try:
+            n = int(spec[1:])
+        except ValueError:  # more digits than the interpreter converts
+            raise InputError(f"bad model spec {spec!r}") from None
+        model = varieties.projective_space(n)
     else:
         raise InputError(
             f"bad model spec {spec!r}: expected ci:d1,...@n, p<n>, "

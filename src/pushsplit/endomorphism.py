@@ -18,7 +18,7 @@ import random
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
-from .errors import InputError
+from .errors import InputError, read_input_file
 from .exactla import DEFAULT_PRIMES, ExactMatrix, RankResult, rank_mod, \
     rank_verified
 from .polyring import HomogPoly, graded_dim, monomial_array, \
@@ -264,9 +264,5 @@ def parse_endomorphism(text: str, source: str = "<string>") -> Endomorphism:
 
 
 def load_endomorphism(path: str) -> Endomorphism:
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            text = handle.read()
-    except OSError as exc:
-        raise InputError(f"cannot read endomorphism file: {exc}") from None
-    return parse_endomorphism(text, source=path)
+    return parse_endomorphism(read_input_file(path, "endomorphism"),
+                              source=path)

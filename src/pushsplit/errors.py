@@ -1,4 +1,4 @@
-"""Exception taxonomy shared by all modules.
+"""Exception taxonomy shared by all modules, and the input-file reader.
 
 The CLI maps these onto disjoint exit codes: InputError -> 2,
 IntegrityError -> 3, TableRangeError -> 4.
@@ -41,3 +41,15 @@ class IntegrityError(PushsplitError):
 
 class TableRangeError(PushsplitError):
     """A cohomology table was queried outside its declared twist range."""
+
+
+def read_input_file(path: str, kind: str) -> str:
+    """The text of a UTF-8 input file; InputError if it cannot be read."""
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            return handle.read()
+    except OSError as exc:
+        raise InputError(f"cannot read {kind} file: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise InputError(f"cannot read {kind} file {path!r}: not UTF-8 "
+                         f"(byte {exc.start})") from None

@@ -8,8 +8,9 @@ of X' = pi^{-1}(X) is a direct sum over the splitting type:
 and likewise with I_X (flat pullback of the ideal sheaf) and, for
 0 <= l < k, with the dualizing sheaf where the d-th summand is twisted by
 +d.  Everything here is a finite exact integer sum against the model's
-table; no geometry is recomputed.  One report computes each splitting
-type once per twist l and sums every row and verdict at l against it.
+table; no geometry is recomputed.  Splitting types come from
+``splitting_universal``, which computes each (n, k, l) once per process,
+so the rows and verdicts of every report share them.
 
 Verdicts are records with provenance: they echo the hypotheses they
 consumed (k >= 2, the user-asserted general-position flag, the
@@ -23,7 +24,7 @@ from dataclasses import dataclass, field
 
 from .errors import InputError, IntegrityError, MissingDataError, \
     TableRangeError
-from .splitting import SplittingType, delta, splitting_universal
+from .splitting import delta, splitting_universal
 from .varieties import KoszulTable, ModelVariety
 
 NOT_APPLICABLE = "NOT_APPLICABLE"
@@ -41,39 +42,16 @@ def pullback_degree(m: ModelVariety, k: int) -> int:
     return m.degree * k ** m.codim
 
 
-class _Splittings(dict):
-    """splitting_universal(n, k, l) for each twist l, computed on first use."""
-
-    def __init__(self, n: int, k: int):
-        super().__init__()
-        self.n = n
-        self.k = k
-
-    def __missing__(self, l: int) -> SplittingType:
-        st = self[l] = splitting_universal(self.n, self.k, l)
-        return st
-
-
-def _pushforward(m: ModelVariety, st: SplittingType, i: int) -> int:
-    return sum(mult * m.h(i, -d) for d, mult in st.multiplicities)
-
-
-def _ideal_pushforward(m: ModelVariety, st: SplittingType, i: int) -> int:
-    return sum(mult * m.hI(i, -d) for d, mult in st.multiplicities)
-
-
-def _dualizing(m: ModelVariety, st: SplittingType, i: int) -> int:
-    return sum(mult * m.h_omega(i, d) for d, mult in st.multiplicities)
-
-
 def pushforward_cohomology(m: ModelVariety, k: int, l: int, i: int) -> int:
     """h^i(O_{X'}(l)) = sum_d m_{l,d} * h^i(O_X(-d))."""
-    return _pushforward(m, splitting_universal(m.n, k, l), i)
+    return sum(mult * m.h(i, -d)
+               for d, mult in splitting_universal(m.n, k, l).multiplicities)
 
 
 def ideal_pushforward_cohomology(m: ModelVariety, k: int, l: int, i: int) -> int:
     """h^i(I_{X'}(l)) = sum_d m_{l,d} * h^i(I_X(-d))."""
-    return _ideal_pushforward(m, splitting_universal(m.n, k, l), i)
+    return sum(mult * m.hI(i, -d)
+               for d, mult in splitting_universal(m.n, k, l).multiplicities)
 
 
 def dualizing_cohomology(m: ModelVariety, k: int, l: int, i: int) -> int:
@@ -89,13 +67,14 @@ def dualizing_cohomology(m: ModelVariety, k: int, l: int, i: int) -> int:
     if not 0 <= l < k:
         raise InputError(
             f"dualizing decomposition requires 0 <= l < k, got l={l}, k={k}")
-    return _dualizing(m, splitting_universal(m.n, k, l), i)
+    return sum(mult * m.h_omega(i, d)
+               for d, mult in splitting_universal(m.n, k, l).multiplicities)
 
 
 def euler_characteristic(m: ModelVariety, k: int, l: int) -> int:
     """chi(O_{X'}(l)) = sum_i (-1)^i h^i(O_{X'}(l))."""
-    st = splitting_universal(m.n, k, l)
-    return sum((-1) ** i * _pushforward(m, st, i) for i in range(m.dim + 1))
+    return sum((-1) ** i * pushforward_cohomology(m, k, l, i)
+               for i in range(m.dim + 1))
 
 
 @dataclass(frozen=True)
@@ -169,11 +148,6 @@ def completeness_verdict(m: ModelVariety, k: int) -> CompletenessVerdict:
     l < sk; the claim is re-verified numerically on the range the table
     supports, and the value at l = sk is reported when reachable.
     """
-    return _completeness_verdict(m, k, _Splittings(m.n, k))
-
-
-def _completeness_verdict(m: ModelVariety, k: int,
-                          splits: _Splittings) -> CompletenessVerdict:
     assumptions = _base_assumptions(m, k)
     if k < 2:
         return CompletenessVerdict(
@@ -185,7 +159,7 @@ def _completeness_verdict(m: ModelVariety, k: int,
             h1_vanishing=Verdict("h1_vanishing", NOT_APPLICABLE, None,
                                  K_GE_2_REASON, assumptions=assumptions))
     h0_x = m.h(0, 0)
-    h0_prime_1 = _pushforward(m, splits[1], 0)
+    h0_prime_1 = pushforward_cohomology(m, k, 1, 0)
     nondegenerate = Verdict(
         name="nondegenerate", status=NONDEGENERATE, holds=True,
         reason="X' spans its ambient space; asserted for every finite "
@@ -232,7 +206,7 @@ def _completeness_verdict(m: ModelVariety, k: int,
     first_nonzero = None
     for l in range(0, l_top + 1):
         try:
-            value = _ideal_pushforward(m, splits[l], 1)
+            value = ideal_pushforward_cohomology(m, k, l, 1)
         except TableRangeError:
             break
         checked.append(l)
@@ -245,8 +219,8 @@ def _completeness_verdict(m: ModelVariety, k: int,
         witness["first_nonzero"] = list(first_nonzero)
     if kind == "finite":
         try:
-            witness["value_at_sk"] = _ideal_pushforward(
-                m, splits[s_value * k], 1)
+            witness["value_at_sk"] = ideal_pushforward_cohomology(
+                m, k, s_value * k, 1)
         except TableRangeError:
             pass
     h1 = Verdict(
@@ -266,11 +240,6 @@ def hyperplane_section_verdict(m: ModelVariety, k: int) -> Verdict:
     numeric consequence is h^0(O_{Y'}(1)) = h^0(O_{X'}(1)) - h^0(O_{X'});
     the verdict covers every hyperplane meeting X' properly.
     """
-    return _hyperplane_section_verdict(m, k, _Splittings(m.n, k))
-
-
-def _hyperplane_section_verdict(m: ModelVariety, k: int,
-                                splits: _Splittings) -> Verdict:
     assumptions = _base_assumptions(m, k)
     if k < 2:
         return Verdict("hyperplane_section", NOT_APPLICABLE, None,
@@ -283,8 +252,8 @@ def _hyperplane_section_verdict(m: ModelVariety, k: int,
         return Verdict("hyperplane_section", NOT_APPLICABLE, None,
                        "general position not asserted",
                        assumptions=assumptions)
-    h0_1 = _pushforward(m, splits[1], 0)
-    h0_0 = _pushforward(m, splits[0], 0)
+    h0_1 = pushforward_cohomology(m, k, 1, 0)
+    h0_0 = pushforward_cohomology(m, k, 0, 0)
     return Verdict(
         name="hyperplane_section", status=LINEARLY_COMPLETE, holds=True,
         reason="the section of X' by any hyperplane meeting it properly "
@@ -368,19 +337,16 @@ def build_pullback_report(m: ModelVariety, k: int,
     """Assemble the full report.
 
     For a complete-intersection model every cohomology row is checked
-    against the Koszul table of X' (IntegrityError on a mismatch).  Each
-    splitting type is computed once per twist l and shared by every row
-    and verdict at l.
+    against the Koszul table of X' (IntegrityError on a mismatch).
     """
     if lrange is None:
         lrange = (-k, 3 * k)
     lo, hi = lrange
-    splits = _Splittings(m.n, k)
     h_rows = {}
     euler = {}
     for l in range(lo, hi + 1):
         for i in range(m.dim + 1):
-            h_rows[(i, l)] = _pushforward(m, splits[l], i)
+            h_rows[(i, l)] = pushforward_cohomology(m, k, l, i)
         euler[l] = sum((-1) ** i * h_rows[(i, l)] for i in range(m.dim + 1))
     if isinstance(m.table, KoszulTable):
         _check_against_pulled_back_ci(m.table, k, h_rows)
@@ -388,7 +354,7 @@ def build_pullback_report(m: ModelVariety, k: int,
     for i in range(m.n + 1):
         try:
             for l in range(lo, hi + 1):
-                ideal_rows[(i, l)] = _ideal_pushforward(m, splits[l], i)
+                ideal_rows[(i, l)] = ideal_pushforward_cohomology(m, k, l, i)
         except MissingDataError:
             ideal_rows = {key: value for key, value in ideal_rows.items()
                           if key[0] != i}
@@ -399,12 +365,12 @@ def build_pullback_report(m: ModelVariety, k: int,
         dualizing_rows = {}
         for l in range(0, k):
             for i in range(m.dim + 1):
-                dualizing_rows[(i, l)] = _dualizing(m, splits[l], i)
+                dualizing_rows[(i, l)] = dualizing_cohomology(m, k, l, i)
     return PullbackReport(
         model=m.name, n=m.n, k=k, dim=m.dim, degree=m.degree,
         degree_prime=pullback_degree(m, k), lrange=(lo, hi),
         assumptions=_base_assumptions(m, k),
         h_rows=h_rows, euler=euler,
-        completeness=_completeness_verdict(m, k, splits),
-        hyperplane=_hyperplane_section_verdict(m, k, splits),
+        completeness=completeness_verdict(m, k),
+        hyperplane=hyperplane_section_verdict(m, k),
         ideal_rows=ideal_rows, dualizing_rows=dualizing_rows)

@@ -154,13 +154,25 @@ def splitting_universal(n: int, k: int, l: int) -> SplittingType:
 
     A table above MAX_BOX_COEFFS coefficients or MAX_BOX_BYTES bytes, or
     a rank k^n with more digits than the interpreter prints, is an
-    InputError raised before any work.
+    InputError raised before any work.  These checks run on every call,
+    since the digit limit is process state; the splittings themselves are
+    computed once per process and shared, the SPLITTING_CACHE_SIZE most
+    recently used kept.
     """
     if n < 1:
         raise InputError(f"n must be >= 1, got {n}")
     if k < 1:
         raise InputError(f"k must be >= 1, got {k}")
     _refuse_oversized(n, k)
+    return _splitting(n, k, l)
+
+
+# Splittings kept by _splitting; one at (n, k) = (2000, 50) holds 176 KiB.
+SPLITTING_CACHE_SIZE = 256
+
+
+@lru_cache(maxsize=SPLITTING_CACHE_SIZE)
+def _splitting(n: int, k: int, l: int) -> SplittingType:
     counts = _box_counts(n + 1, k)
     top = (k - 1) * (n + 1)
     pairs = []

@@ -17,7 +17,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import InputError, MissingDataError, TableRangeError
+from .errors import InputError, MissingDataError, TableRangeError, \
+    read_input_file
 from .polyring import graded_dim
 
 
@@ -405,12 +406,7 @@ def parse_table(text: str, source: str = "<string>") -> tuple[ExplicitTable, dic
 
 
 def load_custom_table(path: str) -> ModelVariety:
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            text = handle.read()
-    except OSError as exc:
-        raise InputError(f"cannot read table file: {exc}") from None
-    table, flags = parse_table(text, source=path)
+    table, flags = parse_table(read_input_file(path, "table"), source=path)
     return ModelVariety(f"table:{path}", table,
                         smooth_general_position=flags["general_position"])
 

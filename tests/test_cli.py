@@ -204,12 +204,12 @@ def test_split_integrity_exit_code(capsys, monkeypatch):
 
 
 def test_pullback_rows_checked_against_the_pulled_back_ci(capsys, monkeypatch):
-    real = pullback._pushforward
+    real = pullback.pushforward_cohomology
 
-    def off_by_one(m, st, i):
-        return real(m, st, i) + (i == 0 and st.l == 1)
+    def off_by_one(m, k, l, i):
+        return real(m, k, l, i) + (i == 0 and l == 1)
 
-    monkeypatch.setattr(pullback, "_pushforward", off_by_one)
+    monkeypatch.setattr(pullback, "pushforward_cohomology", off_by_one)
     with pytest.raises(IntegrityError) as exc:
         pullback.build_pullback_report(cli._parse_model("ci:2,2@4", None), 2)
     assert (exc.value.expected, exc.value.actual) == (5, 6)
@@ -543,6 +543,24 @@ def test_bad_model_specs(capsys):
     assert run(capsys, "pullback", "--model", "p\u00b2", "--k", "2")[0] == 2
     assert run(capsys, "pullback", "--model", "table:/no/such/file",
                "--k", "2")[0] == 2
+    # beyond the interpreter's int-to-str digit limit
+    for command in ("pullback", "adjoint"):
+        assert run(capsys, command, "--model", "p" + "1" * 5000,
+                   "--k", "2")[0] == 2
+
+
+@pytest.mark.parametrize("argv", (
+    ["pullback", "--model", "table:{}", "--k", "2"],
+    ["verify-endo", "--endo", "{}"],
+    ["split", "--l", "0", "--config", "{}"],
+), ids=("table", "endo", "config"))
+def test_non_utf8_input_files_are_input_errors(tmp_path, argv):
+    bad = tmp_path / "bad.in"
+    bad.write_bytes(b"n=2\n\xff\n")
+    done = run_process("-m", "pushsplit", *(a.format(bad) for a in argv))
+    assert done.returncode == 2
+    assert done.stderr.startswith(b"error: ")
+    assert b"Traceback" not in done.stderr and str(bad).encode() in done.stderr
 
 
 def test_general_position_override(capsys):

@@ -11,7 +11,7 @@ from collections import Counter
 
 import pytest
 
-from pushsplit import pullback, varieties
+from pushsplit import splitting, varieties
 from pushsplit.adjunction import surface_adjunction
 from pushsplit.errors import MissingDataError
 from pushsplit.pullback import (
@@ -245,29 +245,37 @@ def test_report_skips_unavailable_sections():
 
 @pytest.fixture
 def counted(monkeypatch):
-    """Calls of splitting_universal and of the grouped Koszul sum, by argument.
+    """Splittings computed and grouped Koszul sums evaluated, by argument.
 
+    A splitting is counted where ``splitting._splitting`` builds its
+    SplittingType, so calls answered from the cache are not counted.
     No two tables in the reports below share their degrees, so the
     Koszul terms in a sum's arguments name the table it was asked on.
-    The plane@4 table is built once per process; emptying its cache
-    counts the work of a fresh process, the build included.
+    The splitting cache and the plane@4 table are emptied first, so each
+    case counts the work of a fresh process, the table build included.
     """
+    splitting._splitting.cache_clear()
     varieties._plane_table.cache_clear()
     calls = Counter()
-    splitting_universal, koszul_sum = (pullback.splitting_universal,
-                                       varieties._koszul_sum)
+    splitting_type, koszul_sum = splitting.SplittingType, varieties._koszul_sum
 
-    def counted_splitting(n, k, l):
+    def counted_splitting(n, k, l, multiplicities):
         calls["splitting", n, k, l] += 1
-        return splitting_universal(n, k, l)
+        return splitting_type(n, k, l, multiplicities)
 
     def counted_sum(n, terms, t):
         calls["koszul", n, terms, t] += 1
         return koszul_sum(n, terms, t)
 
-    monkeypatch.setattr(pullback, "splitting_universal", counted_splitting)
+    monkeypatch.setattr(splitting, "SplittingType", counted_splitting)
     monkeypatch.setattr(varieties, "_koszul_sum", counted_sum)
     return calls
+
+
+def pullback_then_adjoint():
+    ci23 = complete_intersection(4, (2, 3))
+    build_pullback_report(ci23, 3)
+    surface_adjunction(ci23, 3)
 
 
 @pytest.mark.parametrize("build", (
@@ -275,7 +283,9 @@ def counted(monkeypatch):
     lambda: build_pullback_report(plane_in_p4(), 3),
     lambda: surface_adjunction(plane_in_p4(), 2),
     lambda: surface_adjunction(complete_intersection(4, (2, 3)), 3),
-), ids=("pullback_ci33", "pullback_plane", "adjoint_plane", "adjoint_ci23"))
+    pullback_then_adjoint,
+), ids=("pullback_ci33", "pullback_plane", "adjoint_plane", "adjoint_ci23",
+        "pullback_then_adjoint_ci23"))
 def test_each_splitting_and_koszul_value_is_computed_once(counted, build):
     build()
     assert {key[0] for key in counted} == {"splitting", "koszul"}

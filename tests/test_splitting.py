@@ -9,6 +9,9 @@ import functools
 import itertools
 import math
 import random
+import runpy
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -28,9 +31,11 @@ from pushsplit.polyring import graded_dim, parse_form
 from pushsplit.pullback import dualizing_cohomology
 from pushsplit.splitting import (
     MAX_BOX_COEFFS,
+    SPLITTING_CACHE_SIZE,
     HilbertCheckReport,
     SplittingType,
     _box_counts,
+    _splitting,
     delta,
     hilbert_check,
     splitting_from_endo,
@@ -121,6 +126,38 @@ def test_digit_limit_follows_the_interpreter(monkeypatch):
     assert splitting_universal(3, 9, 0).rank == 729
     with pytest.raises(InputError):
         splitting_universal(3, 10, 0)
+
+
+def test_splitting_cache_is_bounded():
+    _splitting.cache_clear()
+    for l in [*range(-300, 301)] * 2:
+        assert splitting_universal(4, 3, l).as_dict() == \
+            oracle_multiplicities(4, 3, l), l
+        assert _splitting.cache_info().currsize <= SPLITTING_CACHE_SIZE
+    assert _splitting.cache_info().currsize == SPLITTING_CACHE_SIZE
+
+
+def test_refusals_are_checked_on_every_call():
+    # the digit limit is process state, so a cached splitting is no answer
+    limit = sys.get_int_max_str_digits()
+    assert splitting_universal(700, 10, 0).rank == 10 ** 700
+    cached = _splitting.cache_info()
+    try:
+        sys.set_int_max_str_digits(640)
+        with pytest.raises(InputError):
+            splitting_universal(700, 10, 0)
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert _splitting.cache_info() == cached
+
+
+def test_splitting_cache_is_not_behind_a_traced_name():
+    # bench/worker.py empties each module attribute's cache before a pass,
+    # and bench/tracer.py replaces each LAYERS function by an uncached wrapper
+    tracer = runpy.run_path(
+        str(Path(__file__).resolve().parent.parent / "bench" / "tracer.py"))
+    assert "_splitting" not in {name for _, name in tracer["LAYERS"]}
+    assert callable(_splitting.cache_clear)
 
 
 def test_delta_values():
