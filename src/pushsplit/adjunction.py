@@ -214,14 +214,16 @@ def surface_adjunction(m: ModelVariety, k: int) -> AdjunctionReport:
                "model is not the (plane, k=2) exception",
         witness={"e_prime": e_prime, "degree_prime": degree_prime},
         assumptions=assumptions)
+    # these sums refuse an oversized k before k delta_l pairs are built
+    h0_omega = dualizing_cohomology(m, k, 0, 0)
+    h0_omega_minus_h = dualizing_cohomology(m, k, 1, 0)
     return AdjunctionReport(
         model=m.name, n=m.n, k=k,
         delta_l=tuple((l, delta(m.n, k, l)) for l in range(k)),
         e_source=e, e_prime=e_prime,
         degree=m.degree, degree_prime=degree_prime,
         k_dot_h=k_dot_h, k_squared=k_squared, sectional_genus=genus,
-        h0_omega=dualizing_cohomology(m, k, 0, 0),
-        h0_omega_minus_h=dualizing_cohomology(m, k, 1, 0),
+        h0_omega=h0_omega, h0_omega_minus_h=h0_omega_minus_h,
         general_type=e_prime > 0,
         canonical_very_ample=very_ample,
         del_pezzo_exception=del_pezzo,

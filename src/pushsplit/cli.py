@@ -548,39 +548,23 @@ _COMMANDS = {
 }
 
 
-def build_parser(argv=()) -> argparse.ArgumentParser:
-    """The CLI parser.  When argv[0] names a subcommand, only that
-    subparser is built, under a metavar that lists all four, so usage
-    lines and errors read as with the full parser.  Otherwise (--help, an
-    empty argv, a bad command) every subcommand is built, with no metavar,
-    so argparse names the missing or bad subcommand ``command``."""
+@functools.lru_cache(maxsize=None)
+def build_parser() -> argparse.ArgumentParser:
+    """The CLI parser, built once per process and then reused: parsing
+    leaves the parser as it was (each call's values live in its own
+    Namespace), and help and usage are formatted when printed."""
     parser = argparse.ArgumentParser(
         prog="pushsplit",
         description="Exact splitting types of pushforwards of line bundles "
                     "under finite endomorphisms of projective space, and "
                     "the cohomology of inverse-image varieties.")
-    if argv and argv[0] in _COMMANDS:
-        names = [argv[0]]
-        subs = parser.add_subparsers(dest="command", required=True,
-                                     metavar="{" + ",".join(_COMMANDS) + "}")
-    else:
-        names = list(_COMMANDS)
-        subs = parser.add_subparsers(dest="command", required=True)
-    for name in names:
-        help_text, add_arguments, _ = _COMMANDS[name]
+    subs = parser.add_subparsers(dest="command", required=True)
+    for name, (help_text, add_arguments, _) in _COMMANDS.items():
         sub = subs.add_parser(name, help=help_text)
         sub.set_defaults(parser=sub)
         add_arguments(sub)
         _add_common(sub)
     return parser
-
-
-@functools.lru_cache(maxsize=None)
-def _command_parser(name: str) -> argparse.ArgumentParser:
-    """``build_parser([name])``, built once per process and then reused:
-    parsing leaves the parser as it was (each call's values live in its
-    own Namespace), and help and usage are formatted when printed."""
-    return build_parser([name])
 
 
 def _glue_range_values(argv: list) -> list:
@@ -599,9 +583,7 @@ def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     argv = _glue_range_values(list(argv))
-    parser = _command_parser(argv[0]) if argv and argv[0] in _COMMANDS \
-        else build_parser(argv)
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         if args.config:
             _apply_config(args, args.parser)

@@ -1,4 +1,4 @@
-"""Exact sparse integer matrices and the one rank policy of the package.
+"""Exact sparse integer matrices and the rank policy of the package.
 
 A matrix keeps its nonzero entries as coordinate (COO) triples: numpy
 arrays of row and column indices and an array of integer values, each
@@ -37,11 +37,13 @@ primes always gives such a certificate (``_prime_budget``), so there is
 no other route: a budget spent without one is a broken proof and raises
 IntegrityError.
 
-``rank_verified`` decides every rank the package reports: modular ranks
-first, stopping at the first that reaches a known upper bound on the
-rank over Q (full rank unless the caller knows a lower one), and the
-rank over Q when asked for or when the primes disagree.  It returns the
-rank together with the ranks it rests on (``RankResult``).
+``endomorphism.hilbert_function`` settles a rank itself when Macaulay's
+columns reach its known bound modulo one prime; ``rank_verified`` decides
+every other rank the package reports: modular ranks first, stopping at
+the first that reaches a known upper bound on the rank over Q (full rank
+unless the caller knows a lower one), and the rank over Q when asked for
+or when the primes disagree.  It returns the rank together with the
+ranks it rests on (``RankResult``).
 """
 
 from __future__ import annotations

@@ -6,9 +6,9 @@ tuples; within a fixed degree this agrees with graded-lex with
 y0 > y1 > ... and it is fixed once so every matrix layout is reproducible
 byte for byte.
 
-Each graded basis is one cached, read-only ``int64`` array
-(``monomial_array``), built without recursion, so any number of variables
-works; ``monomials_of_degree`` gives the same basis as tuples.
+Each graded basis is one cached (BASIS_CACHE_SIZE kept), read-only
+``int64`` array (``monomial_array``), built without recursion, so any
+number of variables works; ``monomials_of_degree`` gives it as tuples.
 
 The one piece of linear algebra built here is ``multiplication_matrix``:
 the matrix of (g_0,...,g_m) |-> sum_i f_i * g_i between graded pieces,
@@ -35,6 +35,7 @@ if TYPE_CHECKING:
     import numpy as np
 
 Monomial = tuple[int, ...]
+BASIS_CACHE_SIZE = 128  # bases kept by monomial_array
 
 
 def graded_dim(num_vars: int, degree: int) -> int:
@@ -49,7 +50,7 @@ def graded_dim(num_vars: int, degree: int) -> int:
     return math.comb(degree + num_vars - 1, num_vars - 1)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=BASIS_CACHE_SIZE)
 def monomial_array(num_vars: int, degree: int) -> np.ndarray:
     """The degree-``degree`` monomials as rows of a read-only int64 array,
     in canonical order.
@@ -77,7 +78,6 @@ def monomial_array(num_vars: int, degree: int) -> np.ndarray:
     return out
 
 
-@lru_cache(maxsize=None)
 def monomials_of_degree(num_vars: int, degree: int) -> tuple[Monomial, ...]:
     """All exponent tuples of the given degree, in canonical order."""
     return tuple(map(tuple, monomial_array(num_vars, degree).tolist()))

@@ -35,6 +35,7 @@ HYPOTHESIS_HOLDS = "HYPOTHESIS_HOLDS"
 HYPOTHESIS_FAILS = "HYPOTHESIS_FAILS"
 VERIFIED = "VERIFIED"
 K_GE_2_REASON = "requires k >= 2 (the covering must not be an automorphism)"
+MAX_TWISTS = 2 ** 16  # most twists in one report, the default -k..3k too
 
 
 def pullback_degree(m: ModelVariety, k: int) -> int:
@@ -337,11 +338,16 @@ def build_pullback_report(m: ModelVariety, k: int,
     """Assemble the full report.
 
     For a complete-intersection model every cohomology row is checked
-    against the Koszul table of X' (IntegrityError on a mismatch).
+    against the Koszul table of X' (IntegrityError on a mismatch).  More
+    than MAX_TWISTS twists are an InputError, raised before any sum.
     """
     if lrange is None:
         lrange = (-k, 3 * k)
     lo, hi = lrange
+    if hi - lo + 1 > MAX_TWISTS:
+        raise InputError(
+            f"twist range {lo}..{hi} has {hi - lo + 1} twists, above the "
+            f"limit 2**16 = {MAX_TWISTS}; choose a narrower --lrange")
     h_rows = {}
     euler = {}
     for l in range(lo, hi + 1):

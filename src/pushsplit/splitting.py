@@ -91,9 +91,11 @@ class SplittingType:
 # distinct big integers (a table is symmetric, so half of it is distinct).
 MAX_BOX_COEFFS = 2 ** 20
 MAX_BOX_BYTES = 2 ** 27
+# Tables kept by _box_counts; one at (v, k) = (2001, 50) holds 60 MiB.
+BOX_CACHE_SIZE = 64
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=BOX_CACHE_SIZE)
 def _box_counts(num_vars: int, k: int) -> tuple[int, ...]:
     """Coefficients q_0..q_top of ((1-t^k)/(1-t))^v, v = num_vars, top = v(k-1).
 

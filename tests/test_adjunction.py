@@ -8,6 +8,7 @@ k in range.
 
 import pytest
 
+from pushsplit import adjunction
 from pushsplit.adjunction import (
     CANONICAL_BIRATIONAL,
     DEL_PEZZO,
@@ -127,6 +128,15 @@ def test_adjunction_preconditions():
     two_lines = load_custom_table("tests/fixtures/two_lines_p3.table")
     with pytest.raises(InputError):
         surface_adjunction(two_lines, 2)
+
+
+def test_oversized_k_is_refused_before_the_delta_l_pairs(monkeypatch):
+    calls = []
+    monkeypatch.setattr(adjunction, "delta",
+                        lambda *args: calls.append(args) or delta(*args))
+    with pytest.raises(InputError, match="coefficients"):
+        surface_adjunction(complete_intersection(4, (2, 2)), 300000)
+    assert calls == []
 
 
 def test_genus_parity_guard():

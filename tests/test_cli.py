@@ -860,31 +860,9 @@ def test_usage_matches_golden(capsys, monkeypatch, name):
                                      if expected_err.exists() else b"")
 
 
-def subparsers(parser):
-    return next(a for a in parser._actions
-                if isinstance(a, argparse._SubParsersAction))
-
-
 def subparser(parser, command):
-    return subparsers(parser).choices[command]
-
-
-def flags(parser, command):
-    return {opt for action in subparser(parser, command)._actions
-            for opt in action.option_strings}
-
-
-def test_parser_adds_only_the_named_subcommands_arguments():
-    full = cli.build_parser()
-    assert set(subparsers(full).choices) == set(cli._COMMANDS)
-    assert flags(full, "adjoint") >= {"--model", "--k", "--out"}
-    for command in cli._COMMANDS:
-        narrow = cli.build_parser([command, "--k", "2"])
-        assert set(subparsers(narrow).choices) == {command}
-        assert flags(narrow, command) == flags(full, command)
-        assert narrow.format_usage() == full.format_usage()
-    assert flags(cli.build_parser(["--help"]), "pullback") == \
-        flags(full, "pullback")
+    return next(a for a in parser._actions if isinstance(
+        a, argparse._SubParsersAction)).choices[command]
 
 
 def run_any(capsys, argv):
@@ -912,19 +890,23 @@ def test_reused_parser_carries_nothing_between_calls(capsys, monkeypatch,
         plain,
         ["pullback", "--model", "plane@4", "--k", "2", "--csv",
          "--lrange", "-2..4", "--general-position", "false"],
+        ["--help"],
+        [],
+        ["frobnicate", "--k", "2"],
         ["pullback", "--model", "ci:2,2@4", "--k", "2"],
         ["split", "--n", "4", "--k", "2", "--l", "0", "--primes", "101"],
         plain,
     ]
-    cli._command_parser.cache_clear()
+    cli.build_parser.cache_clear()
     in_process = [run_any(capsys, argv) for argv in calls]
     fresh = [run_process("-m", "pushsplit", *argv) for argv in calls]
     assert in_process == [(p.returncode, p.stdout, p.stderr) for p in fresh]
-    assert [code for code, _, _ in in_process] == [0, 0, 2, 0, 0, 0, 2, 0]
+    assert [code for code, _, _ in in_process] == [0, 0, 2, 0, 0, 0, 2, 2, 0,
+                                                   2, 0]
 
 
 def test_help_is_formatted_when_printed(capsys, monkeypatch):
-    cli._command_parser.cache_clear()
+    cli.build_parser.cache_clear()
     monkeypatch.setenv("COLUMNS", "200")
     assert run_any(capsys, ["split", "--n", "4", "--k", "2", "--l", "0"])[0] \
         == 0
@@ -933,30 +915,19 @@ def test_help_is_formatted_when_printed(capsys, monkeypatch):
         assert run_any(capsys, USAGE_CASES[name]) == golden(name)
 
 
-def test_each_subcommand_parser_is_built_once(capsys, monkeypatch):
-    assert callable(cli._command_parser.cache_clear)
-    cli._command_parser.cache_clear()
-    built = []
-    build_parser = cli.build_parser
-
-    def counted(argv=()):
-        built.append(list(argv))
-        return build_parser(argv)
-
-    monkeypatch.setattr(cli, "build_parser", counted)
+def test_parser_is_built_once_per_process(capsys):
+    cli.build_parser.cache_clear()
     for _ in range(3):
         assert run_any(capsys, ["split", "--n", "3", "--k", "2",
                                 "--l", "1"])[0] == 0
         assert run_any(capsys, ["pullback", "--model", "p2",
                                 "--k", "2"])[0] == 0
-    assert built == [["split"], ["pullback"]]
-    cli._command_parser.cache_clear()
+    assert run_any(capsys, ["--help"])[0] == 0
+    assert run_any(capsys, ["frobnicate"])[0] == 2
+    assert cli.build_parser.cache_info().misses == 1
+    cli.build_parser.cache_clear()
     run_any(capsys, ["split", "--n", "3", "--k", "2", "--l", "1"])
-    assert len(built) == 3
-    for argv in (["--help"], ["frobnicate"], ["--help"], ["frobnicate"]):
-        assert run_any(capsys, argv)[0] in (0, 2)
-    assert built[3:] == [["--help"], ["frobnicate"], ["--help"],
-                         ["frobnicate"]]
+    assert cli.build_parser.cache_info().misses == 1
 
 
 # Argv and config files built from each subcommand's own flags, with small
@@ -995,7 +966,7 @@ def fuzz_value(name):
 # command -> each of its long flags -> whether the flag takes a value
 FUZZ_FLAGS = {command: {
     option: action.nargs != 0 for option, action in subparser(
-        cli.build_parser([command]), command)._option_string_actions.items()
+        cli.build_parser(), command)._option_string_actions.items()
     if option.startswith("--")} for command in cli._COMMANDS}
 
 

@@ -9,6 +9,7 @@ import pytest
 from oracles import monomials_by_recursion, multiply
 from pushsplit.errors import FormSyntaxError, InputError
 from pushsplit.polyring import (
+    BASIS_CACHE_SIZE,
     HomogPoly,
     graded_dim,
     monomial_array,
@@ -78,6 +79,17 @@ def test_monomial_array_is_read_only():
     with pytest.raises(ValueError):
         array[0, 0] = 7
     assert monomial_array(3, 2)[0].tolist() == [2, 0, 0]
+
+
+def test_basis_cache_is_bounded():
+    monomial_array.cache_clear()
+    keys = [(v, d) for v in (1, 2, 3) for d in range(50)]
+    assert len(keys) > BASIS_CACHE_SIZE
+    for num_vars, degree in keys:
+        assert monomials_of_degree(num_vars, degree) == \
+            monomials_by_recursion(num_vars, degree)
+        assert monomial_array.cache_info().currsize <= BASIS_CACHE_SIZE
+    assert monomial_array.cache_info().currsize == BASIS_CACHE_SIZE
 
 
 def test_basis_index_round_trip():

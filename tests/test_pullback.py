@@ -11,12 +11,14 @@ from collections import Counter
 
 import pytest
 
-from pushsplit import splitting, varieties
+from pushsplit import pullback, splitting, varieties
 from pushsplit.adjunction import surface_adjunction
-from pushsplit.errors import MissingDataError
+from pushsplit.cli import main
+from pushsplit.errors import InputError, MissingDataError
 from pushsplit.pullback import (
     HYPOTHESIS_FAILS,
     HYPOTHESIS_HOLDS,
+    MAX_TWISTS,
     NOT_APPLICABLE,
     VERIFIED,
     build_pullback_report,
@@ -241,6 +243,30 @@ def test_report_skips_unavailable_sections():
     assert p4_report.h_rows[(0, 1)] == 5
     assert p4_report.ideal_rows is None or all(
         value == 0 for value in p4_report.ideal_rows.values())
+
+
+class SumReached(Exception):
+    pass
+
+
+def test_oversized_twist_ranges_are_refused_before_any_sum(monkeypatch,
+                                                           capsys):
+    def no_sums(*args):
+        raise SumReached(args)
+
+    monkeypatch.setattr(pullback, "pushforward_cohomology", no_sums)
+    p4 = projective_space(4)
+    with pytest.raises(InputError, match=f"{MAX_TWISTS + 1} twists"):
+        build_pullback_report(p4, 2, lrange=(-3, MAX_TWISTS - 3))
+    with pytest.raises(InputError, match="--lrange"):
+        build_pullback_report(p4, MAX_TWISTS // 4)  # -k..3k: 4k + 1 twists
+    with pytest.raises(SumReached):
+        build_pullback_report(p4, 2, lrange=(1, MAX_TWISTS))
+    with pytest.raises(SumReached):
+        build_pullback_report(p4, (MAX_TWISTS - 1) // 4)
+    assert main(["pullback", "--model", "p4", "--k", "2",
+                 "--lrange", "0..100000000"]) == 2
+    assert "100000001 twists" in capsys.readouterr().err
 
 
 @pytest.fixture

@@ -30,6 +30,7 @@ from pushsplit.exactla import RankResult
 from pushsplit.polyring import graded_dim, parse_form
 from pushsplit.pullback import dualizing_cohomology
 from pushsplit.splitting import (
+    BOX_CACHE_SIZE,
     MAX_BOX_COEFFS,
     SPLITTING_CACHE_SIZE,
     HilbertCheckReport,
@@ -94,6 +95,14 @@ def test_box_counts_is_an_lru_cache():
     _box_counts(5, 4)
     info = _box_counts.cache_info()
     assert (info.hits, info.misses) == (1, 1)
+
+
+def test_box_counts_cache_is_bounded():
+    _box_counts.cache_clear()
+    for v in range(1, BOX_CACHE_SIZE + 20):
+        assert _box_counts(v, 3) == convolved_box_counts(v, 3), v
+        assert _box_counts.cache_info().currsize <= BOX_CACHE_SIZE
+    assert _box_counts.cache_info().currsize == BOX_CACHE_SIZE
 
 
 def test_large_closed_form_within_the_limits():
