@@ -2,10 +2,10 @@
 
 The pushforward of a line bundle O(lH') under a finite degree-k
 endomorphism of projective space splits as a sum of line bundles; this
-package computes the splitting exactly (closed form and cross-checking
-linear algebra), applies it to model varieties to produce cohomology
-tables for inverse images, and derives linear-completeness and adjunction
-verdicts, all in integer arithmetic.
+package computes the splitting exactly (closed form, and linear algebra
+that certifies a concrete map finite), applies it to model varieties to
+produce cohomology tables for inverse images, and derives
+linear-completeness and adjunction verdicts, all in integer arithmetic.
 """
 
 from .adjunction import AdjunctionReport, BoundCheckReport, \

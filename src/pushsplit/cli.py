@@ -356,7 +356,8 @@ def _cmd_split(args: argparse.Namespace) -> tuple[dict, int]:
         "source": source,
     }
     if endo_path is not None:
-        # splitting_from_endo raises IntegrityError when the routes disagree
+        # true by construction: splitting_from_endo returns the closed form
+        # once the map is certified finite, and refuses it otherwise
         payload["matches_closed_form"] = True
     return payload, EXIT_OK if check.passed else EXIT_INTEGRITY
 

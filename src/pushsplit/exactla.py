@@ -61,8 +61,7 @@ if TYPE_CHECKING:
     import numpy as np
 
 # Two fixed primes just above 2**20.  A silent rank drop requires the same
-# minor to vanish modulo both, which the splitting-level cross-checks would
-# additionally have to miss.
+# minor to vanish modulo both.
 DEFAULT_PRIMES = (1048583, 1048589)
 
 # rank_mod accepts primes below this.  Exactness of its float64 updates

@@ -1,8 +1,8 @@
 """Splitting types of pi_*(O_{P'}(lH')) for a degree-k endomorphism of P^n.
 
 The pushforward of a line bundle under a finite flat cover of P^n splits
-as (+)_d O(-dH)^{m_{l,d}}.  Two independent routes compute the
-multiplicities m_{l,d}:
+as (+)_d O(-dH)^{m_{l,d}}.  The multiplicities m_{l,d} come from a
+formula or from a map:
 
 * ``splitting_universal``: closed form.  The splitting type of a sum of
   line bundles is determined by its Hilbert function, which depends only
@@ -12,18 +12,14 @@ multiplicities m_{l,d}:
   (Stanley, *Enumerative Combinatorics 2*, section 6.4) and come from a
   three-term recurrence, about (n+1)(k-1)/2 big-int steps per table.
 
-* ``splitting_from_endo``: exact linear algebra on a concrete
-  endomorphism.  m_{l,d} = HF(l+kd), where HF is the Hilbert function of
-  S/(f_0, ..., f_n) (``endomorphism.hilbert_function``), the corank of
-  the multiplication matrix (+)_i S_{l+kd-k} -> S_{l+kd}.  That rank is
-  at most dim S_t - box(t), t = l+kd, where box(t) is the coefficient
-  above: a rank modulo one prime that reaches this bound is final, and
-  a finite map's ranks all reach it over Q.  A rank below its bound
-  rests on primes that agree, or on a certified rank over Q when they
-  disagree or ``exact`` is set (``exactla.rank_verified``).
-
-The second route always cross-checks against the first; a mismatch is an
-IntegrityError, never a silent preference for one side.
+* ``splitting_from_endo``: a concrete endomorphism.  m_{l,d} = HF(l+kd),
+  where HF is the Hilbert function of S/(f_0, ..., f_n)
+  (``endomorphism.hilbert_function``).  At run time the map is
+  certified finite by one rank at the socle degree
+  (``endomorphism.validate_finite``); then the forms are a regular
+  sequence, HF(t) = box(t) in every degree (Koszul; Stanley 1978), and
+  the multiplicities are the closed form's.  The per-degree ranks that
+  compare HF(l+kd) with the closed form run in the test suite.
 """
 
 from __future__ import annotations
@@ -34,7 +30,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import TYPE_CHECKING
 
-from .errors import InputError, IntegrityError
+from .errors import InputError
 from .exactla import DEFAULT_PRIMES
 from .polyring import graded_dim
 
@@ -189,36 +185,22 @@ def _splitting(n: int, k: int, l: int) -> SplittingType:
 
 def splitting_from_endo(e: Endomorphism, l: int, primes=DEFAULT_PRIMES,
                         exact: bool = False) -> SplittingType:
-    """Multiplicities m_{l,d} = HF(l+kd) of a finite map, cross-checked.
+    """Multiplicities m_{l,d} of a finite map: splitting_universal(n, k, l).
 
-    HF is read for d from -floor(l/k) up to delta(n,k,l).  A map that
-    ``validate_finite`` does not show finite is an InputError.  The result
-    is always compared with splitting_universal, and a mismatch raises
-    IntegrityError carrying both values.
+    A map that ``validate_finite`` does not show finite is an InputError.
+    A FINITE certificate shows that the forms have no common zero, so
+    they are a regular sequence and HF(t) = box(t) in every degree: the
+    splitting is the closed form's, with no further rank.
     """
     # endomorphism reads the box counts from here, so it is imported late
-    from .endomorphism import hilbert_function, validate_finite
+    from .endomorphism import validate_finite
 
     report = validate_finite(e, primes, exact)
     if not report.is_finite:
         raise InputError(
             f"endomorphism is not finite: the socle-degree test has rank "
             f"{report.rank.value}, below the required {report.required_rank}")
-    n, k = e.n, e.k
-    pairs = []
-    for d in range(-(l // k), delta(n, k, l) + 1):
-        m = hilbert_function(e, l + k * d, primes, exact)[0]
-        if m:
-            pairs.append((d, m))
-    computed = SplittingType(n, k, l, tuple(pairs))
-    expected = splitting_universal(n, k, l)
-    if computed.multiplicities != expected.multiplicities:
-        raise IntegrityError(
-            "splitting routes disagree for "
-            f"(n={n}, k={k}, l={l}): linear algebra gave "
-            f"{computed.as_dict()}, closed form gives {expected.as_dict()}",
-            expected=expected, actual=computed)
-    return computed
+    return splitting_universal(e.n, e.k, l)
 
 
 @dataclass(frozen=True)

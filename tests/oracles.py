@@ -6,8 +6,11 @@ from dense rows, ``multiply`` is the polynomial product behind
 ``multiplication_matrix``, ``monomials_by_recursion`` enumerates the
 graded basis that ``monomial_array`` holds, ``parse_form_by_scanner``
 reads a form one character at a time, as ``parse_form`` must agree with,
-and ``ci_h0_by_subsets`` walks every subset of the defining degrees, as
-the grouped Koszul terms of ``ci_h0`` and ``KoszulTable`` must agree with.
+``ci_h0_by_subsets`` walks every subset of the defining degrees, as
+the grouped Koszul terms of ``ci_h0`` and ``KoszulTable`` must agree with,
+and ``splitting_by_ranks`` reads a map's splitting off its Hilbert
+function degree by degree, as the closed form must agree with on every
+finite map.
 """
 
 import sys
@@ -15,9 +18,11 @@ from itertools import combinations
 
 import numpy as np
 
+from pushsplit.endomorphism import hilbert_function
 from pushsplit.errors import FormSyntaxError, InputError
 from pushsplit.exactla import ExactMatrix, value_array
 from pushsplit.polyring import HomogPoly, Monomial, graded_dim
+from pushsplit.splitting import delta
 
 
 def rank_bareiss(rows: list[list[int]]) -> int:
@@ -97,6 +102,18 @@ def ci_h0_by_subsets(n: int, degrees, t: int) -> int:
         for subset in combinations(degrees, size):
             total += (-1) ** size * graded_dim(n + 1, t - sum(subset))
     return total
+
+
+def splitting_by_ranks(e, l: int) -> dict[int, int]:
+    """The nonzero multiplicities m_{l,d} = HF(l+kd) of the map ``e``,
+    one ``hilbert_function`` rank per twist d from -floor(l/k) to
+    delta(n, k, l); no finiteness test."""
+    counts = {}
+    for d in range(-(l // e.k), delta(e.n, e.k, l) + 1):
+        m = hilbert_function(e, l + e.k * d)[0]
+        if m:
+            counts[d] = m
+    return counts
 
 
 class _Scanner:

@@ -721,6 +721,20 @@ def test_importing_the_cli_loads_every_traced_module():
     assert modules and [m for m in modules if m not in loaded] == []
 
 
+def test_every_traced_function_resolves_after_importing_the_cli():
+    # the tracer wraps each (module, name) of LAYERS by attribute, so a
+    # renamed or deleted function would fail every traced bench run
+    tracer = runpy.run_path(str(SRC.parent / "bench" / "tracer.py"))
+    layers = sorted(tracer["LAYERS"])
+    done = run_process("-c", "import sys, pushsplit.cli; print(["
+                       "callable(getattr(sys.modules['pushsplit.' + m], f, None))"
+                       f" for m, f in {layers!r}])")
+    assert done.returncode == 0, done.stderr
+    resolved = ast.literal_eval(done.stdout.decode())
+    assert layers and [layer for layer, ok in zip(layers, resolved)
+                       if not ok] == []
+
+
 def test_format_flags_are_exclusive():
     with pytest.raises(SystemExit) as exc:
         main(["split", "--n", "2", "--k", "2", "--l", "0", "--json", "--csv"])

@@ -11,7 +11,7 @@ import random
 
 import pytest
 
-from oracles import rank_bareiss
+from oracles import rank_bareiss, splitting_by_ranks
 from pushsplit import endomorphism
 from pushsplit.errors import InputError
 from pushsplit.endomorphism import (
@@ -243,7 +243,9 @@ def test_short_macaulay_columns_fall_back_to_the_whole_matrix(monkeypatch):
     assert full == [graded_dim(4, t) for t in (6, 7, 8, 9)]
     assert validate_finite(e).verdict == FINITE
     for l in range(7):
-        assert splitting_from_endo(e, l) == splitting_universal(3, 3, l)
+        expected = splitting_universal(3, 3, l)
+        assert splitting_by_ranks(e, l) == expected.as_dict()
+        assert splitting_from_endo(e, l) == expected
 
 
 def test_finite_verdicts_agree_with_scan():

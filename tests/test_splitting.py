@@ -17,16 +17,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
-from pushsplit.errors import InputError, IntegrityError
+from oracles import splitting_by_ranks
+from pushsplit import endomorphism
+from pushsplit.cli import main
+from pushsplit.errors import InputError
 from pushsplit.endomorphism import (
+    NOT_FINITE,
     Endomorphism,
-    FinitenessReport,
     load_endomorphism,
     power_map,
     random_endomorphism,
     validate_finite,
 )
-from pushsplit.exactla import RankResult
 from pushsplit.polyring import graded_dim, parse_form
 from pushsplit.pullback import dualizing_cohomology
 from pushsplit.splitting import (
@@ -312,33 +314,38 @@ def test_dual_multiplicities():
         dualizing_cohomology(model, 2, -1, 0)
 
 
+def from_endo_and_by_ranks(e, l):
+    """splitting_from_endo's answer, after checking that it and the
+    per-degree ranks of the map both equal the closed form."""
+    expected = splitting_universal(e.n, e.k, l)
+    st = splitting_from_endo(e, l)
+    assert st == expected
+    assert splitting_by_ranks(e, l) == expected.as_dict()
+    return st
+
+
 def test_from_endo_matches_universal_on_power_maps():
     for n, k in ((1, 2), (2, 2), (2, 3), (3, 2), (4, 2)):
         e = power_map(n, k)
         for l in range(0, k + 2):
-            st = splitting_from_endo(e, l)
-            assert st.as_dict() == splitting_universal(n, k, l).as_dict()
+            from_endo_and_by_ranks(e, l)
 
 
 def test_from_endo_negative_twist():
-    e = power_map(3, 2)
-    st = splitting_from_endo(e, 4)
+    st = from_endo_and_by_ranks(power_map(3, 2), 4)
     assert st.as_dict() == {-2: 1, -1: 6, 0: 1}
 
 
 def test_from_endo_on_fixture_endomorphism():
     e = load_endomorphism("tests/fixtures/perturbed22.endo")
     for l in (0, 1, 2):
-        assert splitting_from_endo(e, l).as_dict() == \
-            splitting_universal(2, 2, l).as_dict()
+        from_endo_and_by_ranks(e, l)
 
 
 def test_from_endo_random_endomorphisms():
     rng = random.Random(8)
     for _ in range(3):
-        e = random_endomorphism(2, 2, rng)
-        assert splitting_from_endo(e, 1).as_dict() == \
-            splitting_universal(2, 2, 1).as_dict()
+        from_endo_and_by_ranks(random_endomorphism(2, 2, rng), 1)
 
 
 def test_from_endo_requires_finiteness():
@@ -349,17 +356,53 @@ def test_from_endo_requires_finiteness():
     assert "not finite" in str(err.value)
 
 
-def test_forged_certificate_trips_integrity_check():
+def test_ranks_of_a_degenerate_map_disagree_with_the_closed_form():
+    # (y0^2, 2*y0^2) has the common zero (0 : 1), so the closed form is
+    # not its splitting: the per-degree ranks must see the difference
     forms = (parse_form("y0^2", 2), parse_form("2*y0^2", 2))
     e = Endomorphism(1, 2, forms)
-    e._finiteness.append(
-        FinitenessReport(test_degree=3, required_rank=4,
-                         rank=RankResult(((1048583, 4),)))
-    )
-    with pytest.raises(IntegrityError) as err:
-        splitting_from_endo(e, 0)
-    assert err.value.expected.as_dict() == {0: 1, 1: 1}
-    assert err.value.actual.as_dict() == {0: 1, 1: 2}
+    assert validate_finite(e).verdict == NOT_FINITE
+    assert splitting_by_ranks(e, 0) == {0: 1, 1: 2}
+    assert splitting_universal(1, 2, 0).as_dict() == {0: 1, 1: 1}
+
+
+def counting_hilbert_function(monkeypatch):
+    """The degrees of the endomorphism.hilbert_function calls made from
+    now on, each call still computed."""
+    degrees = []
+    real = endomorphism.hilbert_function
+
+    def counted(e, t, *args):
+        degrees.append(t)
+        return real(e, t, *args)
+
+    monkeypatch.setattr(endomorphism, "hilbert_function", counted)
+    return degrees
+
+
+def test_from_endo_ranks_only_the_socle_degree(monkeypatch):
+    degrees = counting_hilbert_function(monkeypatch)
+    for path, n, k in (("perturbed22.endo", 2, 2), ("dense33.endo", 3, 3)):
+        socle = (n + 1) * (k - 1) + 1
+        for l in range(-1, k + 2):
+            e = load_endomorphism(f"tests/fixtures/{path}")
+            degrees.clear()
+            splitting_from_endo(e, l)
+            assert degrees == [socle], (path, l)
+            # the FINITE report now cached on e certifies every later call
+            degrees.clear()
+            splitting_from_endo(e, l + 1)
+            assert degrees == [], (path, l)
+
+
+def test_split_of_a_nonfinite_map_exits_2_after_one_socle_rank(
+        monkeypatch, capsys):
+    degrees = counting_hilbert_function(monkeypatch)
+    code = main(["split", "--endo", "tests/fixtures/nonfinite12.endo",
+                 "--l", "0"])
+    assert code == 2
+    assert "not finite" in capsys.readouterr().err
+    assert degrees == [(1 + 1) * (2 - 1) + 1]
 
 
 def test_multiplicity_outside_support_is_zero():
