@@ -3,13 +3,14 @@
 The linear algebra on a map computes one function, the Hilbert function
 HF(t) of S/(f_0, ..., f_n) (``hilbert_function``).  HF(t) is never below
 box(t), the Hilbert function of the power map (``splitting._box_counts``),
-so each rank has the known upper bound dim S_t - box(t).  Macaulay's
-columns, one per degree-t monomial divisible by some y_i^k, are ranked
-first modulo one prime; when they fall short of the bound, the whole
-matrix is ranked by ``exactla.rank_verified``.  The forms have no common
-projective zero (are a regular sequence) exactly when HF vanishes past
-the socle degree (n+1)(k-1), so the map is finite iff HF(D) = 0 at
-D = (n+1)(k-1)+1 (``validate_finite``).
+so each rank has the known upper bound dim S_t - box(t).  Each rank is
+one elimination modulo each prime tried (``exactla.rank_verified``), led
+by Macaulay's columns, one per degree-t monomial divisible by some
+y_i^k; the other columns are brought in only when those fall short of
+the bound.  The forms have no common projective zero (are a
+regular sequence) exactly when HF vanishes past the socle degree
+(n+1)(k-1), so the map is finite iff HF(D) = 0 at D = (n+1)(k-1)+1
+(``validate_finite``).
 """
 
 from __future__ import annotations
@@ -19,8 +20,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 from .errors import InputError, read_input_file
-from .exactla import DEFAULT_PRIMES, ExactMatrix, RankResult, rank_mod, \
-    rank_verified
+from .exactla import DEFAULT_PRIMES, ExactMatrix, RankResult, rank_verified
 from .polyring import HomogPoly, graded_dim, monomial_array, \
     monomials_of_degree, multiplication_matrix, parse_form
 from .splitting import _box_counts
@@ -102,12 +102,12 @@ def hilbert_function(e: Endomorphism, t: int, primes=DEFAULT_PRIMES,
     semicontinuous in the coefficients, so no map exceeds the generic
     rank, which the power map attains (Froeberg, Math. Scand. 56, 1985).
     A modular rank never exceeds the rational one, so a modular rank that
-    reaches the bound is certified.  Macaulay's columns
-    (``_macaulay_columns``) are ranked first modulo ``primes[0]``; when
-    they reach the bound, so does the whole matrix, and that is the rank.
-    Otherwise the whole matrix is ranked by ``exactla.rank_verified``
-    with that bound.  Either way the (prime, rank) pairs reported are
-    those ``rank_verified`` gives on the whole matrix.
+    reaches the bound is certified.  The matrix is ranked once modulo
+    each prime, by ``exactla.rank_verified`` with that bound, its columns
+    renumbered so that Macaulay's (``_macaulay_columns``), as many as the
+    bound, come first and lead the elimination: the other columns are
+    brought in only when Macaulay's fall short of the bound.  The
+    (prime, rank) pairs are the whole matrix's.
     """
     import numpy as np
 
@@ -116,14 +116,11 @@ def hilbert_function(e: Endomorphism, t: int, primes=DEFAULT_PRIMES,
     box = _box_counts(v, k)
     bound = dim - (box[t] if 0 <= t < len(box) else 0)
     m = multiplication_matrix(e.forms, t - k)
-    if bound > 0 and primes:
+    if bound > 0:
         keep = _macaulay_columns(v, k, t)
-        number = np.cumsum(keep) - 1
-        cells = keep[m.col_index]
-        macaulay = ExactMatrix(m.rows, bound, m.row_index[cells],
-                               number[m.col_index[cells]], m.values[cells])
-        if rank_mod(macaulay, primes[0]) == bound:
-            return dim - bound, RankResult(((primes[0], bound),))
+        number = np.where(keep, np.cumsum(keep), bound + np.cumsum(~keep)) - 1
+        m = ExactMatrix(m.rows, m.cols, m.row_index, number[m.col_index],
+                        m.values)
     rank = rank_verified(m, primes, exact, bound)
     return dim - rank.value, rank
 

@@ -26,6 +26,15 @@ an entry takes at most one update below p**2 per pivot of its panel.
 The modular rank is a lower bound for the rational rank, with equality
 for all primes outside a finite bad set.
 
+Given a known upper bound on the rank, a modular rank lets that many
+first columns S lead: S is eliminated alone, and the other columns R
+are scattered only when the rank of S falls short of the bound.  They
+then get S's row operations, replayed in order, and what is left of
+them is eliminated: rank [S | R] = rank S + rank K R, where the rows of
+K span the left kernel of S.  S is first pruned of the rows
+holding one entry of S, whose pivots clear their columns of S alone,
+and the change they make to R is kept for that replay.
+
 Rank over Q is certified rather than eliminated: after pruning,
 left-kernel vectors of what is left are read, modulo a few primes, from
 the reduced echelon form that the same elimination gives in its reduced
@@ -37,13 +46,15 @@ primes always gives such a certificate (``_prime_budget``), so there is
 no other route: a budget spent without one is a broken proof and raises
 IntegrityError.
 
-``endomorphism.hilbert_function`` settles a rank itself when Macaulay's
-columns reach its known bound modulo one prime; ``rank_verified`` decides
-every other rank the package reports: modular ranks first, stopping at
-the first that reaches a known upper bound on the rank over Q (full rank
-unless the caller knows a lower one), and the rank over Q when asked for
-or when the primes disagree.  It returns the rank together with the
-ranks it rests on (``RankResult``).
+``rank_verified`` decides every rank the package reports: modular ranks
+first, stopping at the first that reaches a known upper bound on the
+rank over Q (full rank unless the caller knows a lower one), and the
+rank over Q when asked for or when the primes disagree.  It returns the
+rank together with the ranks it rests on (``RankResult``), and hands
+its bound to each modular rank.  ``endomorphism.hilbert_function``
+numbers Macaulay's columns first, as many as its bound, so each modular
+rank is one elimination of them, and the other columns are touched only
+when Macaulay's fall short of the bound.
 """
 
 from __future__ import annotations
@@ -58,6 +69,8 @@ from .errors import IntegrityError
 # Each function that uses numpy imports it, so that commands which never
 # build a matrix (the closed-form ones) never load it.
 if TYPE_CHECKING:
+    from collections.abc import Callable
+
     import numpy as np
 
 # Two fixed primes just above 2**20.  A silent rank drop requires the same
@@ -173,7 +186,7 @@ def rank_rational(m: ExactMatrix) -> int:
 
     if m.rows == 0 or m.cols == 0:
         return 0
-    count, rows, cols, values, n, c = _prune_singletons(
+    count, rows, cols, values, n, c, _ = _prune_singletons(
         m.row_index, m.col_index, m.values, m.rows, m.cols)
     if rows.size == 0:
         return count
@@ -200,13 +213,24 @@ def rank_rational(m: ExactMatrix) -> int:
                          f"within the prime budget of {budget}")
 
 
-def rank_mod(m: ExactMatrix, p: int) -> int:
+def rank_mod(m: ExactMatrix, p: int, bound: int | None = None) -> int:
     """Rank over Z/p; never more than the rank over Q.
 
     ``p`` must be a prime below ``PRIME_LIMIT`` (2**26), else ValueError.
     Residues are pruned of zeros and of singleton rows and columns
     (``_prune_singletons``); the rank is the pruned count plus the rank
     of the rest, which ``_rank_panels`` eliminates.
+
+    ``bound`` is a known upper bound on the rank over Q, so also on the
+    rank modulo p; a wrong one can make the result too low.  With it the
+    first ``bound`` columns lead: when some of them, and some others,
+    survive pruning, the lead ones are eliminated first, and the others
+    only when the rank is still below the bound (``_rank_lead``).  A
+    rank that reaches the bound on the lead columns is the rank.  The
+    rank is the same for every ``bound``: it does not depend on the order
+    of the columns, the other columns get exactly the products, in the
+    same order, that the lead's elimination applied, and every entry
+    keeps the bound below 2**59 of ``_eliminate``.
     """
     if not is_prime(p):
         raise ValueError(f"modulus {p} is not prime")
@@ -214,10 +238,14 @@ def rank_mod(m: ExactMatrix, p: int) -> int:
         raise ValueError(f"modulus {p} is not below the prime limit 2**26")
     if m.rows == 0 or m.cols == 0:
         return 0
-    count, rows, cols, residues, n, c = _prune_singletons(
-        m.row_index, m.col_index, _residues(m.values, p), m.rows, m.cols)
+    count, rows, cols, residues, n, c, lead = _prune_singletons(
+        m.row_index, m.col_index, _residues(m.values, p), m.rows, m.cols,
+        bound or 0)
     if rows.size == 0:
         return count
+    if 0 < lead < c:
+        return count + _rank_lead(rows, cols, residues, n, c, p, lead,
+                                  bound - count)
     return count + _echelon(rows, cols, residues, n, c, p)[0]
 
 
@@ -252,6 +280,10 @@ def rank_verified(m: ExactMatrix, primes=DEFAULT_PRIMES, exact: bool = False,
     disagree.  Otherwise the rank on which the primes agree is returned;
     it is too low only if every prime divides every nonzero minor of the
     size of the rank over Q.  Raises ValueError on an empty prime list.
+
+    ``bound`` is handed to each ``rank_mod``, so the first ``bound``
+    columns lead its elimination: that changes the work, never the rank,
+    so a caller puts first the columns likely to reach the bound.
     """
     if not primes:
         raise ValueError("at least one prime required")
@@ -259,7 +291,7 @@ def rank_verified(m: ExactMatrix, primes=DEFAULT_PRIMES, exact: bool = False,
         bound = min(m.rows, m.cols)
     modular = []
     for p in primes:
-        r = rank_mod(m, p)
+        r = rank_mod(m, p, bound)
         modular.append((p, r))
         if r == bound:
             return RankResult(tuple(modular))
@@ -272,7 +304,7 @@ def rank_verified(m: ExactMatrix, primes=DEFAULT_PRIMES, exact: bool = False,
 # internals
 
 
-def _prune_singletons(rows, cols, values, n: int, c: int):
+def _prune_singletons(rows, cols, values, n: int, c: int, lead: int = 0):
     """Prune the singleton rows and columns of an n x c COO matrix.
 
     Zero values are dropped first.  Then, until nothing changes, each row
@@ -280,9 +312,10 @@ def _prune_singletons(rows, cols, values, n: int, c: int):
     holding the only nonzero of some remaining row.  Each removal is one
     pivot: that nonzero's elimination changes only its own row or column,
     which is then discarded, so rank = count + rank of the rest over any
-    field.  Returns ``(count, rows, cols, values, n, c)``, the surviving
-    triples renumbered onto the rows and columns that still hold one, in
-    their original order.
+    field.  Returns ``(count, rows, cols, values, n, c, lead)``, the
+    surviving triples renumbered onto the rows and columns that still hold
+    one, in their original order; the returned ``lead`` counts the
+    survivors among the first ``lead`` columns.
     """
     import numpy as np
 
@@ -290,17 +323,21 @@ def _prune_singletons(rows, cols, values, n: int, c: int):
     rows, cols, values = rows[nonzero], cols[nonzero], values[nonzero]
     count = 0
     while rows.size:
+        removed = 0
         alone = np.bincount(cols, minlength=c)[cols] == 1
-        rows_out = np.zeros(n, dtype=bool)
-        rows_out[rows[alone]] = True
-        keep = ~rows_out[rows]
-        rows, cols, values = rows[keep], cols[keep], values[keep]
+        if alone.any():
+            out = np.zeros(n, dtype=bool)
+            out[rows[alone]] = True
+            removed += int(out.sum())
+            keep = ~out[rows]
+            rows, cols, values = rows[keep], cols[keep], values[keep]
         alone = np.bincount(rows, minlength=n)[rows] == 1
-        cols_out = np.zeros(c, dtype=bool)
-        cols_out[cols[alone]] = True
-        keep = ~cols_out[cols]
-        rows, cols, values = rows[keep], cols[keep], values[keep]
-        removed = int(rows_out.sum()) + int(cols_out.sum())
+        if alone.any():
+            out = np.zeros(c, dtype=bool)
+            out[cols[alone]] = True
+            removed += int(out.sum())
+            keep = ~out[cols]
+            rows, cols, values = rows[keep], cols[keep], values[keep]
         if removed == 0:
             break
         count += removed
@@ -308,10 +345,12 @@ def _prune_singletons(rows, cols, values, n: int, c: int):
     rows_left[rows] = True
     cols_left = np.zeros(c, dtype=bool)
     cols_left[cols] = True
-    rows = np.cumsum(rows_left)[rows] - 1
-    cols = np.cumsum(cols_left)[cols] - 1
-    return (count, rows, cols, values,
-            int(rows_left.sum()), int(cols_left.sum()))
+    if not rows_left.all():
+        rows = np.cumsum(rows_left)[rows] - 1
+    if not cols_left.all():
+        cols = np.cumsum(cols_left)[cols] - 1
+    return (count, rows, cols, values, int(rows_left.sum()),
+            int(cols_left.sum()), int(cols_left[:lead].sum()))
 
 
 def _residues(values: np.ndarray, p: int) -> np.ndarray:
@@ -438,22 +477,111 @@ def _annihilates(kernel: np.ndarray, rows, cols, values, c: int) -> bool:
     return True
 
 
+def _panel_width(p: int) -> int:
+    """min(64, (2**53 - p) // (p-1)**2): 64 for every p up to 11,863,279,
+    2 just below 2**26."""
+    return min(_PANEL_CAP, ((1 << 53) - p) // (p - 1) ** 2)
+
+
 def _echelon(rows, cols, residues, n: int, c: int, p: int,
              reduced: bool = False) -> tuple[int, tuple[int, ...], np.ndarray]:
     """``_rank_panels`` on residues modulo p in n x c COO arrays, scattered
     into a dense int32 array; returns the rank, the pivot columns and the
-    array.  Panels are min(64, (2**53 - p) // (p-1)**2) wide: 64 for every
-    p up to 11,863,279, 2 just below 2**26."""
+    array.  Panels are ``_panel_width(p)`` wide."""
     import numpy as np
 
     a = np.zeros((n, c), dtype=np.int32)
     a[rows, cols] = residues
-    width = min(_PANEL_CAP, ((1 << 53) - p) // (p - 1) ** 2)
-    return (*_rank_panels(a, p, width, reduced), a)
+    return (*_rank_panels(a, p, _panel_width(p), reduced), a)
 
 
-def _rank_panels(a: np.ndarray, p: int, width: int,
-                 reduced: bool = False) -> tuple[int, tuple[int, ...]]:
+def _rank_lead(rows, cols, residues, n: int, c: int, p: int, lead: int,
+               bound: int) -> int:
+    """Rank modulo p of [S | R], residues in n x c COO arrays left by
+    ``_prune_singletons``, whose first ``lead`` columns S lead; ``bound``
+    is an upper bound on that rank.
+
+    What ``_prune_lead`` leaves of S is scattered and eliminated by
+    ``_rank_panels``; R is scattered only when that leaves the rank below
+    the bound, and then gets the pruning's row operations before the
+    panels'.
+    """
+    import numpy as np
+
+    count, alive, steps, rows_s, cols_s, values_s = _prune_lead(
+        rows, cols, residues, n, lead)
+    width = _panel_width(p)
+    left = np.zeros(lead, dtype=bool)
+    left[cols_s] = True
+    a = np.zeros((int(alive.sum()), int(left.sum())), dtype=np.int32)
+    a[(np.cumsum(alive) - 1)[rows_s], (np.cumsum(left) - 1)[cols_s]] = values_s
+
+    def rest() -> np.ndarray:
+        # the rows that stay come first, in order, and are returned as a view
+        place = np.where(alive, np.cumsum(alive),
+                         len(a) + np.cumsum(~alive)) - 1
+        b = np.zeros((n, c - lead), dtype=np.int32)
+        deferred = cols >= lead
+        b[place[rows[deferred]], cols[deferred] - lead] = residues[deferred]
+        for pivots, scales, at, slot, values in steps:
+            inverses = np.array([pow(v, p - 2, p) for v in scales.tolist()])
+            targets, where = np.unique(place[at], return_inverse=True)
+            coef = np.zeros((targets.size, pivots.size), dtype=np.int64)
+            coef[where, slot] = -values * inverses[slot] % p
+            for s in range(0, pivots.size, width):
+                _update(b, targets, coef[:, s:s + width],
+                        b[place[pivots[s:s + width]]], 0, p)
+        return b[:len(a)]
+
+    return count + _rank_panels(a, p, width, rest=rest,
+                                bound=bound - count)[0]
+
+
+def _prune_lead(rows, cols, residues, n: int, lead: int):
+    """Prune the lead columns S of [S | R], residues in COO arrays left by
+    ``_prune_singletons``, of the rows holding one entry of S.
+
+    Such a row i, with entry s in column j, is a pivot (one per column):
+    row r becomes row_r - (S_rj / s) row_i, which clears column j and
+    changes no other column of S, so i and j go and only R changes.  This
+    repeats until no such row is left.  Every other row stays, even one
+    left with no entry of S: it is then a row of the left kernel of S.
+    ``_prune_singletons`` leaves each column at least two entries, and a
+    pivot takes none from another column, so no column singleton appears.
+
+    Returns the pivot count, the mask of the rows that stay, the log and
+    the entries of S left.  Per round the log holds the pivot rows, their
+    entries s, and the rows, column slots and values of the other entries
+    of their columns; no pivot of a round meets another's column.
+    """
+    import numpy as np
+
+    lead_cells = cols < lead
+    rows, cols, values = rows[lead_cells], cols[lead_cells], residues[lead_cells]
+    alive = np.ones(n, dtype=bool)
+    count, steps = 0, []
+    while rows.size:
+        alone = np.flatnonzero(np.bincount(rows, minlength=n)[rows] == 1)
+        if alone.size == 0:
+            break
+        found, first = np.unique(cols[alone], return_index=True)
+        pivots = rows[alone[first]]
+        alive[pivots] = False
+        count += found.size
+        hit = np.zeros(lead, dtype=bool)
+        hit[found] = True
+        hit = hit[cols]
+        other = hit & alive[rows]
+        steps.append((pivots, values[alone[first]], rows[other],
+                      np.searchsorted(found, cols[other]), values[other]))
+        keep = ~hit
+        rows, cols, values = rows[keep], cols[keep], values[keep]
+    return count, alive, steps, rows, cols, values
+
+
+def _rank_panels(a: np.ndarray, p: int, width: int, reduced: bool = False,
+                 rest: Callable[[], np.ndarray] | None = None,
+                 bound: int | None = None) -> tuple[int, tuple[int, ...]]:
     """Row echelon form modulo p of the residues in ``a``, in place.
 
     Returns the rank and the pivot columns.  ``a`` holds residues in
@@ -462,8 +590,9 @@ def _rank_panels(a: np.ndarray, p: int, width: int,
     on the rows of ``a[r:]`` that meet it, tracking each as a combination
     of the panel's t pivot rows.  One chunked float64 step,
     rows += coef @ pivot_rows (mod p), then applies the panel to the other
-    rows, and the pivot rows move to ``a[r:r+t]``.  Each term of that
-    product is in [0, p), so it is exact when width*(p-1)**2 + p <= 2**53.
+    rows (``_update``), and the pivot rows move to ``a[r:r+t]``.  Each
+    term of that product is in [0, p), so it is exact when
+    width*(p-1)**2 + p <= 2**53.
 
     In rank mode the step updates the rows below, right of the panel;
     the pivot rows are dropped, and the last panel is eliminated in one
@@ -472,17 +601,37 @@ def _rank_panels(a: np.ndarray, p: int, width: int,
     also gives the pivot rows their reduced form and clears the panel's
     pivot columns from the r rows above: ``a[:r]`` ends as the reduced
     echelon form, and the rows below it as zero.
+
+    Rank mode can defer columns: ``rest`` is a function returning them,
+    as many rows as ``a``, which then holds only the lead ones, and
+    ``bound`` an upper bound on the rank of both, by default the row
+    count.  Each panel stores its coefficients in place, in the columns
+    left of the step below its pivots, which rank mode never reads again,
+    and is logged.  Only when the lead columns leave the rank r below the
+    bound is ``rest`` called; its columns get the logged steps and row
+    moves, in order (``_replay``), and their rows ``[r:]`` are
+    eliminated in turn.  Those rows are K R,
+    where the rows of K span the left kernel of the lead columns S, so
+    rank [S | R] = rank S + rank K R.  The replayed products are the
+    ones the lead's steps take, with the same factors in [0, p) and the
+    same width, so they are exact for the same primes, and ``_eliminate``
+    keeps its bound of 2**59.  The last lead panel is first eliminated
+    in one call, as without deferred columns, and again with tracking
+    only when it leaves the rank below the bound.
     """
     import numpy as np
 
+    log = None if reduced or rest is None else []
     nrows, ncols = a.shape
+    goal = nrows if bound is None else min(bound, nrows)
     r, pivots = 0, []
     for c0 in range(0, ncols, width):
-        if r == nrows:
+        if r == goal:
             break
         if ncols - c0 <= width and not reduced:
             last = _eliminate(a[r:, c0:].astype(np.int64), p)
-            return r + len(last), tuple(pivots + [c0 + j for j in last])
+            if log is None or r + len(last) == goal:
+                return r + len(last), tuple(pivots + [c0 + j for j in last])
         c1 = min(c0 + width, ncols)
         w = c1 - c0
         touched = r + np.flatnonzero(a[r:, c0:c1].any(axis=1))
@@ -496,7 +645,11 @@ def _rank_panels(a: np.ndarray, p: int, width: int,
         # row i becomes row_i + sum_j coef[i, j] * pivot_j, where block
         # column w+j records pivot row j as it was before the panel
         start, targets, coef = c1, touched[t:], block[t:, w:w + t] % p
-        moved, into = np.setdiff1d(front, chosen), np.setdiff1d(chosen, front)
+        # the front rows that are not pivots, and the pivots not in front
+        inside = chosen < r + t
+        taken = np.zeros(t, dtype=bool)
+        taken[chosen[inside] - r] = True
+        moved, into = front[~taken], np.sort(chosen[~inside])
         if reduced:
             start = c0
             combos = block[:t, w:w + t] % p
@@ -509,22 +662,49 @@ def _rank_panels(a: np.ndarray, p: int, width: int,
             coef = np.concatenate([above, combos % p, coef])
             moved = np.concatenate([chosen, moved])
             into = np.concatenate([front, into])
-        if targets.size:
-            top = a[chosen, start:].astype(np.float64)
-            coef = coef.astype(np.float64)
-            step = max(1, _CHUNK_CELLS // top.shape[1])
-            for s in range(0, targets.size, step):
-                rows = targets[s:s + step]
-                update = (coef[s:s + step] @ top).astype(np.int64)
-                update += a[rows, start:]
-                np.remainder(update, p, out=update)
-                a[rows, start:] = update
+        elif log is not None:
+            a[targets, c0:c0 + t] = coef
+            log.append((c0, t, chosen, targets, moved, into))
+        _update(a, targets, coef, a[chosen, start:], start, p)
         # move the rows that the pivots displace out of a[r:r+t] (and, when
         # reduced, the pivot rows into it)
         a[into, start:] = a[moved, start:]
         pivots += [c0 + j for j in local]
         r += t
+    if log is not None and r < goal:
+        b = rest()
+        _replay(b, a, log, p)
+        more, found = _rank_panels(b[r:], p, width)
+        r, pivots = r + more, pivots + [ncols + j for j in found]
     return r, tuple(pivots)
+
+
+def _update(a: np.ndarray, targets: np.ndarray, coef: np.ndarray,
+            top: np.ndarray, start: int, p: int) -> None:
+    """a[targets, start:] += coef @ top modulo p, as float64 products of
+    about ``_CHUNK_CELLS`` cells each."""
+    import numpy as np
+
+    if targets.size == 0 or top.shape[1] == 0:
+        return
+    top = top.astype(np.float64)
+    coef = coef.astype(np.float64)
+    step = max(1, _CHUNK_CELLS // top.shape[1])
+    for s in range(0, targets.size, step):
+        rows = targets[s:s + step]
+        update = (coef[s:s + step] @ top).astype(np.int64)
+        update += a[rows, start:]
+        np.remainder(update, p, out=update)
+        a[rows, start:] = update
+
+
+def _replay(b: np.ndarray, a: np.ndarray, log: list, p: int) -> None:
+    """Give ``b`` the row operations logged while ``_rank_panels``
+    eliminated ``a`` in rank mode: each panel's step, with the
+    coefficients it stored in ``a``, then its row moves, in order."""
+    for c0, t, chosen, targets, moved, into in log:
+        _update(b, targets, a[targets, c0:c0 + t], b[chosen], 0, p)
+        b[into] = b[moved]
 
 
 def _eliminate(a: np.ndarray, p: int, width: int | None = None,

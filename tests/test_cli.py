@@ -735,6 +735,56 @@ def test_every_traced_function_resolves_after_importing_the_cli():
                        if not ok] == []
 
 
+def test_not_finite_verdict_is_one_elimination_per_prime(capsys, monkeypatch):
+    # the socle matrix is ranked once modulo each default prime, Macaulay's
+    # columns first; --exact adds the one certified rank over Q
+    calls = []
+    for name in ("rank_mod", "rank_rational"):
+        real = getattr(exactla, name)
+        spy = (lambda m, *args, real=real, name=name:
+               calls.append(name) or real(m, *args))
+        # wherever the package holds the function, as the tracer wraps it
+        for module in list(sys.modules.values()):
+            if module is not None and module.__name__.startswith("pushsplit") \
+                    and getattr(module, name, None) is real:
+                monkeypatch.setattr(module, name, spy)
+    endo = "tests/fixtures/dense33_nonfinite.endo"
+    assert run(capsys, "verify-endo", "--endo", endo)[0] == 1
+    assert calls == ["rank_mod"] * 2
+    calls.clear()
+    assert run(capsys, "verify-endo", "--endo", endo, "--exact")[0] == 1
+    assert calls == ["rank_mod"] * 2 + ["rank_rational"]
+
+
+# Runs verify-endo with bench/tracer.py installed, as a traced bench run
+# does; prints the output to stdout and the tracer's rank_mod count to
+# stderr.
+TRACED_RUN = """
+import runpy, sys
+import pushsplit.cli
+tracer = runpy.run_path(sys.argv[1])["Tracer"]()
+tracer.install()
+code = pushsplit.cli.main(sys.argv[2:])
+print(tracer.summary()["calls"].get("exactla.rank_mod", 0), file=sys.stderr)
+sys.exit(code)
+"""
+
+
+def test_traced_verify_endo_keeps_its_output():
+    # the tracer wraps rank_mod by attribute and reads its arguments, so a
+    # change to how the rank layer is called must still trace
+    argv = ["verify-endo", "--endo", "tests/fixtures/dense33_nonfinite.endo",
+            "--json"]
+    plain = run_process("-m", "pushsplit.cli", *argv, cwd=SRC.parent)
+    traced = run_process("-c", TRACED_RUN,
+                         str(SRC.parent / "bench" / "tracer.py"), *argv,
+                         cwd=SRC.parent)
+    assert (traced.returncode, plain.returncode) == (1, 1), traced.stderr
+    assert traced.stdout == plain.stdout
+    assert json.loads(plain.stdout)["verdict"] == "NOT_FINITE"
+    assert traced.stderr.decode().split() == ["2"]
+
+
 def test_format_flags_are_exclusive():
     with pytest.raises(SystemExit) as exc:
         main(["split", "--n", "2", "--k", "2", "--l", "0", "--json", "--csv"])

@@ -7,12 +7,13 @@ zero, so a FINITE verdict must never coexist with such a point.
 """
 
 import itertools
+import math
 import random
 
 import pytest
 
 from oracles import rank_bareiss, splitting_by_ranks
-from pushsplit import endomorphism
+from pushsplit import exactla
 from pushsplit.errors import InputError
 from pushsplit.endomorphism import (
     FINITE,
@@ -203,35 +204,67 @@ def test_macaulay_columns_count_the_bound(v, k):
         assert images == {a for a in monomials_of_degree(v, t) if max(a) >= k}
 
 
-def spy_on_full_ranks(monkeypatch):
-    """The row counts of the matrices, with columns, that hilbert_function
-    hands to rank_verified because Macaulay's columns fell short."""
-    sizes = []
-    real = endomorphism.rank_verified
+def spy_on_eliminations(monkeypatch):
+    """One [rows, replayed] per rank_mod call: its matrix's row count, and
+    whether the columns after Macaulay's were replayed and eliminated."""
+    calls = []
+    rank, replay = exactla.rank_mod, exactla._replay
 
-    def spy(m, *args):
-        if m.cols:
-            sizes.append(m.rows)
-        return real(m, *args)
+    def spy_rank(m, *args):
+        calls.append([m.rows, False])
+        return rank(m, *args)
 
-    monkeypatch.setattr(endomorphism, "rank_verified", spy)
-    return sizes
+    def spy_replay(*args):
+        calls[-1][1] = True
+        return replay(*args)
+
+    monkeypatch.setattr(exactla, "rank_mod", spy_rank)
+    monkeypatch.setattr(exactla, "_replay", spy_replay)
+    return calls
+
+
+def powers_of_linear_forms(rows, k):
+    """The forms (a . y)^k, one per row a."""
+    forms = []
+    for a in rows:
+        coeffs = {}
+        for b in monomials_of_degree(len(a), k):
+            c = math.factorial(k) // math.prod(math.factorial(x) for x in b)
+            c *= math.prod(x ** y for x, y in zip(a, b))
+            if c:
+                coeffs[b] = c
+        forms.append(HomogPoly.from_dict(len(a), k, coeffs))
+    return tuple(forms)
 
 
 def test_power_maps_reach_the_bound_on_macaulay_columns(monkeypatch):
-    full = spy_on_full_ranks(monkeypatch)
+    calls = spy_on_eliminations(monkeypatch)
     for n, k in ((1, 2), (2, 3), (3, 2), (3, 3), (4, 2)):
         e = power_map(n, k)
         for t in range((n + 1) * (k - 1) + 2):
             value, rank = hilbert_function(e, t)
             assert value == box(n + 1, k, t)
             assert len(rank.modular) == 1 and rank.rational is None
-    assert full == []
+    assert calls == [[graded_dim(n + 1, t), False]
+                     for n, k in ((1, 2), (2, 3), (3, 2), (3, 3), (4, 2))
+                     for t in range((n + 1) * (k - 1) + 2)]
+    # after an invertible linear change of coordinates no line of the
+    # matrix is a singleton, and Macaulay's columns still reach the bound,
+    # also below the socle degree, where it is less than the row count:
+    # one elimination of those columns, no replay
+    for rows in ([[1, 1, 0], [0, 1, 1], [1, 0, 1]],
+                 [[1, 2, 0, 0], [0, 1, 1, 0], [0, 0, 1, 1], [1, 0, 0, 1]]):
+        n = len(rows) - 1
+        e = Endomorphism(n, 3, powers_of_linear_forms(rows, 3))
+        for t in range(6, (n + 1) * 2 + 2):
+            calls.clear()
+            assert hilbert_function(e, t)[0] == box(n + 1, 3, t)
+            assert calls == [[graded_dim(n + 1, t), False]]
 
 
 def test_short_macaulay_columns_fall_back_to_the_whole_matrix(monkeypatch):
     e = load_endomorphism("tests/fixtures/dense33.endo")
-    full = spy_on_full_ranks(monkeypatch)
+    calls = spy_on_eliminations(monkeypatch)
     for t in range(10):
         m = multiplication_matrix(e.forms, t - 3)
         rows = [[0] * m.cols for _ in range(m.rows)]
@@ -240,7 +273,9 @@ def test_short_macaulay_columns_fall_back_to_the_whole_matrix(monkeypatch):
             rows[r][c] = x
         assert hilbert_function(e, t)[0] == \
             graded_dim(4, t) - rank_bareiss(rows)
-    assert full == [graded_dim(4, t) for t in (6, 7, 8, 9)]
+    # one elimination per degree; below t = 2k = 6 every column is
+    # Macaulay's, and from there on they leave rows without a pivot
+    assert calls == [[graded_dim(4, t), t >= 6] for t in range(10)]
     assert validate_finite(e).verdict == FINITE
     for l in range(7):
         expected = splitting_universal(3, 3, l)

@@ -389,10 +389,10 @@ def test_prune_singletons_removes_only_singleton_lines():
         count, left, *_ = prune(matrix(rows))
         assert (count, left.size) == (min(len(rows), len(rows[0])), 0)
     dense = random_rows(rng, 20, 25, 1.0, 1, 6)
-    count, r, c, v, n, ncols = prune(matrix(dense))
+    count, r, c, v, n, ncols, _ = prune(matrix(dense))
     assert (count, n, ncols, v.size) == (0, 20, 25, 500)
     # the fringe peels off one row a pass, from its far end; the core stays
-    count, r, c, v, n, ncols = prune(
+    count, r, c, v, n, ncols, _ = prune(
         matrix(with_fringe(rng, dense, (1,))))
     assert (count, n, ncols) == (12, 20, 25)
     assert sorted(zip(r.tolist(), c.tolist(), v.tolist())) == sorted(
@@ -403,7 +403,7 @@ def test_prune_singletons_removes_only_singleton_lines():
     shuffled = [[fringed[i][j] for j in col_order] for i in row_order]
     core_rows = [i for i, original in enumerate(row_order) if original < 20]
     core_cols = [j for j, original in enumerate(col_order) if original < 25]
-    count, r, c, v, n, ncols = prune(matrix(shuffled))
+    count, r, c, v, n, ncols, _ = prune(matrix(shuffled))
     assert (count, n, ncols) == (12, 20, 25)
     assert sorted(zip(r.tolist(), c.tolist(), v.tolist())) == sorted(
         (a, b, shuffled[i][j]) for a, i in enumerate(core_rows)
@@ -472,6 +472,58 @@ def test_certified_rank_equals_bareiss(rows):
     m = matrix(rows)
     expected = rank_bareiss(rows)
     assert rank_rational(m) == expected
+
+
+@st.composite
+def lead_cases(draw):
+    """A rank-deficient product of two random factors, with as many rows
+    as columns or fewer or more, behind ``front`` columns that singleton
+    pruning removes together with their rows; returns (rows, front)."""
+    nrows = draw(st.integers(1, 14))
+    ncols = draw(st.integers(1, 14))
+    inner = draw(st.integers(0, max(0, min(nrows, ncols) - 1)))
+    entry = st.integers(-3, 3)
+
+    def block(height, width):
+        return draw(st.lists(st.lists(entry, min_size=width, max_size=width),
+                             min_size=height, max_size=height))
+
+    left, right = block(nrows, inner), block(inner, ncols)
+    product = [[sum(x * y[j] for x, y in zip(row, right))
+                for j in range(ncols)] for row in left]
+    front = draw(st.integers(0, 3))
+    # each front row holds the only entry of its front column
+    rows = [[int(i == j) for j in range(front)] + tail
+            for i, tail in enumerate(block(front, ncols))]
+    return rows + [[0] * front + row for row in product], front
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(lead_cases())
+def test_lead_columns_change_no_rank(case):
+    rows, front = case
+    m = matrix(rows)
+    # pruning removes the first `front` columns entirely
+    assert exactla._prune_singletons(m.row_index, m.col_index, m.values,
+                                     m.rows, m.cols, front)[-1] == 0
+    # every bound at or above the rank, on which the elimination may stop
+    for p in (3, DEFAULT_PRIMES[0], TOP_PRIME):
+        expected = rank_mod(m, p)
+        bounds = range(expected, m.cols + 1)
+        assert [rank_mod(m, p, bound) for bound in bounds] == \
+            [expected] * len(bounds), p
+    # unpruned, the lead columns and the replay run panel by panel, at
+    # every split, with no bound and with the rank as the bound
+    for p, width in ((3, 2), (3, 5), (DEFAULT_PRIMES[0], 2),
+                     (DEFAULT_PRIMES[0], 5), (TOP_PRIME, 2)):
+        expected = rank_mod(m, p)
+        for lead, bound in itertools.product(range(m.cols + 1),
+                                             (None, expected)):
+            a = (np.array(rows, dtype=np.int64) % p).astype(np.int32)
+            assert exactla._rank_panels(a[:, :lead], p, width,
+                                        rest=lambda: a[:, lead:],
+                                        bound=bound)[0] == \
+                expected, (p, width, lead, bound)
 
 
 FIRST_PRIME, SECOND_PRIME = itertools.islice(exactla._certificate_primes(), 2)
