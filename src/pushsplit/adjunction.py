@@ -28,36 +28,6 @@ VERY_AMPLE = "VERY_AMPLE"
 DEL_PEZZO = "DEL_PEZZO_EXCEPTION"
 
 
-@dataclass(frozen=True)
-class BoundCheckReport:
-    """Result of checking 0 < delta_l < n+1 for every l in [0, k)."""
-
-    n: int
-    k: int
-    passed: bool
-    values: tuple[tuple[int, int], ...]
-    first_failure: int | None = None
-
-
-def delta_l_bound_check(n: int, k: int) -> BoundCheckReport:
-    """Check the twist bounds of the dualizing decomposition.
-
-    For n >= 2 the bounds are strict: 0 < delta_l < n+1 for every l in
-    [0, k).  For n = 1 the lower bound degenerates (delta_{k-1} = 0, a
-    single dual summand) and only 0 <= delta_l < n+1 is required.
-    """
-    if n < 1:
-        raise InputError(f"n must be >= 1, got {n}")
-    if k < 2:
-        raise InputError(f"bound check requires k >= 2, got {k}")
-    lower = 1 if n >= 2 else 0
-    values = tuple((l, delta(n, k, l)) for l in range(k))
-    for l, value in values:
-        if not lower <= value < n + 1:
-            return BoundCheckReport(n, k, False, values, first_failure=l)
-    return BoundCheckReport(n, k, True, values)
-
-
 def _is_plane(m: ModelVariety) -> bool:
     return m.dim == 2 and m.is_linear_pm
 
@@ -104,34 +74,6 @@ def canonical_birationality_verdict(m: ModelVariety, k: int) -> Verdict:
                "of the canonical map",
         witness={"h0_omega_Xprime_minus_H": h0, "delta_1": delta_1},
         assumptions=assumptions)
-
-
-@dataclass(frozen=True)
-class CanonicalSystemReport:
-    """Dimensions of both canonical systems and the projection inequality.
-
-    The canonical map of X' factors through pi followed by the
-    delta_0-adjoint map of X; the factoring projection is witnessed here
-    only by h^0(omega_{X'}) >= h^0(omega_X(delta_0 H)).
-    """
-
-    h0_omega_xprime: int
-    h0_omega_x_delta0: int
-    delta_0: int
-    inequality_holds: bool
-
-
-def canonical_system_dimensions(m: ModelVariety, k: int) -> CanonicalSystemReport:
-    if not m.has_dualizing:
-        raise InputError(
-            f"model {m.name} has no dualizing data; canonical system "
-            "dimensions unavailable")
-    delta_0 = delta(m.n, k, 0)
-    big = dualizing_cohomology(m, k, 0, 0)
-    small = m.h_omega(0, delta_0)
-    return CanonicalSystemReport(
-        h0_omega_xprime=big, h0_omega_x_delta0=small, delta_0=delta_0,
-        inequality_holds=big >= small)
 
 
 @dataclass(frozen=True)

@@ -126,12 +126,15 @@ def _resolve_primes(spec: str | None) -> tuple[int, ...]:
         raise InputError(f"bad prime list {spec!r}") from None
     if not primes:
         raise InputError("empty prime list")
-    for p in primes:
+    for i, p in enumerate(primes):
         if not is_prime(p):
             raise InputError(f"{p} is not prime")
         if p >= PRIME_LIMIT:
             raise InputError(
                 f"prime {p} is not below the limit 2**26 = {PRIME_LIMIT}")
+        if p in primes[:i]:
+            # a second rank modulo the same prime would pass for agreement
+            raise InputError(f"prime {p} is repeated in the prime list")
     return primes
 
 

@@ -22,7 +22,7 @@ from typing import TYPE_CHECKING
 from .errors import InputError, read_input_file
 from .exactla import DEFAULT_PRIMES, ExactMatrix, RankResult, rank_verified
 from .polyring import HomogPoly, graded_dim, monomial_array, \
-    monomials_of_degree, multiplication_matrix, parse_form
+    multiplication_matrix, parse_form
 from .splitting import _box_counts
 
 # Each function that uses numpy imports it, so that commands which never
@@ -179,7 +179,7 @@ def random_endomorphism(n: int, k: int, rng: random.Random,
     in [-2, 2]; finiteness holds with high probability and is validated,
     drawing up to 25 times.
     """
-    monos = monomials_of_degree(n + 1, k)
+    monos = [tuple(mono) for mono in monomial_array(n + 1, k).tolist()]
     for _ in range(_RANDOM_DRAWS):
         forms = []
         for i in range(n + 1):

@@ -8,7 +8,7 @@ byte for byte.
 
 Each graded basis is one cached (BASIS_CACHE_SIZE kept), read-only
 ``int64`` array (``monomial_array``), built without recursion, so any
-number of variables works; ``monomials_of_degree`` gives it as tuples.
+number of variables works.
 
 The one piece of linear algebra built here is ``multiplication_matrix``:
 the matrix of (g_0,...,g_m) |-> sum_i f_i * g_i between graded pieces,
@@ -78,11 +78,6 @@ def monomial_array(num_vars: int, degree: int) -> np.ndarray:
     return out
 
 
-def monomials_of_degree(num_vars: int, degree: int) -> tuple[Monomial, ...]:
-    """All exponent tuples of the given degree, in canonical order."""
-    return tuple(map(tuple, monomial_array(num_vars, degree).tolist()))
-
-
 @dataclass(frozen=True)
 class HomogPoly:
     """Homogeneous polynomial with integer coefficients.
@@ -122,12 +117,6 @@ class HomogPoly:
 
     def is_zero(self) -> bool:
         return not self.terms
-
-    def coeff(self, mono: Monomial) -> int:
-        for m, c in self.terms:
-            if m == mono:
-                return c
-        return 0
 
     def text(self) -> str:
         """Render in the input grammar (round-trips through parse_form)."""
@@ -183,8 +172,8 @@ def multiplication_matrix(forms, source_degree: int) -> ExactMatrix:
 
 def _product_rank(source: np.ndarray, exps: np.ndarray,
                   degree: int) -> np.ndarray:
-    """Position of each product source[j] + exps[t] in
-    monomials_of_degree(v, degree), as an array of shape
+    """Row of each product source[j] + exps[t] in
+    monomial_array(v, degree), as an array of shape
     (len(source), len(exps)).
 
     In descending lex order, the monomials before (e_0, ..., e_{v-1}) are,

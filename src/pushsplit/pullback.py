@@ -24,14 +24,13 @@ from dataclasses import dataclass, field
 
 from .errors import InputError, IntegrityError, MissingDataError, \
     TableRangeError
-from .splitting import delta, splitting_universal
+from .splitting import splitting_universal
 from .varieties import KoszulTable, ModelVariety
 
 NOT_APPLICABLE = "NOT_APPLICABLE"
 LINEARLY_COMPLETE = "LINEARLY_COMPLETE"
 NOT_LINEARLY_COMPLETE = "NOT_LINEARLY_COMPLETE"
 NONDEGENERATE = "NONDEGENERATE"
-HYPOTHESIS_HOLDS = "HYPOTHESIS_HOLDS"
 HYPOTHESIS_FAILS = "HYPOTHESIS_FAILS"
 VERIFIED = "VERIFIED"
 K_GE_2_REASON = "requires k >= 2 (the covering must not be an automorphism)"
@@ -70,12 +69,6 @@ def dualizing_cohomology(m: ModelVariety, k: int, l: int, i: int) -> int:
             f"dualizing decomposition requires 0 <= l < k, got l={l}, k={k}")
     return sum(mult * m.h_omega(i, d)
                for d, mult in splitting_universal(m.n, k, l).multiplicities)
-
-
-def euler_characteristic(m: ModelVariety, k: int, l: int) -> int:
-    """chi(O_{X'}(l)) = sum_i (-1)^i h^i(O_{X'}(l))."""
-    return sum((-1) ** i * pushforward_cohomology(m, k, l, i)
-               for i in range(m.dim + 1))
 
 
 @dataclass(frozen=True)
@@ -261,33 +254,6 @@ def hyperplane_section_verdict(m: ModelVariety, k: int) -> Verdict:
                "is linearly complete",
         witness={"h0_Yprime_1": h0_1 - h0_0,
                  "h0_Xprime_1": h0_1, "h0_Xprime": h0_0},
-        assumptions=assumptions)
-
-
-def injectivity_hypothesis_check(m: ModelVariety, k: int, j: int) -> Verdict:
-    """Check h^i(O_X(-d)) = 0 for i < j and 0 < d <= delta(n,k,0).
-
-    When it holds, restriction to a proper hyperplane section is
-    injective on cohomology in degrees below j.
-    """
-    assumptions = _base_assumptions(m, k)
-    bound = delta(m.n, k, 0)
-    for i in range(j):
-        for d in range(1, bound + 1):
-            value = m.h(i, -d)
-            if value != 0:
-                return Verdict(
-                    name="injectivity_hypothesis", status=HYPOTHESIS_FAILS,
-                    holds=False,
-                    reason=f"h^{i}(O_X({-d})) = {value} != 0",
-                    witness={"i": i, "d": d, "value": value,
-                             "delta0": bound, "j": j},
-                    assumptions=assumptions)
-    return Verdict(
-        name="injectivity_hypothesis", status=HYPOTHESIS_HOLDS, holds=True,
-        reason=f"h^i(O_X(-d)) = 0 for all i < {j}, 0 < d <= {bound}; "
-               f"restriction maps are injective on H^i for i < {j}",
-        witness={"delta0": bound, "j": j},
         assumptions=assumptions)
 
 

@@ -66,9 +66,6 @@ class SplittingType:
     def as_dict(self) -> dict[int, int]:
         return dict(self.multiplicities)
 
-    def multiplicity(self, d: int) -> int:
-        return self.as_dict().get(d, 0)
-
     @property
     def rank(self) -> int:
         """Rank of the pushforward bundle; always k^n."""

@@ -22,18 +22,6 @@ from .errors import InputError, MissingDataError, TableRangeError, \
 from .polyring import graded_dim
 
 
-def ci_h0(n: int, degrees, t: int) -> int:
-    """h^0(O_X(t)) for the complete intersection of the given degrees in P^n.
-
-    The truncated Koszul sum sum_s c_s graded_dim(n+1, t - s), where the
-    grouped terms c_s t^s expand prod_i (1 - t^{d_i}) (``_koszul_terms``).
-    For the empty degree list this is h^0(O_{P^n}(t)).
-    """
-    degrees = tuple(degrees)
-    _check_ci(n, degrees)
-    return _koszul_sum(n, _koszul_terms(degrees), t)
-
-
 def _koszul_terms(degrees: tuple) -> tuple[tuple[int, int], ...]:
     """prod_i (1 - t^{d_i}) as (shift, coefficient) pairs.
 
@@ -59,16 +47,6 @@ def _koszul_sum(n: int, terms: tuple, t: int) -> int:
     return total
 
 
-def _check_ci(n: int, degrees: tuple) -> None:
-    if n < 1:
-        raise InputError(f"n must be >= 1, got {n}")
-    if len(degrees) > n:
-        raise InputError(
-            f"at most {n} defining degrees allowed in P^{n}, got {len(degrees)}")
-    if any(d < 1 for d in degrees):
-        raise InputError(f"defining degrees must be >= 1, got {degrees}")
-
-
 class KoszulTable:
     """Cohomology of a complete intersection (or of P^n itself).
 
@@ -88,7 +66,13 @@ class KoszulTable:
 
     def __init__(self, n: int, degrees=()):
         degrees = tuple(degrees)
-        _check_ci(n, degrees)
+        if n < 1:
+            raise InputError(f"n must be >= 1, got {n}")
+        if len(degrees) > n:
+            raise InputError(f"at most {n} defining degrees allowed in "
+                             f"P^{n}, got {len(degrees)}")
+        if any(d < 1 for d in degrees):
+            raise InputError(f"defining degrees must be >= 1, got {degrees}")
         self.n = n
         self.degrees = degrees
         self.dim = n - len(degrees)
@@ -409,32 +393,3 @@ def load_custom_table(path: str) -> ModelVariety:
     table, flags = parse_table(read_input_file(path, "table"), source=path)
     return ModelVariety(f"table:{path}", table,
                         smooth_general_position=flags["general_position"])
-
-
-def dump_table(m: ModelVariety, trange: tuple[int, int]) -> str:
-    """Serialize a model's table over ``trange`` in the table file format.
-
-    hI rows are written for every i in 0..n the table can answer.
-    """
-    lo, hi = trange
-    if lo > hi:
-        raise InputError(f"empty twist range {lo}..{hi}")
-    omega = m.table.omega_twist
-    lines = [
-        f"n={m.n}",
-        f"dim={m.dim}",
-        f"degree={m.degree}",
-        f"omega_twist={'none' if omega is None else omega}",
-        f"trange={lo}..{hi}",
-        f"linear_pm={'true' if m.is_linear_pm else 'false'}",
-        f"general_position={'true' if m.smooth_general_position else 'false'}",
-    ]
-    for i in range(m.dim + 1):
-        for t in range(lo, hi + 1):
-            lines.append(f"h {i} {t} {m.h(i, t)}")
-    for i in range(m.n + 1):
-        try:
-            lines += [f"hI {i} {t} {m.hI(i, t)}" for t in range(lo, hi + 1)]
-        except MissingDataError:
-            pass
-    return "\n".join(lines) + "\n"

@@ -7,7 +7,7 @@ from dense rows, ``multiply`` is the polynomial product behind
 graded basis that ``monomial_array`` holds, ``parse_form_by_scanner``
 reads a form one character at a time, as ``parse_form`` must agree with,
 ``ci_h0_by_subsets`` walks every subset of the defining degrees, as
-the grouped Koszul terms of ``ci_h0`` and ``KoszulTable`` must agree with,
+the grouped Koszul terms of ``KoszulTable`` must agree with,
 and ``splitting_by_ranks`` reads a map's splitting off its Hilbert
 function degree by degree, as the closed form must agree with on every
 finite map.

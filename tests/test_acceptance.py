@@ -18,7 +18,7 @@ from pushsplit.pullback import (
     hyperplane_section_verdict,
     pushforward_cohomology,
 )
-from pushsplit.adjunction import delta_l_bound_check, surface_adjunction
+from pushsplit.adjunction import surface_adjunction
 from pushsplit.splitting import (
     delta,
     hilbert_check,
@@ -27,7 +27,6 @@ from pushsplit.splitting import (
 )
 from pushsplit.varieties import (
     KoszulTable,
-    ci_h0,
     complete_intersection,
     load_custom_table,
     plane_in_p4,
@@ -116,7 +115,8 @@ def test_criterion_5_hyperplane_section():
     verdict = hyperplane_section_verdict(complete_intersection(4, (2, 2)), 2)
     assert verdict.holds is True
     assert verdict.witness["h0_Yprime_1"] == 4
-    assert ci_h0(3, (4, 4), 1) == 4  # independent table of the section curve
+    # independent table of the section curve
+    assert KoszulTable(3, (4, 4)).h(0, 1) == 4
     print("PASS criterion 5: hyperplane section is linearly complete with "
           "h^0(O_Y'(1)) = 4")
 
@@ -128,9 +128,12 @@ def test_criterion_6_dualizing_numbers_and_bound():
     assert dualizing_cohomology(model, 2, 0, 0) == 35
     assert oracle.h_omega(0, -1) == 15
     assert oracle.h_omega(0, 0) == 35
+    # 0 < delta_l < n+1 for l in [0, k), with 0 <= delta_l when n = 1
     for n in range(1, 7):
         for k in range(2, 6):
-            assert delta_l_bound_check(n, k).passed, (n, k)
+            lower = 1 if n >= 2 else 0
+            assert all(lower <= delta(n, k, l) < n + 1
+                       for l in range(k)), (n, k)
     print("PASS criterion 6: dualizing dimensions 15/35 and the delta_l "
           "bound over the (n, k) grid")
 

@@ -14,12 +14,10 @@ from pushsplit.adjunction import (
     DEL_PEZZO,
     VERY_AMPLE,
     canonical_birationality_verdict,
-    canonical_system_dimensions,
-    delta_l_bound_check,
     surface_adjunction,
 )
 from pushsplit.errors import InputError, IntegrityError
-from pushsplit.pullback import NOT_APPLICABLE
+from pushsplit.pullback import NOT_APPLICABLE, dualizing_cohomology
 from pushsplit.splitting import delta
 from pushsplit.varieties import (
     ExplicitTable,
@@ -33,21 +31,13 @@ from pushsplit.varieties import (
 
 
 def test_delta_l_bound_grid():
+    # 0 < delta_l < n+1 for every l in [0, k); for n = 1 the lower bound
+    # degenerates to 0 <= delta_l (delta_{k-1} = 0, one dual summand)
     for n in range(1, 7):
         for k in range(2, 6):
-            report = delta_l_bound_check(n, k)
-            assert report.passed, (n, k, report)
-            assert len(report.values) == k
-            for l, value in report.values:
-                assert value == delta(n, k, l)
-                assert value < n + 1
-                if n >= 2:
-                    assert value > 0
-
-
-def test_delta_l_bound_rejects_k_one():
-    with pytest.raises(InputError):
-        delta_l_bound_check(3, 1)
+            lower = 1 if n >= 2 else 0
+            assert all(lower <= delta(n, k, l) < n + 1
+                       for l in range(k)), (n, k)
 
 
 def test_e_prime_matches_pulled_back_intersection():
@@ -192,17 +182,12 @@ def test_birationality_integrity_guard():
 
 
 def test_canonical_system_dimensions():
-    report = canonical_system_dimensions(complete_intersection(4, (2, 2)), 2)
-    assert report.h0_omega_xprime == 35
-    assert report.delta_0 == 2
-    assert report.h0_omega_x_delta0 == 5  # h^0(O_S(-1+2)) = h^0(O_S(1))
-    assert report.inequality_holds
-
-    trivial = canonical_system_dimensions(projective_space(4), 2)
-    assert trivial.h0_omega_xprime == 0
-    assert trivial.h0_omega_x_delta0 == 0
-    assert trivial.inequality_holds
-
-    quartic = load_custom_table("tests/fixtures/rational_quartic_p3.table")
-    with pytest.raises(InputError):
-        canonical_system_dimensions(quartic, 2)
+    # the canonical map of X' factors through pi and the delta_0-adjoint
+    # map of X, so h^0(omega_X') >= h^0(omega_X(delta_0))
+    assert delta(4, 2, 0) == 2
+    surface = complete_intersection(4, (2, 2))
+    # h^0(omega_S(2)) = h^0(O_S(-1+2)) = h^0(O_S(1))
+    assert (dualizing_cohomology(surface, 2, 0, 0), surface.h_omega(0, 2)) \
+        == (35, 5)
+    p4 = projective_space(4)
+    assert (dualizing_cohomology(p4, 2, 0, 0), p4.h_omega(0, 2)) == (0, 0)

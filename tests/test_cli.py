@@ -23,7 +23,7 @@ from pushsplit import cli, exactla, pullback
 from pushsplit.cli import main
 from pushsplit.errors import IntegrityError
 from pushsplit.exactla import PRIME_LIMIT, is_prime
-from pushsplit.varieties import dump_table, plane_in_p4
+from pushsplit.varieties import plane_in_p4
 
 
 def run(capsys, *argv):
@@ -371,6 +371,24 @@ def test_primes_at_or_above_the_limit_are_refused(capsys):
     assert "2**26" in err
 
 
+def test_a_repeated_prime_is_refused_before_any_rank(capsys, tmp_path,
+                                                     monkeypatch):
+    # two ranks modulo one prime would pass for two primes agreeing
+    def no_rank(*args, **kwargs):
+        raise AssertionError("a rank was computed")
+
+    monkeypatch.setattr(exactla, "rank_mod", no_rank)
+    config = tmp_path / "primes.cfg"
+    config.write_text("primes = 101,103,101\n")
+    endo = ["--endo", "tests/fixtures/nonfinite12.endo"]
+    for argv in (["verify-endo", *endo, "--primes", "101,101"],
+                 ["verify-endo", *endo, "--config", str(config)],
+                 ["split", *endo, "--l", "0", "--primes", "101,101"]):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert "prime 101 is repeated" in err
+
+
 def test_verify_endo_disagreeing_primes_escalate(capsys):
     code, out, _ = run(capsys, "verify-endo", "--endo",
                        "tests/fixtures/disagree23.endo", "--primes", "2,3",
@@ -519,7 +537,11 @@ def test_table_contradicting_its_degree_is_refused(capsys, tmp_path):
     # a degree-1 table is a linear P^m, so the Del Pezzo exception and the
     # canonical-birationality exclusion read one rule; a linear_pm header
     # that denies it is an input error
-    text = dump_table(plane_in_p4(), (-20, 20))
+    plane = plane_in_p4()
+    text = "".join(["n=4\ndim=2\ndegree=1\nomega_twist=-3\ntrange=-5..5\n"
+                    "linear_pm=true\ngeneral_position=true\n"]
+                   + [f"h {i} {t} {plane.h(i, t)}\n"
+                      for i in range(3) for t in range(-5, 6)])
     table = tmp_path / "plane.table"
     table.write_text(text)
     model = ["adjoint", "--model", f"table:{table}", "--k", "3"]

@@ -12,7 +12,7 @@ import random
 
 import pytest
 
-from oracles import rank_bareiss, splitting_by_ranks
+from oracles import monomials_by_recursion, rank_bareiss, splitting_by_ranks
 from pushsplit import exactla
 from pushsplit.errors import InputError
 from pushsplit.endomorphism import (
@@ -31,7 +31,6 @@ from pushsplit.exactla import DEFAULT_PRIMES, rank_mod
 from pushsplit.polyring import (
     HomogPoly,
     graded_dim,
-    monomials_of_degree,
     multiplication_matrix,
     parse_form,
 )
@@ -198,10 +197,10 @@ def test_macaulay_columns_count_the_bound(v, k):
         assert int(keep.sum()) == graded_dim(v, t) - box(v, k, t)
         # each kept column (i, b) stands for b + k*e_i, and together they
         # are the degree-t monomials divisible by some y_i^k
-        columns = itertools.product(range(v), monomials_of_degree(v, t - k))
+        columns = itertools.product(range(v), monomials_by_recursion(v, t - k))
         images = {tuple(x + k * (j == i) for j, x in enumerate(b))
                   for c, (i, b) in enumerate(columns) if keep[c]}
-        assert images == {a for a in monomials_of_degree(v, t) if max(a) >= k}
+        assert images == {a for a in monomials_by_recursion(v, t) if max(a) >= k}
 
 
 def spy_on_eliminations(monkeypatch):
@@ -228,7 +227,7 @@ def powers_of_linear_forms(rows, k):
     forms = []
     for a in rows:
         coeffs = {}
-        for b in monomials_of_degree(len(a), k):
+        for b in monomials_by_recursion(len(a), k):
             c = math.factorial(k) // math.prod(math.factorial(x) for x in b)
             c *= math.prod(x ** y for x, y in zip(a, b))
             if c:

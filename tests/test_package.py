@@ -1,8 +1,9 @@
 """Package-wide rules: runtime checks survive -O, the exports resolve,
-numpy is imported only where the linear algebra runs, and malformed input
-files raise only InputError."""
+every public definition has a caller, numpy is imported only where the
+linear algebra runs, and malformed input files raise only InputError."""
 
 import ast
+import re
 import sys
 from pathlib import Path
 from types import ModuleType
@@ -66,6 +67,33 @@ def test_every_export_resolves():
                 and not isinstance(value, ModuleType)
                 and name not in pushsplit.__all__]
     assert unlisted == []
+
+
+def test_every_public_definition_has_a_caller():
+    # a public top-level function or class must be referenced by some other
+    # definition in the package (its own module's count: rank_verified calls
+    # rank_mod) or named in README section Python API; __init__ re-exports
+    # every name and so counts for none.  No exceptions.
+    def referenced(node):
+        return {n.id if isinstance(n, ast.Name) else
+                n.attr if isinstance(n, ast.Attribute) else n.name
+                for n in ast.walk(node)
+                if isinstance(n, (ast.Name, ast.Attribute, ast.alias))}
+
+    nodes = [(path.stem, node) for path in sorted(PACKAGE.glob("*.py"))
+             if path.name != "__init__.py"
+             for node in ast.parse(path.read_text(), str(path)).body]
+    uses = [(node, referenced(node)) for _, node in nodes]
+    readme = (PACKAGE.parents[1] / "README.md").read_text()
+    api = readme.split("\n## Python API\n", 1)[1].split("\n## ", 1)[0]
+    documented = set(re.findall(r"\w+", api))
+    unused = [f"{module}.{node.name}" for module, node in nodes
+              if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+              and not node.name.startswith("_")
+              and node.name not in documented
+              and not any(node.name in names for other, names in uses
+                          if other is not node)]
+    assert unused == []
 
 
 # Pieces of the three file grammars, with numbers that are empty, signed,

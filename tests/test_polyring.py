@@ -13,7 +13,6 @@ from pushsplit.polyring import (
     HomogPoly,
     graded_dim,
     monomial_array,
-    monomials_of_degree,
     multiplication_matrix,
     parse_form,
 )
@@ -29,7 +28,7 @@ def add(p, q):
 
 
 def random_poly(rng, num_vars, degree):
-    monos = monomials_of_degree(num_vars, degree)
+    monos = monomials_by_recursion(num_vars, degree)
     terms = {m: rng.randrange(-3, 4) for m in rng.sample(monos, k=min(3, len(monos)))}
     poly = HomogPoly.from_dict(num_vars, degree, terms)
     if poly.is_zero():
@@ -50,12 +49,11 @@ def test_graded_dim_matches_binomial():
 def test_monomials_enumeration():
     for num_vars in (1, 2, 3, 4):
         for degree in (0, 1, 2, 3):
-            monos = monomials_of_degree(num_vars, degree)
+            monos = monomial_array(num_vars, degree).tolist()
             assert len(monos) == graded_dim(num_vars, degree)
             assert all(len(m) == num_vars and sum(m) == degree for m in monos)
-            assert list(monos) == sorted(monos, reverse=True)
-    assert monomials_of_degree(3, 2)[0] == (2, 0, 0)
-    assert monomials_of_degree(3, 2)[-1] == (0, 0, 2)
+            assert monos == sorted(monos, reverse=True)
+    assert monomial_array(3, 2)[[0, -1]].tolist() == [[2, 0, 0], [0, 0, 2]]
 
 
 def test_monomial_array_matches_recursive_enumeration():
@@ -66,7 +64,6 @@ def test_monomial_array_matches_recursive_enumeration():
             assert array.dtype == np.int64
             assert array.shape == (len(expected), num_vars)
             assert [tuple(row) for row in array.tolist()] == list(expected)
-            assert monomials_of_degree(num_vars, degree) == expected
     assert monomial_array(1, 5).tolist() == [[5]]
     assert monomial_array(1, -1).shape == (0, 1)
     assert monomial_array(4, -3).shape == (0, 4)
@@ -86,14 +83,14 @@ def test_basis_cache_is_bounded():
     keys = [(v, d) for v in (1, 2, 3) for d in range(50)]
     assert len(keys) > BASIS_CACHE_SIZE
     for num_vars, degree in keys:
-        assert monomials_of_degree(num_vars, degree) == \
-            monomials_by_recursion(num_vars, degree)
+        assert [tuple(row) for row in monomial_array(num_vars, degree)
+                .tolist()] == list(monomials_by_recursion(num_vars, degree))
         assert monomial_array.cache_info().currsize <= BASIS_CACHE_SIZE
     assert monomial_array.cache_info().currsize == BASIS_CACHE_SIZE
 
 
 def test_basis_index_round_trip():
-    basis = monomials_of_degree(4, 3)
+    basis = monomial_array(4, 3).tolist()
     assert len(basis) == graded_dim(4, 3)
     for i, mono in enumerate(basis):
         assert basis.index(mono) == i
@@ -102,9 +99,7 @@ def test_basis_index_round_trip():
 def test_poly_arithmetic():
     y0_plus_y1 = HomogPoly.from_dict(2, 1, {(1, 0): 1, (0, 1): 1})
     square = multiply(y0_plus_y1, y0_plus_y1)
-    assert square.coeff((2, 0)) == 1
-    assert square.coeff((1, 1)) == 2
-    assert square.coeff((0, 2)) == 1
+    assert dict(square.terms) == {(2, 0): 1, (1, 1): 2, (0, 2): 1}
 
 
 def test_poly_validation():
@@ -139,7 +134,7 @@ def test_multiplication_matrix_column_convention():
     # columns grouped by form index, source monomials in basis order inside
     forms = (parse_form("y0^2", 2), parse_form("y0*y1", 2))
     m = multiplication_matrix(forms, 1)
-    basis3 = monomials_of_degree(2, 3)
+    basis3 = monomials_by_recursion(2, 3)
     # col 0 = f0 * y0 = y0^3, col 3 = f1 * y1 = y0*y1^2
     assert m.entries[basis3.index((3, 0)) * m.cols + 0] == 1
     assert m.entries[basis3.index((1, 2)) * m.cols + 3] == 1
@@ -148,8 +143,8 @@ def test_multiplication_matrix_column_convention():
 def direct_multiplication_matrix(forms, source_degree):
     """Dense rows of the multiplication matrix, one term at a time."""
     v, k = forms[0].num_vars, forms[0].degree
-    source = monomials_of_degree(v, source_degree)
-    target = monomials_of_degree(v, source_degree + k)
+    source = monomials_by_recursion(v, source_degree)
+    target = monomials_by_recursion(v, source_degree + k)
     rows = [[0] * (len(forms) * len(source)) for _ in range(len(target))]
     for i, f in enumerate(forms):
         for j, g in enumerate(source):
@@ -170,7 +165,7 @@ def test_multiplication_matrix_matches_direct_build():
     # a zero form, a one-term form beside a many-term one, and a
     # coefficient beyond int64 in a form other than f0
     dense = HomogPoly.from_dict(3, 2, {m: i + 1 for i, m in
-                                       enumerate(monomials_of_degree(3, 2))})
+                                       enumerate(monomials_by_recursion(3, 2))})
     cases += [
         [HomogPoly(3, 2, ()), parse_form("y1^2", 3), dense],
         [parse_form("y0*y2", 3), dense, HomogPoly(3, 2, ())],
@@ -190,13 +185,11 @@ def test_multiplication_matrix_matches_direct_build():
 def test_parse_form_examples():
     p = parse_form("y0^2 + 3*y1*y2", 3)
     assert p.degree == 2
-    assert p.coeff((2, 0, 0)) == 1
-    assert p.coeff((0, 1, 1)) == 3
+    assert dict(p.terms) == {(2, 0, 0): 1, (0, 1, 1): 3}
     q = parse_form("-y0^3+y1^3", 2)
-    assert q.coeff((3, 0)) == -1
-    assert q.coeff((0, 3)) == 1
+    assert dict(q.terms) == {(3, 0): -1, (0, 3): 1}
     r = parse_form("2*y0*y0*y1", 2)
-    assert r.coeff((2, 1)) == 2
+    assert dict(r.terms) == {(2, 1): 2}
     assert parse_form("  y0 \t+ y1 ", 2).degree == 1
 
 

@@ -16,21 +16,18 @@ from pushsplit.adjunction import surface_adjunction
 from pushsplit.cli import main
 from pushsplit.errors import InputError, MissingDataError
 from pushsplit.pullback import (
-    HYPOTHESIS_FAILS,
-    HYPOTHESIS_HOLDS,
     MAX_TWISTS,
     NOT_APPLICABLE,
     VERIFIED,
     build_pullback_report,
     completeness_verdict,
     dualizing_cohomology,
-    euler_characteristic,
     hyperplane_section_verdict,
     ideal_pushforward_cohomology,
-    injectivity_hypothesis_check,
     pullback_degree,
     pushforward_cohomology,
 )
+from pushsplit.splitting import delta
 from pushsplit.varieties import (
     ExplicitTable,
     KoszulTable,
@@ -84,7 +81,7 @@ def test_known_surface_values():
     assert pushforward_cohomology(model, 2, 0, 2) == 35
     assert pushforward_cohomology(model, 2, 0, 0) == 1
     assert pushforward_cohomology(model, 2, 0, 1) == 0
-    assert euler_characteristic(model, 2, 0) == 36
+    assert build_pullback_report(model, 2, (0, 0)).euler == {0: 36}
 
 
 def test_low_cohomology_is_preserved():
@@ -105,12 +102,12 @@ def test_plane_curve_genus():
     model = complete_intersection(2, (3,))
     # the inverse image is a sextic plane curve of genus 10
     assert pushforward_cohomology(model, 2, 0, 1) == 10
-    assert euler_characteristic(model, 2, 0) == -9
+    assert build_pullback_report(model, 2, (0, 0)).euler == {0: -9}
 
 
 def test_euler_growth_matches_pullback_degree():
     model = complete_intersection(4, (2, 2))
-    chi = {l: euler_characteristic(model, 2, l) for l in (9, 10, 11)}
+    chi = build_pullback_report(model, 2, (9, 11)).euler
     assert chi[11] - 2 * chi[10] + chi[9] == pullback_degree(model, 2)
 
 
@@ -196,21 +193,20 @@ def test_hyperplane_section_verdict():
 
 
 def test_injectivity_hypothesis():
-    holds = injectivity_hypothesis_check(complete_intersection(4, (2, 2)), 2, 2)
-    assert holds.status == HYPOTHESIS_HOLDS
-    assert holds.witness["delta0"] == 2
-
-    p4 = injectivity_hypothesis_check(projective_space(4), 2, 4)
-    assert p4.status == HYPOTHESIS_HOLDS
+    # restriction to a hyperplane section is injective on H^i for i < j
+    # when h^i(O_X(-d)) = 0 for i < j and 0 < d <= delta_0
+    assert delta(4, 2, 0) == 2
+    for model, j in ((complete_intersection(4, (2, 2)), 2),
+                     (projective_space(4), 4)):
+        assert all(model.h(i, -d) == 0 for i in range(j) for d in (1, 2))
 
     rows = {(0, t): (1 if t >= 0 else 0) for t in range(-5, 6)}
     rows.update({(1, t): (1 if t == -1 else 0) for t in range(-5, 6)})
     witness_table = ExplicitTable(3, 1, 2, (-5, 5), rows)
     counter = ModelVariety("counterwitness", witness_table)
-    failed = injectivity_hypothesis_check(counter, 2, 2)
-    assert failed.status == HYPOTHESIS_FAILS
-    assert failed.holds is False
-    assert (failed.witness["i"], failed.witness["d"]) == (1, 1)
+    failures = [(i, d) for i in range(2) for d in range(1, delta(3, 2, 0) + 1)
+                if counter.h(i, -d) != 0]
+    assert failures[0] == (1, 1)
 
 
 def test_report_structure():

@@ -110,7 +110,7 @@ def test_box_counts_cache_is_bounded():
 def test_large_closed_form_within_the_limits():
     st = splitting_universal(2000, 50, 0)
     assert st.rank == 50 ** 2000
-    assert st.multiplicity(0) == 1
+    assert st.as_dict()[0] == 1
 
 
 def test_oversized_closed_forms_are_refused_before_any_work():
@@ -225,7 +225,7 @@ def test_shift_law():
                 lower = splitting_universal(n, k, l)
                 upper = splitting_universal(n, k, l + k)
                 for d, m in upper.as_dict().items():
-                    assert lower.multiplicity(d + 1) == m
+                    assert lower.as_dict().get(d + 1, 0) == m
 
 
 def test_hilbert_identity():
@@ -406,9 +406,9 @@ def test_split_of_a_nonfinite_map_exits_2_after_one_socle_rank(
 
 
 def test_multiplicity_outside_support_is_zero():
+    # only the nonzero multiplicities are stored, all on [0, delta]
     st = splitting_universal(2, 2, 0)
-    assert st.multiplicity(-1) == 0
-    assert st.multiplicity(5) == 0
+    assert -1 not in st.as_dict() and 5 not in st.as_dict()
 
 
 def test_rank_sums_to_degree():

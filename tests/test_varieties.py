@@ -9,6 +9,7 @@ entry, including the ideal-sheaf rows via the restriction sequence.
 import itertools
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from oracles import ci_h0_by_subsets
@@ -20,9 +21,7 @@ from pushsplit.varieties import (
     ExplicitTable,
     KoszulTable,
     ModelVariety,
-    ci_h0,
     complete_intersection,
-    dump_table,
     load_custom_table,
     parse_table,
     plane_in_p4,
@@ -68,19 +67,6 @@ CI_CASES = (
 )
 
 
-def test_ci_h0_values():
-    assert ci_h0(4, (2, 2), 1) == 5
-    assert ci_h0(4, (2, 2), 2) == 13
-    assert ci_h0(4, (4, 4), 3) == 35
-    assert ci_h0(3, (4,), 4) == ci_h0(3, (4,), 4)
-    assert ci_h0(4, (), 2) == graded_dim(5, 2)
-    assert ci_h0(2, (1,), 3) == graded_dim(2, 3)
-    with pytest.raises(InputError):
-        ci_h0(2, (2, 2, 2), 0)
-    with pytest.raises(InputError):
-        ci_h0(2, (0,), 1)
-
-
 class SubsetTable(KoszulTable):
     """A Koszul table whose truncated sum is the subset-by-subset oracle."""
 
@@ -95,8 +81,6 @@ def test_grouped_koszul_terms_match_the_subset_sum(n):
     cases = {(), (2, 2, 2, 2), (1, 2, 3), zero_dimensional}
     twists = range(-30, 31)
     for degrees in sorted(d for d in cases if len(d) <= n):
-        for t in twists:
-            assert ci_h0(n, degrees, t) == ci_h0_by_subsets(n, degrees, t)
         table, reference = KoszulTable(n, degrees), SubsetTable(n, degrees)
         for _ in range(2):  # the second pass reads the values the first stored
             for i in range(-1, n + 2):
@@ -114,6 +98,15 @@ def test_koszul_invariants():
     assert t.h(0, 0) == 1
     assert t.h(0, -1) == 0
     assert t.h(1, 5) == 0
+    assert KoszulTable(4, (2, 2)).h(0, 1) == 5
+    assert KoszulTable(4, (2, 2)).h(0, 2) == 13
+    assert KoszulTable(4, (4, 4)).h(0, 3) == 35
+    assert KoszulTable(4).h(0, 2) == graded_dim(5, 2)
+    assert KoszulTable(2, (1,)).h(0, 3) == graded_dim(2, 3)
+    with pytest.raises(InputError):
+        KoszulTable(2, (2, 2, 2))
+    with pytest.raises(InputError):
+        KoszulTable(2, (0,))
 
 
 def test_table_chi_matches_polynomial_oracle():
@@ -266,6 +259,22 @@ def test_fixture_tables_are_consistent():
         # chi of a degree-4 rational curve is 4t+1 at every twist
         assert quartic.h(0, t) - quartic.h(1, t) == 4 * t + 1
 
+    # every row of the file reads back, no twist past trange does, and an
+    # hI index the file does not declare is missing data, not zero
+    for model in (lines, quartic):
+        for row in Path(model.name.removeprefix("table:")).read_text() \
+                .splitlines():
+            kind, *numbers = row.split("#")[0].split() or ("",)
+            if kind in ("h", "hI"):
+                i, t, value = map(int, numbers)
+                assert getattr(model, kind)(i, t) == value
+        with pytest.raises(TableRangeError):
+            model.h(0, 9)
+        with pytest.raises(TableRangeError):
+            model.hI(1, -9)
+    with pytest.raises(MissingDataError):
+        quartic.hI(0, 0)
+
 
 @pytest.mark.parametrize("model, expected", [
     (lambda: projective_space(3), (3, 3, 1, -4)),
@@ -317,32 +326,3 @@ def test_parse_table_errors():
         parse_table("n=2\ndim=0\ndegree=1\nomega_twist=abc\ntrange=0..0\n"
                     "h 0 0 1\n")
 
-
-def test_dump_table_round_trip():
-    model = complete_intersection(4, (2, 2))
-    text = dump_table(model, (-6, 6))
-    table, flags = parse_table(text)
-    rebuilt = ModelVariety(
-        "rebuilt", table,
-        smooth_general_position=flags["general_position"],
-    )
-    assert rebuilt.dim == model.dim and rebuilt.degree == model.degree
-    assert rebuilt.subcanonical_twist == model.subcanonical_twist
-    assert rebuilt.smooth_general_position == model.smooth_general_position
-    assert rebuilt.is_linear_pm == model.is_linear_pm
-    for t in range(-6, 7):
-        for i in range(model.dim + 1):
-            assert rebuilt.h(i, t) == model.h(i, t)
-        for i in range(5):
-            assert rebuilt.hI(i, t) == model.hI(i, t)
-    with pytest.raises(TableRangeError):
-        rebuilt.h(0, 7)
-
-
-def test_dump_table_keeps_partially_declared_ideal_rows():
-    quartic = load_custom_table("tests/fixtures/rational_quartic_p3.table")
-    table, _ = parse_table(dump_table(quartic, (-6, 6)))
-    for t in range(-6, 7):
-        assert table.hI(1, t) == quartic.hI(1, t)
-    with pytest.raises(MissingDataError):
-        table.hI(0, 0)
