@@ -384,7 +384,7 @@ def _cmd_verify_endo(args: argparse.Namespace) -> tuple[dict, int]:
         source = args.endo
     else:
         raise InputError("give --endo <path> or --random --n N --k K")
-    # a cached report after random_endomorphism
+    # after --random, the draw's own check, read back from its cache
     report = validate_finite(endo, primes=primes, exact=exact)
     payload = {
         "report_version": REPORT_VERSION,

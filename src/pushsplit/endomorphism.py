@@ -10,13 +10,17 @@ y_i^k; the other columns are brought in only when those fall short of
 the bound.  The forms have no common projective zero (are a
 regular sequence) exactly when HF vanishes past the socle degree
 (n+1)(k-1), so the map is finite iff HF(D) = 0 at D = (n+1)(k-1)+1
-(``validate_finite``).
+(``validate_finite``).  That verdict depends only on the map's value and
+the rank policy (the primes and ``exact``), so each process decides it
+once per key, in one bounded cache (``_finiteness_report``,
+FINITENESS_CACHE_SIZE kept).
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import lru_cache
 from typing import TYPE_CHECKING
 
 from .errors import InputError, read_input_file
@@ -32,6 +36,8 @@ if TYPE_CHECKING:
 
 FINITE = "FINITE"
 NOT_FINITE = "NOT_FINITE"
+# Reports kept by _finiteness_report; each holds its map and a few ranks.
+FINITENESS_CACHE_SIZE = 64
 
 
 @dataclass(frozen=True)
@@ -63,7 +69,6 @@ class Endomorphism:
     n: int
     k: int
     forms: tuple[HomogPoly, ...]
-    _finiteness: list = field(default_factory=list, compare=False, repr=False)
 
     def __post_init__(self):
         if self.n < 1:
@@ -153,18 +158,21 @@ def validate_finite(e: Endomorphism, primes=DEFAULT_PRIMES,
     verdict.  Otherwise the verdict is NOT_FINITE, resting on primes that
     agree and can only err by under-reporting rank.
 
-    A FINITE report is cached on ``e`` and returned whatever a later call's
-    ``primes`` or ``exact``: a full rank modulo any prime certifies it.  A
-    NOT_FINITE report is computed afresh by every call.
+    The report is computed once per process for each key: the map's
+    value (n, k and its forms) with the whole rank policy (the primes, in
+    order, and ``exact``), the FINITENESS_CACHE_SIZE most recently used
+    kept.  Both verdicts are cached, and a cached report is the one a
+    fresh process computes for the same key.
     """
-    if e._finiteness:
-        return e._finiteness[0]
+    return _finiteness_report(e, tuple(primes), bool(exact))
+
+
+@lru_cache(maxsize=FINITENESS_CACHE_SIZE)
+def _finiteness_report(e: Endomorphism, primes: tuple[int, ...],
+                       exact: bool) -> FinitenessReport:
     degree = (e.n + 1) * (e.k - 1) + 1
-    report = FinitenessReport(degree, graded_dim(e.n + 1, degree),
-                              hilbert_function(e, degree, primes, exact)[1])
-    if report.is_finite:
-        e._finiteness.append(report)
-    return report
+    return FinitenessReport(degree, graded_dim(e.n + 1, degree),
+                            hilbert_function(e, degree, primes, exact)[1])
 
 
 _RANDOM_DRAWS = 25

@@ -279,7 +279,8 @@ def rank_verified(m: ExactMatrix, primes=DEFAULT_PRIMES, exact: bool = False,
     (``rank_rational``) decides when ``exact`` is set or the primes
     disagree.  Otherwise the rank on which the primes agree is returned;
     it is too low only if every prime divides every nonzero minor of the
-    size of the rank over Q.  Raises ValueError on an empty prime list.
+    size of the rank over Q.  Raises ValueError on an empty prime list
+    and on a repeated prime, whose second rank would pass for agreement.
 
     ``bound`` is handed to each ``rank_mod``, so the first ``bound``
     columns lead its elimination: that changes the work, never the rank,
@@ -287,6 +288,8 @@ def rank_verified(m: ExactMatrix, primes=DEFAULT_PRIMES, exact: bool = False,
     """
     if not primes:
         raise ValueError("at least one prime required")
+    if len(set(primes)) < len(primes):
+        raise ValueError(f"repeated prime in {tuple(primes)}")
     if bound is None:
         bound = min(m.rows, m.cols)
     modular = []
@@ -553,30 +556,43 @@ def _prune_lead(rows, cols, residues, n: int, lead: int):
     the entries of S left.  Per round the log holds the pivot rows, their
     entries s, and the rows, column slots and values of the other entries
     of their columns; no pivot of a round meets another's column.
+
+    No round rescans S: each row keeps the count of its entries left and
+    the sum of their positions, which names the entry of a row left with
+    one, and a round subtracts the entries of the columns it removes,
+    found through a by-column order of the entries.
     """
     import numpy as np
 
     lead_cells = cols < lead
     rows, cols, values = rows[lead_cells], cols[lead_cells], residues[lead_cells]
+    # float64 sums of positions are exact: each is below lead * rows.size
+    left = np.bincount(rows, minlength=n)
+    named = np.bincount(rows, np.arange(rows.size), n).astype(np.int64)
+    by_column = np.argsort(cols, kind="stable")
+    start = np.searchsorted(cols[by_column], np.arange(lead + 1))
+    kept = np.ones(rows.size, dtype=bool)
     alive = np.ones(n, dtype=bool)
     count, steps = 0, []
-    while rows.size:
-        alone = np.flatnonzero(np.bincount(rows, minlength=n)[rows] == 1)
+    while True:
+        alone = np.sort(named[left == 1])
         if alone.size == 0:
             break
         found, first = np.unique(cols[alone], return_index=True)
         pivots = rows[alone[first]]
         alive[pivots] = False
         count += found.size
-        hit = np.zeros(lead, dtype=bool)
-        hit[found] = True
-        hit = hit[cols]
-        other = hit & alive[rows]
+        # the positions of the entries of the found columns, in order
+        sizes = start[found + 1] - start[found]
+        hit = np.sort(by_column[np.arange(sizes.sum()) + np.repeat(
+            start[found] - np.cumsum(sizes) + sizes, sizes)])
+        other = hit[alive[rows[hit]]]
         steps.append((pivots, values[alone[first]], rows[other],
                       np.searchsorted(found, cols[other]), values[other]))
-        keep = ~hit
-        rows, cols, values = rows[keep], cols[keep], values[keep]
-    return count, alive, steps, rows, cols, values
+        kept[hit] = False
+        left -= np.bincount(rows[hit], minlength=n)
+        named -= np.bincount(rows[hit], hit, n).astype(np.int64)
+    return count, alive, steps, rows[kept], cols[kept], values[kept]
 
 
 def _rank_panels(a: np.ndarray, p: int, width: int, reduced: bool = False,

@@ -6,6 +6,8 @@ from dense rows, ``multiply`` is the polynomial product behind
 ``multiplication_matrix``, ``monomials_by_recursion`` enumerates the
 graded basis that ``monomial_array`` holds, ``parse_form_by_scanner``
 reads a form one character at a time, as ``parse_form`` must agree with,
+``prune_lead_by_rescans`` rescans every entry left in each round, as
+``exactla._prune_lead`` must agree with, pivot for pivot,
 ``ci_h0_by_subsets`` walks every subset of the defining degrees, as
 the grouped Koszul terms of ``KoszulTable`` must agree with,
 and ``splitting_by_ranks`` reads a map's splitting off its Hilbert
@@ -49,6 +51,32 @@ def rank_bareiss(rows: list[list[int]]) -> int:
         prev = pivot
         r += 1
     return r
+
+
+def prune_lead_by_rescans(rows, cols, residues, n: int, lead: int):
+    """``exactla._prune_lead`` recounting each row's entries of S, and
+    filtering them, in every round."""
+    lead_cells = cols < lead
+    rows, cols, values = rows[lead_cells], cols[lead_cells], residues[lead_cells]
+    alive = np.ones(n, dtype=bool)
+    count, steps = 0, []
+    while rows.size:
+        alone = np.flatnonzero(np.bincount(rows, minlength=n)[rows] == 1)
+        if alone.size == 0:
+            break
+        found, first = np.unique(cols[alone], return_index=True)
+        pivots = rows[alone[first]]
+        alive[pivots] = False
+        count += found.size
+        hit = np.zeros(lead, dtype=bool)
+        hit[found] = True
+        hit = hit[cols]
+        other = hit & alive[rows]
+        steps.append((pivots, values[alone[first]], rows[other],
+                      np.searchsorted(found, cols[other]), values[other]))
+        keep = ~hit
+        rows, cols, values = rows[keep], cols[keep], values[keep]
+    return count, alive, steps, rows, cols, values
 
 
 def matrix(rows_list, cols: int | None = None) -> ExactMatrix:

@@ -757,9 +757,9 @@ def test_every_traced_function_resolves_after_importing_the_cli():
                        if not ok] == []
 
 
-def test_not_finite_verdict_is_one_elimination_per_prime(capsys, monkeypatch):
-    # the socle matrix is ranked once modulo each default prime, Macaulay's
-    # columns first; --exact adds the one certified rank over Q
+def spy_ranks(monkeypatch) -> list:
+    """The names of the rank_mod and rank_rational calls made from now on,
+    each call still computed."""
     calls = []
     for name in ("rank_mod", "rank_rational"):
         real = getattr(exactla, name)
@@ -770,12 +770,49 @@ def test_not_finite_verdict_is_one_elimination_per_prime(capsys, monkeypatch):
             if module is not None and module.__name__.startswith("pushsplit") \
                     and getattr(module, name, None) is real:
                 monkeypatch.setattr(module, name, spy)
+    return calls
+
+
+def test_not_finite_verdict_is_one_elimination_per_prime(capsys, monkeypatch):
+    # the socle matrix is ranked once modulo each default prime, Macaulay's
+    # columns first; --exact adds the one certified rank over Q
+    calls = spy_ranks(monkeypatch)
     endo = "tests/fixtures/dense33_nonfinite.endo"
     assert run(capsys, "verify-endo", "--endo", endo)[0] == 1
     assert calls == ["rank_mod"] * 2
     calls.clear()
     assert run(capsys, "verify-endo", "--endo", endo, "--exact")[0] == 1
     assert calls == ["rank_mod"] * 2 + ["rank_rational"]
+
+
+def test_finiteness_is_decided_once_per_map_and_policy(capsys, monkeypatch):
+    # cli.main called again in one process answers from the finiteness
+    # cache with the bytes it printed cold, and ranks nothing
+    calls = spy_ranks(monkeypatch)
+    endo = "tests/fixtures/dense33.endo"
+    series = [["verify-endo", "--endo", endo, "--json"]] + [
+        ["split", "--endo", endo, "--l", str(l), "--json"] for l in range(3)]
+    cold = [run(capsys, *argv) for argv in series]
+    assert [code for code, _, _ in cold] == [0] * 4 and calls
+    calls.clear()
+    assert [run(capsys, *argv) for argv in series] == cold
+    assert calls == []
+    # the key holds the whole rank policy: other primes are another key
+    code, out, _ = run(capsys, "verify-endo", "--endo", endo,
+                       "--primes", "101", "--json")
+    assert code == 0 and json.loads(out)["modular_ranks"][0][0] == 101
+    assert calls and calls[0] == "rank_mod"
+    # and so is --exact, which a NOT_FINITE verdict answers over Q
+    nonfinite = ["verify-endo", "--endo",
+                 "tests/fixtures/dense33_nonfinite.endo", "--json"]
+    default = run(capsys, *nonfinite)
+    exact = run(capsys, *nonfinite, "--exact")
+    calls.clear()
+    assert run(capsys, *nonfinite, "--exact") == exact
+    assert run(capsys, *nonfinite) == default
+    assert calls == []
+    assert "rational_rank" in json.loads(exact[1])
+    assert "rational_rank" not in json.loads(default[1])
 
 
 # Runs verify-endo with bench/tracer.py installed, as a traced bench run

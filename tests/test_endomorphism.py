@@ -13,7 +13,7 @@ import random
 import pytest
 
 from oracles import monomials_by_recursion, rank_bareiss, splitting_by_ranks
-from pushsplit import exactla
+from pushsplit import endomorphism, exactla
 from pushsplit.errors import InputError
 from pushsplit.endomorphism import (
     FINITE,
@@ -315,13 +315,26 @@ def test_finite_verdicts_agree_with_scan():
     assert checked == 6
 
 
-def test_random_endomorphism_is_finite_and_seeded():
-    rng = random.Random(1)
-    e = random_endomorphism(2, 2, rng)
-    # random_endomorphism's own check is cached and returned
-    [cached] = e._finiteness
-    assert cached.verdict == FINITE
-    assert validate_finite(e, primes=(101,), exact=True) is cached
+def test_random_endomorphism_is_finite_and_seeded(monkeypatch):
+    checks = []
+
+    def checked(*args, **kwargs):
+        checks.append(validate_finite(*args, **kwargs))
+        return checks[-1]
+
+    monkeypatch.setattr(endomorphism, "validate_finite", checked)
+    e = random_endomorphism(2, 2, random.Random(1))
+    ranks = []
+    monkeypatch.setattr(exactla, "rank_mod",
+                        lambda *args, real=rank_mod: ranks.append(args[1])
+                        or real(*args))
+    # the draw's own check is cached under its rank policy and returned
+    assert validate_finite(e) is checks[-1]
+    assert checks[-1].verdict == FINITE and ranks == []
+    # another policy is another key: its report names its own prime
+    report = validate_finite(e, primes=(101,), exact=True)
+    assert report.verdict == FINITE and ranks == [101]
+    assert [p for p, _ in report.rank.modular] == [101]
     again = random_endomorphism(2, 2, random.Random(1))
     assert again.forms == e.forms
 

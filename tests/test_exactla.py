@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import matrix, rank_bareiss
+from oracles import matrix, prune_lead_by_rescans, rank_bareiss
 from pushsplit import exactla
 from pushsplit.errors import IntegrityError
 from pushsplit.exactla import (
@@ -125,6 +125,16 @@ def test_rank_verified_policy(rows, primes, exact, bound, expected):
     result = rank_verified(matrix(rows), primes, exact, bound)
     assert result == expected
     assert result.value == oracle_rank(rows)
+
+
+@pytest.mark.parametrize("rows", [[[1, 2], [2, 4]], [[2, 0], [0, 3]]],
+                         ids=["below-full", "full"])
+def test_rank_verified_refuses_a_repeated_prime(rows):
+    # a second rank modulo the same prime would pass for agreement, so the
+    # list is refused before any rank, whatever the matrix
+    for primes in ((101, 101), (P, Q, P)):
+        with pytest.raises(ValueError, match="repeated prime"):
+            rank_verified(matrix(rows), primes)
 
 
 def test_random_integer_matrices_match_oracle():
@@ -524,6 +534,31 @@ def test_lead_columns_change_no_rank(case):
                                         rest=lambda: a[:, lead:],
                                         bound=bound)[0] == \
                 expected, (p, width, lead, bound)
+
+
+def test_prune_lead_logs_the_pivots_of_a_rescan():
+    # per-row counts give the same pivots, log and leftover entries, in
+    # the same order, as rescanning every entry in each round; sparse
+    # random lead blocks take several rounds
+    rng = np.random.default_rng(20261020)
+    rounds = []
+    for _ in range(40):
+        n, c = rng.integers(2, 60, size=2)
+        lead = int(rng.integers(1, c + 1))
+        mask = rng.random((n, c)) < rng.uniform(0.03, 0.3)
+        rows, cols = np.nonzero(mask)
+        order = rng.permutation(rows.size)
+        rows, cols = rows[order], cols[order]
+        values = rng.integers(1, 101, size=rows.size)
+        got = exactla._prune_lead(rows, cols, values, int(n), lead)
+        want = prune_lead_by_rescans(rows, cols, values, int(n), lead)
+        assert got[0] == want[0] and np.array_equal(got[1], want[1])
+        assert len(got[2]) == len(want[2])
+        for step, expected in zip(got[2], want[2]):
+            assert all(np.array_equal(a, b) for a, b in zip(step, expected))
+        assert all(np.array_equal(a, b) for a, b in zip(got[3:], want[3:]))
+        rounds.append(len(want[2]))
+    assert max(rounds) >= 4
 
 
 FIRST_PRIME, SECOND_PRIME = itertools.islice(exactla._certificate_primes(), 2)

@@ -22,6 +22,7 @@ from pushsplit import endomorphism
 from pushsplit.cli import main
 from pushsplit.errors import InputError
 from pushsplit.endomorphism import (
+    FINITENESS_CACHE_SIZE,
     NOT_FINITE,
     Endomorphism,
     load_endomorphism,
@@ -164,11 +165,18 @@ def test_refusals_are_checked_on_every_call():
 
 def test_splitting_cache_is_not_behind_a_traced_name():
     # bench/worker.py empties each module attribute's cache before a pass,
-    # and bench/tracer.py replaces each LAYERS function by an uncached wrapper
+    # and bench/tracer.py replaces each LAYERS function by an uncached
+    # wrapper, so each cache sits on an untraced module attribute
     tracer = runpy.run_path(
         str(Path(__file__).resolve().parent.parent / "bench" / "tracer.py"))
-    assert "_splitting" not in {name for _, name in tracer["LAYERS"]}
-    assert callable(_splitting.cache_clear)
+    traced = set(tracer["LAYERS"])
+    for module, name in (("splitting", "_splitting"),
+                         ("endomorphism", "_finiteness_report")):
+        assert (module, name) not in traced
+        cached = vars(sys.modules[f"pushsplit.{module}"])[name]
+        assert callable(cached.cache_clear)
+    assert endomorphism._finiteness_report.cache_info().maxsize == \
+        FINITENESS_CACHE_SIZE
 
 
 def test_delta_values():
@@ -385,13 +393,16 @@ def test_from_endo_ranks_only_the_socle_degree(monkeypatch):
     for path, n, k in (("perturbed22.endo", 2, 2), ("dense33.endo", 3, 3)):
         socle = (n + 1) * (k - 1) + 1
         for l in range(-1, k + 2):
+            endomorphism._finiteness_report.cache_clear()
             e = load_endomorphism(f"tests/fixtures/{path}")
             degrees.clear()
             splitting_from_endo(e, l)
             assert degrees == [socle], (path, l)
-            # the FINITE report now cached on e certifies every later call
+            # the FINITE report now cached for the map's value certifies
+            # every later call under the same policy, on any copy of the map
             degrees.clear()
-            splitting_from_endo(e, l + 1)
+            splitting_from_endo(load_endomorphism(f"tests/fixtures/{path}"),
+                                l + 1)
             assert degrees == [], (path, l)
 
 
