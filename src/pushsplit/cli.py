@@ -265,7 +265,10 @@ def _emit(rendered: str, out: str | None) -> None:
         except OSError:
             pass
         if isinstance(exc, OSError):
-            raise InputError(f"cannot write output file {out}: {exc}") from None
+            # strerror alone: the exception's text names the temp file,
+            # whose name holds the pid and so differs on every run
+            raise InputError(f"cannot write output file {out}: "
+                             f"{exc.strerror or exc}") from None
         raise
 
 

@@ -13,7 +13,10 @@ regular sequence) exactly when HF vanishes past the socle degree
 (``validate_finite``).  That verdict depends only on the map's value and
 the rank policy (the primes and ``exact``), so each process decides it
 once per key, in one bounded cache (``_finiteness_report``,
-FINITENESS_CACHE_SIZE kept).
+FINITENESS_CACHE_SIZE kept).  Likewise each process parses a map's text
+once (``_parse``, MAP_CACHE_SIZE kept, keyed by the text alone): a file
+is read again on every load, so an edited file is seen, but the same
+text returns the same Endomorphism, which that cache then finds.
 """
 
 from __future__ import annotations
@@ -38,6 +41,8 @@ FINITE = "FINITE"
 NOT_FINITE = "NOT_FINITE"
 # Reports kept by _finiteness_report; each holds its map and a few ranks.
 FINITENESS_CACHE_SIZE = 64
+# Maps kept by _parse; each holds its text and forms.
+MAP_CACHE_SIZE = 64
 
 
 @dataclass(frozen=True)
@@ -213,32 +218,49 @@ def parse_endomorphism(text: str, source: str = "<string>") -> Endomorphism:
 
     One ``key = value`` statement per line, '#' starts a comment, blank
     lines ignored.  Required statements: n, k, and all of f0..fn.  Errors
-    carry the offending line number.
+    name ``source`` and carry the offending line number.
+
+    Each process parses a text once: the map is kept in one bounded cache
+    keyed by the text alone (``_parse``, the MAP_CACHE_SIZE most recently
+    used kept), so the same text returns the same immutable Endomorphism
+    whatever its source.  Errors are raised, never cached.
     """
+    try:
+        return _parse(text)
+    except _ParseError as exc:
+        raise InputError(f"{source}{exc}") from None
+
+
+class _ParseError(InputError):
+    """An error in a map's text; its message follows the source's name."""
+
+
+@lru_cache(maxsize=MAP_CACHE_SIZE)
+def _parse(text: str) -> Endomorphism:
     statements: dict[str, tuple[str, int]] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if "=" not in line:
-            raise InputError(
-                f"{source}:{lineno}: expected 'key = value', got {line!r}")
+            raise _ParseError(
+                f":{lineno}: expected 'key = value', got {line!r}")
         key, value = (part.strip() for part in line.split("=", 1))
         if key in statements:
-            raise InputError(f"{source}:{lineno}: duplicate statement {key!r}")
+            raise _ParseError(f":{lineno}: duplicate statement {key!r}")
         statements[key] = (value, lineno)
 
     def natural(key: str) -> int:
         if key not in statements:
-            raise InputError(f"{source}: missing required statement '{key} = ...'")
+            raise _ParseError(f": missing required statement '{key} = ...'")
         value, lineno = statements[key]
         try:
             parsed = int(value)
         except ValueError:
-            raise InputError(
-                f"{source}:{lineno}: {key} must be an integer, got {value!r}") from None
+            raise _ParseError(
+                f":{lineno}: {key} must be an integer, got {value!r}") from None
         if parsed < 1:
-            raise InputError(f"{source}:{lineno}: {key} must be >= 1")
+            raise _ParseError(f":{lineno}: {key} must be >= 1")
         return parsed
 
     n = natural("n")
@@ -247,7 +269,7 @@ def parse_endomorphism(text: str, source: str = "<string>") -> Endomorphism:
     # lists of n + 1 exponents, so an n beyond the file's length is refused
     missing = next((i for i in range(n + 1) if f"f{i}" not in statements), None)
     if missing is not None:
-        raise InputError(f"{source}: missing required statement 'f{missing} = ...'")
+        raise _ParseError(f": missing required statement 'f{missing} = ...'")
     forms = []
     for i in range(n + 1):
         key = f"f{i}"
@@ -255,16 +277,16 @@ def parse_endomorphism(text: str, source: str = "<string>") -> Endomorphism:
         try:
             form = parse_form(value, n + 1)
         except InputError as exc:
-            raise InputError(f"{source}:{lineno}: {key}: {exc}") from None
+            raise _ParseError(f":{lineno}: {key}: {exc}") from None
         if form.degree != k:
-            raise InputError(
-                f"{source}:{lineno}: {key} has degree {form.degree}, expected k={k}")
+            raise _ParseError(
+                f":{lineno}: {key} has degree {form.degree}, expected k={k}")
         forms.append(form)
     extra = set(statements) - {"n", "k"} - {f"f{i}" for i in range(n + 1)}
     if extra:
         key = sorted(extra)[0]
-        raise InputError(
-            f"{source}:{statements[key][1]}: unexpected statement {key!r}")
+        raise _ParseError(
+            f":{statements[key][1]}: unexpected statement {key!r}")
     return Endomorphism(n, k, tuple(forms))
 
 

@@ -44,10 +44,12 @@ class TableRangeError(PushsplitError):
 
 
 def read_input_file(path: str, kind: str) -> str:
-    """The text of a UTF-8 input file; InputError if it cannot be read."""
+    """The text of a UTF-8 input file, without one leading byte-order
+    mark; InputError if it cannot be read."""
     try:
+        # decoded whole as UTF-8, so a bad byte's offset counts the mark
         with open(path, "r", encoding="utf-8") as handle:
-            return handle.read()
+            return handle.read().removeprefix("\ufeff")
     except OSError as exc:
         raise InputError(f"cannot read {kind} file: {exc}") from None
     except UnicodeDecodeError as exc:

@@ -1,11 +1,17 @@
-"""Every test starts with no finiteness report cached, so a test that
-counts or stubs ranks sees its own calls whatever ran before it."""
+"""Every test starts with every functools cache in pushsplit's modules
+empty, found as bench/worker.py:reset_caches finds them, so a test that
+counts or stubs ranks or parses sees its own calls whatever ran before it."""
+
+import sys
 
 import pytest
 
-from pushsplit import endomorphism
-
 
 @pytest.fixture(autouse=True)
-def _no_cached_finiteness():
-    endomorphism._finiteness_report.cache_clear()
+def _cold_caches():
+    for name, module in list(sys.modules.items()):
+        if module is not None and (name == "pushsplit"
+                                   or name.startswith("pushsplit.")):
+            for value in list(vars(module).values()):
+                if callable(getattr(value, "cache_clear", None)):
+                    value.cache_clear()

@@ -19,9 +19,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pushsplit import cli, exactla, pullback
+from pushsplit import cli, endomorphism, exactla, polyring, pullback
 from pushsplit.cli import main
-from pushsplit.errors import IntegrityError
+from pushsplit.endomorphism import load_endomorphism
+from pushsplit.errors import InputError, IntegrityError
 from pushsplit.exactla import PRIME_LIMIT, is_prime
 from pushsplit.varieties import plane_in_p4
 
@@ -684,6 +685,47 @@ def test_out_path_with_undecodable_bytes(tmp_path):
     assert (tmp_path / "o.txt").read_bytes() == shown.stdout
 
 
+def test_out_into_a_directory_prints_the_same_error_every_run(tmp_path):
+    # the error names the target and the system's reason, not the temp
+    # file beside it, whose name holds the process id
+    (tmp_path / "edge").mkdir()
+    runs = [run_process("-m", "pushsplit", "split", "--n", "2", "--k", "2",
+                        "--l", "0", "--out", "edge", cwd=tmp_path)
+            for _ in range(2)]
+    assert [done.returncode for done in runs] == [2, 2]
+    assert runs[0].stderr == runs[1].stderr == \
+        b"error: cannot write output file edge: Is a directory\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["edge"]
+    assert list((tmp_path / "edge").iterdir()) == []
+
+
+@pytest.mark.parametrize("kind, text, argv", (
+    ("endo", (SRC.parent / "tests/fixtures/dense33.endo").read_text(),
+     ["verify-endo", "--endo", "{}", "--json"]),
+    ("table", (SRC.parent / "tests/fixtures/two_lines_p3.table").read_text(),
+     ["pullback", "--model", "table:{}", "--k", "2", "--json"]),
+    ("config", "n = 2\nk = 2\nl = 1\nformat = json\n",
+     ["split", "--config", "{}"]),
+), ids=("endo", "table", "config"))
+def test_a_leading_byte_order_mark_is_dropped(capsys, tmp_path, kind, text,
+                                              argv):
+    # an editor's UTF-8 byte-order mark changes no answer; the file name
+    # is the same in both runs, since answers quote it
+    path = tmp_path / f"input.{kind}"
+    answers = []
+    for prefix in (b"", b"\xef\xbb\xbf"):
+        path.write_bytes(prefix + text.encode())
+        answers.append(run(capsys, *(a.format(path) for a in argv)))
+    assert answers[0][2] == "" and answers[1] == answers[0]
+
+
+def test_a_non_utf8_byte_after_a_byte_order_mark_counts_the_mark(tmp_path):
+    bad = tmp_path / "bad.endo"
+    bad.write_bytes(b"\xef\xbb\xbfn = 1\xff")
+    with pytest.raises(InputError, match=r"not UTF-8 \(byte 8\)"):
+        load_endomorphism(str(bad))
+
+
 def test_cli_module_entry_point_keeps_the_exit_code():
     done = run_process("-m", "pushsplit.cli", "verify-endo", "--endo",
                        "tests/fixtures/nonfinite12.endo")
@@ -813,6 +855,53 @@ def test_finiteness_is_decided_once_per_map_and_policy(capsys, monkeypatch):
     assert calls == []
     assert "rational_rank" in json.loads(exact[1])
     assert "rational_rank" not in json.loads(default[1])
+
+
+def test_each_map_text_is_parsed_once_per_process(capsys, monkeypatch):
+    # cli.main called again in one process reads the map file again but
+    # answers from the parsed map, with the bytes it printed cold
+    parsed = []
+    real = polyring.parse_form
+    monkeypatch.setattr(endomorphism, "parse_form",
+                        lambda *args: parsed.append(args) or real(*args))
+    endo = "tests/fixtures/dense33.endo"
+    series = [["verify-endo", "--endo", endo, "--json"]] + [
+        ["split", "--endo", endo, "--l", str(l), "--json"] for l in range(3)]
+    cold = [run(capsys, *argv) for argv in series]
+    assert [code for code, _, _ in cold] == [0] * 4 and parsed
+    parsed.clear()
+    assert [run(capsys, *argv) for argv in series] == cold
+    assert parsed == []
+
+
+def test_map_cache_is_keyed_by_the_text(capsys, tmp_path):
+    # one path, two texts: the verdict follows the file's current text
+    path = str(tmp_path / "map.endo")
+    shutil.copy("tests/fixtures/dense33.endo", path)
+    code, out, _ = run(capsys, "verify-endo", "--endo", path, "--json")
+    assert (code, json.loads(out)["verdict"]) == (0, "FINITE")
+    shutil.copy("tests/fixtures/dense33_nonfinite.endo", path)
+    code, out, _ = run(capsys, "verify-endo", "--endo", path, "--json")
+    assert (code, json.loads(out)["verdict"]) == (1, "NOT_FINITE")
+    # one text, two paths: the same map
+    other = str(tmp_path / "copy.endo")
+    shutil.copy(path, other)
+    assert load_endomorphism(other) is load_endomorphism(path)
+
+
+def test_map_parse_errors_are_not_cached(capsys, tmp_path):
+    # the same invalid text fails on every call, naming the path it came
+    # from; a valid text later written to a failing path parses
+    first, second = tmp_path / "first.endo", tmp_path / "second.endo"
+    for path in (first, second):
+        path.write_text("n = 1\nk = 2\nf0 = y0^2\n")
+    for path in (first, second, first):
+        code, out, err = run(capsys, "verify-endo", "--endo", str(path))
+        assert (code, out) == (2, "")
+        assert err == (f"error: {path}: missing required statement "
+                       "'f1 = ...'\n")
+    shutil.copy("tests/fixtures/perturbed22.endo", first)
+    assert run(capsys, "verify-endo", "--endo", str(first))[0] == 0
 
 
 # Runs verify-endo with bench/tracer.py installed, as a traced bench run
@@ -1020,7 +1109,6 @@ def test_reused_parser_carries_nothing_between_calls(capsys, monkeypatch,
         ["split", "--n", "4", "--k", "2", "--l", "0", "--primes", "101"],
         plain,
     ]
-    cli.build_parser.cache_clear()
     in_process = [run_any(capsys, argv) for argv in calls]
     fresh = [run_process("-m", "pushsplit", *argv) for argv in calls]
     assert in_process == [(p.returncode, p.stdout, p.stderr) for p in fresh]
@@ -1029,7 +1117,6 @@ def test_reused_parser_carries_nothing_between_calls(capsys, monkeypatch,
 
 
 def test_help_is_formatted_when_printed(capsys, monkeypatch):
-    cli.build_parser.cache_clear()
     monkeypatch.setenv("COLUMNS", "200")
     assert run_any(capsys, ["split", "--n", "4", "--k", "2", "--l", "0"])[0] \
         == 0
@@ -1039,7 +1126,6 @@ def test_help_is_formatted_when_printed(capsys, monkeypatch):
 
 
 def test_parser_is_built_once_per_process(capsys):
-    cli.build_parser.cache_clear()
     for _ in range(3):
         assert run_any(capsys, ["split", "--n", "3", "--k", "2",
                                 "--l", "1"])[0] == 0

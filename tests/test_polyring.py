@@ -79,7 +79,6 @@ def test_monomial_array_is_read_only():
 
 
 def test_basis_cache_is_bounded():
-    monomial_array.cache_clear()
     keys = [(v, d) for v in (1, 2, 3) for d in range(50)]
     assert len(keys) > BASIS_CACHE_SIZE
     for num_vars, degree in keys:

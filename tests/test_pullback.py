@@ -273,11 +273,9 @@ def counted(monkeypatch):
     SplittingType, so calls answered from the cache are not counted.
     No two tables in the reports below share their degrees, so the
     Koszul terms in a sum's arguments name the table it was asked on.
-    The splitting cache and the plane@4 table are emptied first, so each
-    case counts the work of a fresh process, the table build included.
+    Every cache starts empty (``tests/conftest.py``), so each case counts
+    the work of a fresh process, the plane@4 table's build included.
     """
-    splitting._splitting.cache_clear()
-    varieties._plane_table.cache_clear()
     calls = Counter()
     splitting_type, koszul_sum = splitting.SplittingType, varieties._koszul_sum
 

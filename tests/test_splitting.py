@@ -23,9 +23,11 @@ from pushsplit.cli import main
 from pushsplit.errors import InputError
 from pushsplit.endomorphism import (
     FINITENESS_CACHE_SIZE,
+    MAP_CACHE_SIZE,
     NOT_FINITE,
     Endomorphism,
     load_endomorphism,
+    parse_endomorphism,
     power_map,
     random_endomorphism,
     validate_finite,
@@ -93,7 +95,6 @@ def test_box_counts_at_k_one(v):
 def test_box_counts_is_an_lru_cache():
     # the benchmark reads _box_counts.cache_info() for its hit fraction
     assert isinstance(_box_counts, functools._lru_cache_wrapper)
-    _box_counts.cache_clear()
     _box_counts(5, 4)
     _box_counts(5, 4)
     info = _box_counts.cache_info()
@@ -101,7 +102,6 @@ def test_box_counts_is_an_lru_cache():
 
 
 def test_box_counts_cache_is_bounded():
-    _box_counts.cache_clear()
     for v in range(1, BOX_CACHE_SIZE + 20):
         assert _box_counts(v, 3) == convolved_box_counts(v, 3), v
         assert _box_counts.cache_info().currsize <= BOX_CACHE_SIZE
@@ -115,7 +115,6 @@ def test_large_closed_form_within_the_limits():
 
 
 def test_oversized_closed_forms_are_refused_before_any_work():
-    _box_counts.cache_clear()
     with pytest.raises(InputError) as err:
         splitting_universal(1, 10 ** 12, 0)
     assert f"= {2 * (10 ** 12 - 1) + 1} coefficients" in str(err.value)
@@ -141,7 +140,6 @@ def test_digit_limit_follows_the_interpreter(monkeypatch):
 
 
 def test_splitting_cache_is_bounded():
-    _splitting.cache_clear()
     for l in [*range(-300, 301)] * 2:
         assert splitting_universal(4, 3, l).as_dict() == \
             oracle_multiplicities(4, 3, l), l
@@ -171,12 +169,18 @@ def test_splitting_cache_is_not_behind_a_traced_name():
         str(Path(__file__).resolve().parent.parent / "bench" / "tracer.py"))
     traced = set(tracer["LAYERS"])
     for module, name in (("splitting", "_splitting"),
-                         ("endomorphism", "_finiteness_report")):
+                         ("endomorphism", "_finiteness_report"),
+                         ("endomorphism", "_parse")):
         assert (module, name) not in traced
         cached = vars(sys.modules[f"pushsplit.{module}"])[name]
         assert callable(cached.cache_clear)
     assert endomorphism._finiteness_report.cache_info().maxsize == \
         FINITENESS_CACHE_SIZE
+    # the map cache is bounded: distinct texts past its size evict
+    assert endomorphism._parse.cache_info().maxsize == MAP_CACHE_SIZE
+    for i in range(MAP_CACHE_SIZE + 5):
+        parse_endomorphism(f"n = 1\nk = 1\nf0 = y0\nf1 = {i + 1}*y1\n")
+    assert endomorphism._parse.cache_info().currsize == MAP_CACHE_SIZE
 
 
 def test_delta_values():

@@ -201,7 +201,6 @@ def test_plane_model_matches_linear_ci():
 
 
 def test_plane_table_is_built_once_and_shared(monkeypatch):
-    varieties._plane_table.cache_clear()
     sums = []
     koszul_sum = varieties._koszul_sum
     monkeypatch.setattr(varieties, "_koszul_sum",
