@@ -40,7 +40,7 @@ def canonical_birationality_verdict(m: ModelVariety, k: int) -> Verdict:
     and the canonical map of X' is birational.  A computed zero where the
     criterion promises positivity raises IntegrityError.
     """
-    assumptions = _base_assumptions(m, k)
+    assumptions = _base_assumptions(m, k, m.h(0, 0))
     if k < 2:
         return Verdict("canonical_birational", NOT_APPLICABLE, None,
                        K_GE_2_REASON, assumptions=assumptions)
@@ -138,7 +138,7 @@ def surface_adjunction(m: ModelVariety, k: int) -> AdjunctionReport:
             expected="even", actual=twice_g_minus_2)
     genus = twice_g_minus_2 // 2 + 1
     exception = _is_plane(m) and k == 2
-    assumptions = _base_assumptions(m, k)
+    assumptions = _base_assumptions(m, k, m.h(0, 0))
     very_ample = Verdict(
         name="canonical_very_ample",
         status=DEL_PEZZO if exception else VERY_AMPLE,

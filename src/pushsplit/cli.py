@@ -94,27 +94,32 @@ def _apply_config(args: argparse.Namespace,
                 else (action.type or str)(raw)
             if action.choices is not None and value not in action.choices:
                 raise ValueError(raw)
-        except (ValueError, InputError):
+        except (ValueError, InputError, argparse.ArgumentTypeError):
             raise InputError(
                 f"config value {key}={raw!r} is not valid") from None
         setattr(args, action.dest, value)
 
 
+# The casts raise ArgumentTypeError, whose message argparse prints as it is.
+
 def _cast_bool(raw: str) -> bool:
     lowered = raw.lower()
     if lowered not in ("true", "false"):
-        raise ValueError(raw)
+        raise argparse.ArgumentTypeError(
+            f"expected true or false, got {raw!r}")
     return lowered == "true"
 
 
 def _cast_range(raw: str) -> tuple[int, int]:
-    if ".." not in raw:
-        raise ValueError(raw)
-    lo_text, hi_text = raw.split("..", 1)
-    lo, hi = int(lo_text), int(hi_text)
-    if lo > hi:
-        raise ValueError(raw)
-    return lo, hi
+    lo_text, dots, hi_text = raw.partition("..")
+    try:
+        lo, hi = int(lo_text), int(hi_text)
+        if dots and lo <= hi:
+            return lo, hi
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(
+        f"expected a range a..b of integers with a <= b, got {raw!r}")
 
 
 def _resolve_primes(spec: str | None) -> tuple[int, ...]:

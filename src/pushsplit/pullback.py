@@ -8,9 +8,11 @@ of X' = pi^{-1}(X) is a direct sum over the splitting type:
 and likewise with I_X (flat pullback of the ideal sheaf) and, for
 0 <= l < k, with the dualizing sheaf where the d-th summand is twisted by
 +d.  Everything here is a finite exact integer sum against the model's
-table; no geometry is recomputed.  Splitting types come from
-``splitting_universal``, which computes each (n, k, l) once per process,
-so the rows and verdicts of every report share them.
+table; no geometry is recomputed.  The sum is written once (``_Sums``):
+a report builds one for its model and k, so it looks up each twist's
+splitting once and reads each table value once, and the single-value
+functions below build one per call.  Splitting types come from
+``splitting_universal``, which computes each (n, k, l) once per process.
 
 Verdicts are records with provenance: they echo the hypotheses they
 consumed (k >= 2, the user-asserted general-position flag, the
@@ -20,6 +22,7 @@ implement are conditional.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass, field
 
 from .errors import InputError, IntegrityError, MissingDataError, \
@@ -42,16 +45,64 @@ def pullback_degree(m: ModelVariety, k: int) -> int:
     return m.degree * k ** m.codim
 
 
+class _Sums:
+    """The sums sum_d m_{l,d} * row(i, -+d) over one model and one k.
+
+    ``row`` names the query of the model's table: ``h`` and ``hI`` are
+    read at -d, ``h_omega`` at +d.  ``totals`` gives the sums at one
+    twist l for several i, ``total`` the sum for one.  Each twist's
+    multiplicities are looked up once, and each table value is read once,
+    when a sum first needs it.  A read that raises keeps nothing, so the
+    sums raise the same first error, in the same order, as reading the
+    table every time.
+    """
+
+    def __init__(self, m: ModelVariety, k: int):
+        self.m = m
+        self.k = k
+        self._splittings: dict[int, tuple[tuple[int, int], ...]] = {}
+        self._rows: defaultdict[tuple[str, int], dict[int, int]] = \
+            defaultdict(dict)
+
+    def value(self, row: str, i: int, t: int) -> int:
+        values = self._rows[row, i]
+        value = values.get(t)
+        if value is None:
+            value = values[t] = getattr(self.m.table, row)(i, t)
+        return value
+
+    def total(self, row: str, i: int, l: int) -> int:
+        return self.totals(row, l, (i,))[0]
+
+    def totals(self, row: str, l: int, indices) -> list[int]:
+        """The sum at twist l for each i of ``indices``, in that order."""
+        multiplicities = self._splittings.get(l)
+        if multiplicities is None:
+            multiplicities = self._splittings[l] = splitting_universal(
+                self.m.n, self.k, l).multiplicities
+        sign = 1 if row == "h_omega" else -1
+        read = getattr(self.m.table, row)
+        totals = []
+        for i in indices:
+            values = self._rows[row, i]
+            total = 0
+            for d, mult in multiplicities:
+                value = values.get(sign * d)
+                if value is None:
+                    value = values[sign * d] = read(i, sign * d)
+                total += mult * value
+            totals.append(total)
+        return totals
+
+
 def pushforward_cohomology(m: ModelVariety, k: int, l: int, i: int) -> int:
     """h^i(O_{X'}(l)) = sum_d m_{l,d} * h^i(O_X(-d))."""
-    return sum(mult * m.h(i, -d)
-               for d, mult in splitting_universal(m.n, k, l).multiplicities)
+    return _Sums(m, k).total("h", i, l)
 
 
 def ideal_pushforward_cohomology(m: ModelVariety, k: int, l: int, i: int) -> int:
     """h^i(I_{X'}(l)) = sum_d m_{l,d} * h^i(I_X(-d))."""
-    return sum(mult * m.hI(i, -d)
-               for d, mult in splitting_universal(m.n, k, l).multiplicities)
+    return _Sums(m, k).total("hI", i, l)
 
 
 def dualizing_cohomology(m: ModelVariety, k: int, l: int, i: int) -> int:
@@ -67,8 +118,7 @@ def dualizing_cohomology(m: ModelVariety, k: int, l: int, i: int) -> int:
     if not 0 <= l < k:
         raise InputError(
             f"dualizing decomposition requires 0 <= l < k, got l={l}, k={k}")
-    return sum(mult * m.h_omega(i, d)
-               for d, mult in splitting_universal(m.n, k, l).multiplicities)
+    return _Sums(m, k).total("h_omega", i, l)
 
 
 @dataclass(frozen=True)
@@ -88,12 +138,12 @@ class Verdict:
     assumptions: dict = field(default_factory=dict)
 
 
-def _base_assumptions(m: ModelVariety, k: int) -> dict:
+def _base_assumptions(m: ModelVariety, k: int, h0_x: int) -> dict:
     return {
         "k": k,
         "k_ge_2": k >= 2,
         "smooth_general_position": m.smooth_general_position,
-        "h0_X": m.h(0, 0),
+        "h0_X": h0_x,
     }
 
 
@@ -104,7 +154,7 @@ class CompletenessVerdict:
     h1_vanishing: Verdict
 
 
-def _detect_s(m: ModelVariety) -> tuple[str, int | None, tuple[int, int] | None]:
+def _detect_s(sums: _Sums) -> tuple[str, int | None, tuple[int, int] | None]:
     """Largest s with h^1(I_X(d)) = 0 for all d < s, as far as the table shows.
 
     Returns (kind, value, scanned_range): kind 'infinite' (no failure
@@ -112,8 +162,15 @@ def _detect_s(m: ModelVariety) -> tuple[str, int | None, tuple[int, int] | None]
     zeros below it within the scanned range), 'none' (failures extend
     to the bottom of what is known, so no vanishing range exists), or
     'unknown' (the table declares no h^1 ideal rows).
+
+    A KoszulTable is decided by its type: for P^n the ideal sheaf is 0,
+    and for a complete intersection of dim >= 1 the table's h^0(O_X(d))
+    is the truncated Koszul sum, the dimension of the image of
+    H^0(O_P(d)), so h^1(I_X(d)) = 0 for every d (``KoszulTable.hI``
+    computes exactly this 0).  A zero-dimensional one has
+    h^0(O_X(d)) = degree, and h^1(I_X(d)) > 0 for every d < 0.
     """
-    table = m.table
+    m, table = sums.m, sums.m.table
     if isinstance(table, KoszulTable):
         if not table.degrees:
             return "infinite", None, None
@@ -122,7 +179,8 @@ def _detect_s(m: ModelVariety) -> tuple[str, int | None, tuple[int, int] | None]
         return "none", None, None
     lo, hi = table.trange
     try:
-        failures = [d for d in range(lo, hi + 1) if m.hI(1, d) != 0]
+        failures = [d for d in range(lo, hi + 1)
+                    if sums.value("hI", 1, d) != 0]
     except MissingDataError:
         return "unknown", None, None
     if not failures:
@@ -139,10 +197,19 @@ def completeness_verdict(m: ModelVariety, k: int) -> CompletenessVerdict:
     X' is nondegenerate for every k >= 2; it is linearly complete exactly
     when h^0(O_X) = 1, witnessed by h^0(O_{X'}(1)) = n+1.  If the model
     shows h^1(I_X(d)) = 0 for all d < s, then h^1(I_{X'}(l)) = 0 for all
-    l < sk; the claim is re-verified numerically on the range the table
-    supports, and the value at l = sk is reported when reachable.
+    l < sk.  On an explicit table the claim is re-verified numerically on
+    the range the table supports, and the value at l = sk is reported
+    when reachable.  On a KoszulTable (P^n or a complete intersection of
+    dim >= 1) every h^1(I_X(d)) is 0 (``_detect_s``), so every sum
+    h^1(I_{X'}(l)) is 0 and the table answers every twist: the witness
+    is the range 0..3k with no nonzero value, without summing it.
     """
-    assumptions = _base_assumptions(m, k)
+    return _completeness(_Sums(m, k))
+
+
+def _completeness(sums: _Sums) -> CompletenessVerdict:
+    m, k = sums.m, sums.k
+    assumptions = _base_assumptions(m, k, sums.value("h", 0, 0))
     if k < 2:
         return CompletenessVerdict(
             nondegenerate=Verdict("nondegenerate", NOT_APPLICABLE, None,
@@ -152,8 +219,8 @@ def completeness_verdict(m: ModelVariety, k: int) -> CompletenessVerdict:
                                       assumptions=assumptions),
             h1_vanishing=Verdict("h1_vanishing", NOT_APPLICABLE, None,
                                  K_GE_2_REASON, assumptions=assumptions))
-    h0_x = m.h(0, 0)
-    h0_prime_1 = pushforward_cohomology(m, k, 1, 0)
+    h0_x = sums.value("h", 0, 0)
+    h0_prime_1 = sums.total("h", 0, 1)
     nondegenerate = Verdict(
         name="nondegenerate", status=NONDEGENERATE, holds=True,
         reason="X' spans its ambient space; asserted for every finite "
@@ -172,7 +239,7 @@ def completeness_verdict(m: ModelVariety, k: int) -> CompletenessVerdict:
         witness={"h0_Xprime_1": h0_prime_1, "n_plus_1": m.n + 1},
         assumptions=assumptions)
 
-    kind, s_value, scanned = _detect_s(m)
+    kind, s_value, scanned = _detect_s(sums)
     witness: dict = {"s_kind": kind}
     if scanned is not None:
         witness["scanned_trange"] = list(scanned)
@@ -195,26 +262,28 @@ def completeness_verdict(m: ModelVariety, k: int) -> CompletenessVerdict:
     else:
         witness["s"] = "infinity"
         l_top = 3 * k
-    checked = []
     all_zero = True
-    first_nonzero = None
-    for l in range(0, l_top + 1):
-        try:
-            value = ideal_pushforward_cohomology(m, k, l, 1)
-        except TableRangeError:
-            break
-        checked.append(l)
-        if value != 0:
-            all_zero = False
-            if first_nonzero is None:
-                first_nonzero = (l, value)
-    witness["verified_l_range"] = [0, checked[-1]] if checked else []
-    if first_nonzero is not None:
-        witness["first_nonzero"] = list(first_nonzero)
+    if isinstance(m.table, KoszulTable):
+        witness["verified_l_range"] = [0, l_top]
+    else:
+        checked = []
+        first_nonzero = None
+        for l in range(0, l_top + 1):
+            try:
+                value = sums.total("hI", 1, l)
+            except TableRangeError:
+                break
+            checked.append(l)
+            if value != 0:
+                all_zero = False
+                if first_nonzero is None:
+                    first_nonzero = (l, value)
+        witness["verified_l_range"] = [0, checked[-1]] if checked else []
+        if first_nonzero is not None:
+            witness["first_nonzero"] = list(first_nonzero)
     if kind == "finite":
         try:
-            witness["value_at_sk"] = ideal_pushforward_cohomology(
-                m, k, s_value * k, 1)
+            witness["value_at_sk"] = sums.total("hI", 1, s_value * k)
         except TableRangeError:
             pass
     h1 = Verdict(
@@ -234,7 +303,12 @@ def hyperplane_section_verdict(m: ModelVariety, k: int) -> Verdict:
     numeric consequence is h^0(O_{Y'}(1)) = h^0(O_{X'}(1)) - h^0(O_{X'});
     the verdict covers every hyperplane meeting X' properly.
     """
-    assumptions = _base_assumptions(m, k)
+    return _hyperplane_section(_Sums(m, k))
+
+
+def _hyperplane_section(sums: _Sums) -> Verdict:
+    m, k = sums.m, sums.k
+    assumptions = _base_assumptions(m, k, sums.value("h", 0, 0))
     if k < 2:
         return Verdict("hyperplane_section", NOT_APPLICABLE, None,
                        K_GE_2_REASON, assumptions=assumptions)
@@ -246,8 +320,8 @@ def hyperplane_section_verdict(m: ModelVariety, k: int) -> Verdict:
         return Verdict("hyperplane_section", NOT_APPLICABLE, None,
                        "general position not asserted",
                        assumptions=assumptions)
-    h0_1 = pushforward_cohomology(m, k, 1, 0)
-    h0_0 = pushforward_cohomology(m, k, 0, 0)
+    h0_1 = sums.total("h", 0, 1)
+    h0_0 = sums.total("h", 0, 0)
     return Verdict(
         name="hyperplane_section", status=LINEARLY_COMPLETE, holds=True,
         reason="the section of X' by any hyperplane meeting it properly "
@@ -283,20 +357,38 @@ class PullbackReport:
     dualizing_rows: dict | None = None
 
 
-def _check_against_pulled_back_ci(table: KoszulTable, k: int, h_rows: dict) -> None:
-    """Compare the summed rows with X' computed directly.
+def _check_against_pulled_back_ci(table: KoszulTable, k: int,
+                                  h_by_twist: dict) -> None:
+    """Compare the summed rows, twist by twist, with X' computed directly.
 
     When X is the complete intersection of degrees d_i in P^n, X' is the
     one of degrees k*d_i, whose own Koszul table must give every row.
     """
     direct = KoszulTable(table.n, tuple(k * d for d in table.degrees))
-    for (i, l), value in h_rows.items():
-        expected = direct.h(i, l)
-        if value != expected:
-            raise IntegrityError(
-                f"h^{i}(O_X'({l})) is {value} summed over the splitting type, "
-                f"but {expected} for the complete intersection of degrees "
-                f"{direct.degrees}", expected=expected, actual=value)
+    for l, row in h_by_twist.items():
+        for i, value in enumerate(row):
+            expected = direct.h(i, l)
+            if value != expected:
+                raise IntegrityError(
+                    f"h^{i}(O_X'({l})) is {value} summed over the splitting "
+                    f"type, but {expected} for the complete intersection of "
+                    f"degrees {direct.degrees}", expected=expected,
+                    actual=value)
+
+
+def _has_ideal_row(sums: _Sums, i: int, l: int) -> bool:
+    try:
+        sums.total("hI", i, l)
+    except MissingDataError:
+        return False
+    return True
+
+
+def _by_row(by_twist: dict, indices) -> dict:
+    """{(i, l): value} from each twist's values over ``indices``, row by
+    row: the order in which a report prints them."""
+    return {(i, l): row[j] for j, i in enumerate(indices)
+            for l, row in by_twist.items()}
 
 
 def build_pullback_report(m: ModelVariety, k: int,
@@ -306,6 +398,11 @@ def build_pullback_report(m: ModelVariety, k: int,
     For a complete-intersection model every cohomology row is checked
     against the Koszul table of X' (IntegrityError on a mismatch).  More
     than MAX_TWISTS twists are an InputError, raised before any sum.
+    Every row and verdict is summed by one ``_Sums``, so each twist's
+    splitting is looked up once and each table value read once.  Twist by
+    twist, the h rows come first and then the ideal rows; an ideal row the
+    model lacks raises MissingDataError on its first read, at the first
+    twist, and is left out.
     """
     if lrange is None:
         lrange = (-k, 3 * k)
@@ -314,35 +411,31 @@ def build_pullback_report(m: ModelVariety, k: int,
         raise InputError(
             f"twist range {lo}..{hi} has {hi - lo + 1} twists, above the "
             f"limit 2**16 = {MAX_TWISTS}; choose a narrower --lrange")
-    h_rows = {}
-    euler = {}
+    sums = _Sums(m, k)
+    columns = range(m.dim + 1)
+    h_by_twist, ideal_by_twist = {}, {}
+    declared = None
     for l in range(lo, hi + 1):
-        for i in range(m.dim + 1):
-            h_rows[(i, l)] = pushforward_cohomology(m, k, l, i)
-        euler[l] = sum((-1) ** i * h_rows[(i, l)] for i in range(m.dim + 1))
+        h_by_twist[l] = sums.totals("h", l, columns)
+        if declared is None:
+            declared = [i for i in range(m.n + 1)
+                        if _has_ideal_row(sums, i, l)]
+        ideal_by_twist[l] = sums.totals("hI", l, declared)
     if isinstance(m.table, KoszulTable):
-        _check_against_pulled_back_ci(m.table, k, h_rows)
-    ideal_rows: dict | None = {}
-    for i in range(m.n + 1):
-        try:
-            for l in range(lo, hi + 1):
-                ideal_rows[(i, l)] = ideal_pushforward_cohomology(m, k, l, i)
-        except MissingDataError:
-            ideal_rows = {key: value for key, value in ideal_rows.items()
-                          if key[0] != i}
-    if not ideal_rows:
-        ideal_rows = None
+        _check_against_pulled_back_ci(m.table, k, h_by_twist)
     dualizing_rows = None
     if m.has_dualizing:
-        dualizing_rows = {}
-        for l in range(0, k):
-            for i in range(m.dim + 1):
-                dualizing_rows[(i, l)] = dualizing_cohomology(m, k, l, i)
+        dualizing_rows = _by_row(
+            {l: sums.totals("h_omega", l, columns) for l in range(0, k)},
+            columns)
     return PullbackReport(
         model=m.name, n=m.n, k=k, dim=m.dim, degree=m.degree,
         degree_prime=pullback_degree(m, k), lrange=(lo, hi),
-        assumptions=_base_assumptions(m, k),
-        h_rows=h_rows, euler=euler,
-        completeness=completeness_verdict(m, k),
-        hyperplane=hyperplane_section_verdict(m, k),
-        ideal_rows=ideal_rows, dualizing_rows=dualizing_rows)
+        assumptions=_base_assumptions(m, k, sums.value("h", 0, 0)),
+        h_rows=_by_row(h_by_twist, columns),
+        euler={l: sum((-1) ** i * value for i, value in enumerate(row))
+               for l, row in h_by_twist.items()},
+        completeness=_completeness(sums),
+        hyperplane=_hyperplane_section(sums),
+        ideal_rows=_by_row(ideal_by_twist, declared or ()) or None,
+        dualizing_rows=dualizing_rows)

@@ -10,6 +10,12 @@ table declares the model subcanonical (omega_X = O_X(e)).
 Explicit tables never extrapolate: a query outside the declared range
 raises TableRangeError, because a silent zero would corrupt the
 decomposition sums built on top.
+
+Each process parses a table's text once (``_parse_table``,
+TABLE_CACHE_SIZE kept, keyed by the text alone): ``load_custom_table``
+reads its file again on every call, so an edited file is seen, and the
+same text returns the same read-only table.  Errors are raised, never
+cached, and name the source they were given.
 """
 
 from __future__ import annotations
@@ -20,6 +26,9 @@ from functools import lru_cache
 from .errors import InputError, MissingDataError, TableRangeError, \
     read_input_file
 from .polyring import graded_dim
+
+# Tables kept by _parse_table; each holds its text and rows.
+TABLE_CACHE_SIZE = 64
 
 
 def _koszul_terms(degrees: tuple) -> tuple[tuple[int, int], ...]:
@@ -307,6 +316,25 @@ def _plane_table() -> ExplicitTable:
 
 
 def parse_table(text: str, source: str = "<string>") -> tuple[ExplicitTable, dict]:
+    """The table and flags a table text declares; errors name ``source``.
+
+    Each text is parsed once per process and its table shared, the
+    TABLE_CACHE_SIZE most recently used kept (``_parse_table``, keyed by
+    the text alone).  Errors are raised, never cached.
+    """
+    try:
+        table, general_position = _parse_table(text)
+    except _ParseError as exc:
+        raise InputError(f"{source}{exc}") from None
+    return table, {"general_position": general_position}
+
+
+class _ParseError(InputError):
+    """An error in a table's text; its message follows the source's name."""
+
+
+@lru_cache(maxsize=TABLE_CACHE_SIZE)
+def _parse_table(text: str) -> tuple[ExplicitTable, bool]:
     headers: dict[str, str] = {}
     rows: dict[tuple[int, int], int] = {}
     ideal_rows: dict[tuple[int, int], int] = {}
@@ -317,76 +345,76 @@ def parse_table(text: str, source: str = "<string>") -> tuple[ExplicitTable, dic
         fields = line.split()
         if fields[0] in ("h", "hI"):
             if len(fields) != 4:
-                raise InputError(
-                    f"{source}:{lineno}: expected '{fields[0]} <i> <t> <value>'")
+                raise _ParseError(
+                    f":{lineno}: expected '{fields[0]} <i> <t> <value>'")
             try:
                 i, t, value = (int(x) for x in fields[1:])
             except ValueError:
-                raise InputError(
-                    f"{source}:{lineno}: non-integer row entry") from None
+                raise _ParseError(
+                    f":{lineno}: non-integer row entry") from None
             target = rows if fields[0] == "h" else ideal_rows
             if (i, t) in target:
-                raise InputError(f"{source}:{lineno}: duplicate row {line!r}")
+                raise _ParseError(f":{lineno}: duplicate row {line!r}")
             target[(i, t)] = value
         elif "=" in line:
             key, value = (part.strip() for part in line.split("=", 1))
             if key in headers:
-                raise InputError(f"{source}:{lineno}: duplicate header {key!r}")
+                raise _ParseError(f":{lineno}: duplicate header {key!r}")
             headers[key] = value
         else:
-            raise InputError(f"{source}:{lineno}: unrecognized line {line!r}")
+            raise _ParseError(f":{lineno}: unrecognized line {line!r}")
 
     def header_int(key: str) -> int:
         if key not in headers:
-            raise InputError(f"{source}: missing header '{key}='")
+            raise _ParseError(f": missing header '{key}='")
         try:
             return int(headers[key])
         except ValueError:
-            raise InputError(
-                f"{source}: header {key}={headers[key]!r} is not an integer") from None
+            raise _ParseError(
+                f": header {key}={headers[key]!r} is not an integer") from None
 
     def header_bool(key: str) -> bool:
         value = headers.get(key, "false").lower()
         if value not in ("true", "false"):
-            raise InputError(f"{source}: header {key}= must be true or false")
+            raise _ParseError(f": header {key}= must be true or false")
         return value == "true"
 
     n = header_int("n")
     dim = header_int("dim")
     degree = header_int("degree")
     if "omega_twist" not in headers:
-        raise InputError(f"{source}: missing header 'omega_twist='")
+        raise _ParseError(": missing header 'omega_twist='")
     omega_raw = headers["omega_twist"]
     try:
         omega_twist = None if omega_raw == "none" else int(omega_raw)
     except ValueError:
-        raise InputError(f"{source}: header omega_twist={omega_raw!r} is "
-                         "neither an integer nor 'none'") from None
+        raise _ParseError(f": header omega_twist={omega_raw!r} is "
+                          "neither an integer nor 'none'") from None
     if "trange" not in headers:
-        raise InputError(f"{source}: missing header 'trange='")
+        raise _ParseError(": missing header 'trange='")
     trange_raw = headers["trange"]
     if ".." not in trange_raw:
-        raise InputError(f"{source}: trange must look like '<a>..<b>'")
+        raise _ParseError(": trange must look like '<a>..<b>'")
     lo_text, hi_text = trange_raw.split("..", 1)
     try:
         trange = (int(lo_text), int(hi_text))
     except ValueError:
-        raise InputError(f"{source}: trange must look like '<a>..<b>'") from None
+        raise _ParseError(": trange must look like '<a>..<b>'") from None
     known = {"n", "dim", "degree", "omega_twist", "trange",
              "linear_pm", "general_position"}
     unknown = set(headers) - known
     if unknown:
-        raise InputError(f"{source}: unknown header {sorted(unknown)[0]!r}")
+        raise _ParseError(f": unknown header {sorted(unknown)[0]!r}")
     try:
         table = ExplicitTable(n, dim, degree, trange, rows, ideal_rows,
                               omega_twist)
     except InputError as exc:
-        raise InputError(f"{source}: {exc}") from None
+        raise _ParseError(f": {exc}") from None
     if "linear_pm" in headers and header_bool("linear_pm") != (degree == 1):
-        raise InputError(
-            f"{source}: header linear_pm={headers['linear_pm']} contradicts "
+        raise _ParseError(
+            f": header linear_pm={headers['linear_pm']} contradicts "
             f"degree={degree}: a linear P^m is exactly a degree-1 table")
-    return table, {"general_position": header_bool("general_position")}
+    return table, header_bool("general_position")
 
 
 def load_custom_table(path: str) -> ModelVariety:

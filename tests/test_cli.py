@@ -13,18 +13,20 @@ import shutil
 import subprocess
 import sys
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pushsplit import cli, endomorphism, exactla, polyring, pullback
+from pushsplit import cli, endomorphism, exactla, polyring, pullback, \
+    varieties
 from pushsplit.cli import main
 from pushsplit.endomorphism import load_endomorphism
 from pushsplit.errors import InputError, IntegrityError
 from pushsplit.exactla import PRIME_LIMIT, is_prime
-from pushsplit.varieties import plane_in_p4
+from pushsplit.varieties import KoszulTable, plane_in_p4
 
 
 def run(capsys, *argv):
@@ -205,12 +207,19 @@ def test_split_integrity_exit_code(capsys, monkeypatch):
 
 
 def test_pullback_rows_checked_against_the_pulled_back_ci(capsys, monkeypatch):
-    real = pullback.pushforward_cohomology
+    # the report reads each twist's splitting once; one more O(0) summand
+    # at l = 1 adds h^0(O_X) = 1 to h^0(O_X'(1)) and to no other h row
+    real = pullback.splitting_universal
 
-    def off_by_one(m, k, l, i):
-        return real(m, k, l, i) + (i == 0 and l == 1)
+    def off_by_one(n, k, l):
+        st = real(n, k, l)
+        if l != 1:
+            return st
+        (d, mult), *rest = st.multiplicities
+        assert d == 0
+        return replace(st, multiplicities=((0, mult + 1), *rest))
 
-    monkeypatch.setattr(pullback, "pushforward_cohomology", off_by_one)
+    monkeypatch.setattr(pullback, "splitting_universal", off_by_one)
     with pytest.raises(IntegrityError) as exc:
         pullback.build_pullback_report(cli._parse_model("ci:2,2@4", None), 2)
     assert (exc.value.expected, exc.value.actual) == (5, 6)
@@ -904,6 +913,99 @@ def test_map_parse_errors_are_not_cached(capsys, tmp_path):
     assert run(capsys, "verify-endo", "--endo", str(first))[0] == 0
 
 
+def table_text(degrees, trange=(-8, 8)):
+    """A table file of the complete intersection of ``degrees`` in P^4."""
+    ci = KoszulTable(4, degrees)
+    lo, hi = trange
+    return "".join(
+        [f"n=4\ndim={ci.dim}\ndegree={ci.degree}\n"
+         f"omega_twist={ci.omega_twist}\ntrange={lo}..{hi}\n"
+         "general_position=true\n"]
+        + [f"h {i} {t} {ci.h(i, t)}\n"
+           for i in range(ci.dim + 1) for t in range(lo, hi + 1)]
+        + [f"hI {i} {t} {ci.hI(i, t)}\n"
+           for i in range(5) for t in range(lo, hi + 1)])
+
+
+def test_each_table_text_is_parsed_once_per_process(capsys, tmp_path):
+    # cli.main called again in one process reads the table file again but
+    # answers from the parsed table, with the bytes it printed cold
+    path = tmp_path / "surface.table"
+    path.write_text(table_text((2, 2)))
+    model = f"table:{path}"
+    series = [["pullback", "--model", model, "--k", "2", *flags]
+              for flags in ([], ["--json"], ["--csv", "--lrange", "-1..3"])]
+    series += [["adjoint", "--model", model, "--k", k] for k in ("2", "3")]
+    cold = [run(capsys, *argv) for argv in series]
+    assert [code for code, _, _ in cold] == [0] * 5
+    assert varieties._parse_table.cache_info().misses == 1
+    assert [run(capsys, *argv) for argv in series] == cold
+    info = varieties._parse_table.cache_info()
+    assert (info.misses, info.hits) == (1, 2 * len(series) - 1)
+
+
+def test_table_cache_is_keyed_by_the_text(capsys, tmp_path):
+    # one path, two texts: the answer follows the file's current text
+    path = tmp_path / "surface.table"
+    argv = ["pullback", "--model", f"table:{path}", "--k", "2", "--json"]
+    answers = {}
+    for degrees in ((2, 2), (2, 3), (2, 2)):
+        path.write_text(table_text(degrees))
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        assert json.loads(out)["degree"] == degrees[0] * degrees[1]
+        assert answers.setdefault(degrees, out) == out
+    # one text, two paths: the same table
+    other = tmp_path / "copy.table"
+    shutil.copy(path, other)
+    assert varieties.load_custom_table(str(other)).table is \
+        varieties.load_custom_table(str(path)).table
+
+
+def test_table_parse_errors_are_not_cached(capsys, tmp_path):
+    # the same invalid text fails on every call, naming the path it came
+    # from; a valid text later written to a failing path parses
+    first, second = tmp_path / "first.table", tmp_path / "second.table"
+    for path in (first, second):
+        path.write_text(table_text((2, 2)).replace("h 0 0 1\n", ""))
+    for path in (first, second, first):
+        code, out, err = run(capsys, "pullback", "--model", f"table:{path}",
+                             "--k", "2")
+        assert (code, out) == (2, "")
+        assert err == f"error: {path}: missing table row h 0 0\n"
+    first.write_text(table_text((2, 2)))
+    assert run(capsys, "pullback", "--model", f"table:{first}",
+               "--k", "2")[0] == 0
+
+
+def test_table_cache_is_bounded():
+    size = varieties.TABLE_CACHE_SIZE
+    assert varieties._parse_table.cache_info().maxsize == size
+    for i in range(size + 5):
+        varieties.parse_table(f"n=2\ndim=0\ndegree={i + 1}\n"
+                              "omega_twist=none\ntrange=0..0\nh 0 0 1\n")
+    assert varieties._parse_table.cache_info().currsize == size
+
+
+@pytest.mark.parametrize("flag, value, expected", (
+    ("lrange", "5..1", "a range a..b of integers with a <= b"),
+    ("lrange", "1..x", "a range a..b of integers with a <= b"),
+    ("general-position", "maybe", "true or false")))
+def test_bad_flag_values_exit_2_with_a_plain_message(capsys, tmp_path, flag,
+                                                     value, expected):
+    argv = ["pullback", "--model", "ci:2@4", "--k", "2"]
+    code, out, err = run_any(capsys, argv + [f"--{flag}={value}"])
+    assert (code, out) == (2, b"")
+    assert err.decode().splitlines()[-1] == (
+        f"pushsplit pullback: error: argument --{flag}: "
+        f"expected {expected}, got {value!r}")
+    # the same value from a config file: exit 2, no traceback
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"{flag} = {value}\n")
+    assert run_any(capsys, argv + ["--config", str(cfg)]) == (2, b"", (
+        f"error: config value {flag}={value!r} is not valid\n").encode())
+
+
 # Runs verify-endo with bench/tracer.py installed, as a traced bench run
 # does; prints the output to stdout and the tracer's rank_mod count to
 # stderr.
@@ -969,6 +1071,11 @@ GOLDEN_CASES = {
                            "--k", "2"],
     "pullback_out_of_range": ["pullback", "--model", QUARTIC, "--k", "2",
                               "--lrange", "0..20"],
+    "pullback_points": ["pullback", "--model", "ci:2,2,2,2@4", "--k", "3"],
+    "pullback_narrow_large_k": ["pullback", "--model", "ci:2,2@4", "--k", "7",
+                                "--lrange", "0..0"],
+    "pullback_plane_past_table": ["pullback", "--model", "plane@4", "--k",
+                                  "2", "--lrange", "122..123"],
     "adjoint_ci": ["adjoint", "--model", "ci:2,3@4", "--k", "4"],
     "adjoint_plane": ["adjoint", "--model", "plane@4", "--k", "2"],
 }

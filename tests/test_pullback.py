@@ -176,6 +176,70 @@ def test_deficient_ideal_bound_is_sharp():
     assert ideal_pushforward_cohomology(quartic, 2, 2, 1) == 1
 
 
+def test_koszul_completeness_is_decided_without_summing(monkeypatch):
+    # every h^1(I_X(d)) of P^n or of a complete intersection of dim >= 1
+    # is 0, so the witness 0..3k is filled without reading the ideal rows
+    reads = []
+    real = KoszulTable.hI
+    monkeypatch.setattr(KoszulTable, "hI", lambda table, i, t: reads.append(
+        (i, t)) or real(table, i, t))
+    model = complete_intersection(4, (2, 2))
+    h1 = completeness_verdict(model, 3).h1_vanishing
+    assert reads == []
+    # the verdict the summing loop gave
+    assert (h1.status, h1.holds, h1.witness) == (
+        VERIFIED, True,
+        {"s_kind": "infinite", "s": "infinity", "verified_l_range": [0, 9]})
+    assert h1.reason == ("h^1(I_X(d)) = 0 for d < s forces "
+                         "h^1(I_{X'}(l)) = 0 for l < s*k")
+    assert all(ideal_pushforward_cohomology(model, 3, l, 1) == 0
+               for l in range(10))
+    assert completeness_verdict(projective_space(3), 2).h1_vanishing.witness \
+        == {"s_kind": "infinite", "s": "infinity", "verified_l_range": [0, 6]}
+
+
+def test_explicit_completeness_still_sums_the_ideal_rows(monkeypatch):
+    # an explicit table is checked twist by twist, up to its range
+    quartic = load_custom_table("tests/fixtures/rational_quartic_p3.table")
+    reads = Counter()
+    real = quartic.table.hI
+    monkeypatch.setattr(quartic.table, "hI", lambda i, t: reads.update(
+        [(i, t)]) or real(i, t))
+    assert completeness_verdict(quartic, 2).h1_vanishing.holds
+    assert reads and max(reads.values()) == 1
+
+
+@pytest.mark.parametrize("model", (
+    complete_intersection(4, (2, 3)), plane_in_p4(), projective_space(3)),
+    ids=("ci23", "plane", "p3"))
+def test_a_report_reads_each_splitting_and_table_value_once(monkeypatch,
+                                                            model):
+    # reads of the model's table; a query made inside another (h_omega
+    # reads h) is not a read, nor are the cross-check's own table's values
+    lookups, reads, depth = Counter(), Counter(), [0]
+    real_splitting = pullback.splitting_universal
+    monkeypatch.setattr(pullback, "splitting_universal", lambda n, k, l: (
+        lookups.update([l]) or real_splitting(n, k, l)))
+
+    def spy(row, real):
+        def read(table, i, t):
+            if table is model.table and not depth[0]:
+                reads[row, i, t] += 1
+            depth[0] += 1
+            try:
+                return real(table, i, t)
+            finally:
+                depth[0] -= 1
+        return read
+
+    for row in ("h", "hI", "h_omega"):
+        cls = type(model.table)
+        monkeypatch.setattr(cls, row, spy(row, getattr(cls, row)))
+    build_pullback_report(model, 3)
+    assert set(lookups) == set(range(-3, 10)) and max(lookups.values()) == 1
+    assert max(reads.values()) == 1
+
+
 def test_hyperplane_section_verdict():
     verdict = hyperplane_section_verdict(complete_intersection(4, (2, 2)), 2)
     assert verdict.holds
@@ -250,7 +314,8 @@ def test_oversized_twist_ranges_are_refused_before_any_sum(monkeypatch,
     def no_sums(*args):
         raise SumReached(args)
 
-    monkeypatch.setattr(pullback, "pushforward_cohomology", no_sums)
+    # every sum starts by looking up its twist's splitting
+    monkeypatch.setattr(pullback, "splitting_universal", no_sums)
     p4 = projective_space(4)
     with pytest.raises(InputError, match=f"{MAX_TWISTS + 1} twists"):
         build_pullback_report(p4, 2, lrange=(-3, MAX_TWISTS - 3))

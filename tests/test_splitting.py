@@ -164,16 +164,20 @@ def test_refusals_are_checked_on_every_call():
 def test_splitting_cache_is_not_behind_a_traced_name():
     # bench/worker.py empties each module attribute's cache before a pass,
     # and bench/tracer.py replaces each LAYERS function by an uncached
-    # wrapper, so each cache sits on an untraced module attribute
+    # wrapper, so no cache may sit on a traced name.  The caches are found
+    # as reset_caches finds them, re-exports included.
     tracer = runpy.run_path(
         str(Path(__file__).resolve().parent.parent / "bench" / "tracer.py"))
     traced = set(tracer["LAYERS"])
-    for module, name in (("splitting", "_splitting"),
-                         ("endomorphism", "_finiteness_report"),
-                         ("endomorphism", "_parse")):
-        assert (module, name) not in traced
-        cached = vars(sys.modules[f"pushsplit.{module}"])[name]
-        assert callable(cached.cache_clear)
+    caches = {(name.removeprefix("pushsplit."), attr)
+              for name, module in list(sys.modules.items())
+              if name == "pushsplit" or name.startswith("pushsplit.")
+              for attr, value in vars(module).items()
+              if callable(getattr(value, "cache_clear", None))}
+    assert caches & traced == set()
+    assert {("splitting", "_splitting"),
+            ("endomorphism", "_finiteness_report"),
+            ("endomorphism", "_parse"), ("varieties", "_parse_table")} <= caches
     assert endomorphism._finiteness_report.cache_info().maxsize == \
         FINITENESS_CACHE_SIZE
     # the map cache is bounded: distinct texts past its size evict
