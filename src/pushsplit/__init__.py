@@ -8,8 +8,7 @@ produce cohomology tables for inverse images, and derives
 linear-completeness and adjunction verdicts, all in integer arithmetic.
 """
 
-from .adjunction import AdjunctionReport, canonical_birationality_verdict, \
-    surface_adjunction
+from .adjunction import AdjunctionReport, surface_adjunction
 from .endomorphism import Endomorphism, FinitenessReport, hilbert_function, \
     load_endomorphism, parse_endomorphism, power_map, random_endomorphism, \
     validate_finite
@@ -20,9 +19,7 @@ from .exactla import DEFAULT_PRIMES, ExactMatrix, RankResult, is_prime, \
 from .polyring import HomogPoly, graded_dim, multiplication_matrix, \
     parse_form
 from .pullback import CompletenessVerdict, PullbackReport, Verdict, \
-    build_pullback_report, completeness_verdict, dualizing_cohomology, \
-    hyperplane_section_verdict, ideal_pushforward_cohomology, \
-    pullback_degree, pushforward_cohomology
+    build_pullback_report, pullback_degree
 from .splitting import HilbertCheckReport, SplittingType, delta, \
     hilbert_check, splitting_from_endo, splitting_universal
 from .varieties import ExplicitTable, KoszulTable, ModelVariety, \
@@ -38,14 +35,11 @@ __all__ = [
     "IntegrityError", "KoszulTable", "MissingDataError", "ModelVariety",
     "PullbackReport", "PushsplitError", "RankResult", "SplittingType",
     "TableRangeError", "Verdict", "build_pullback_report",
-    "canonical_birationality_verdict", "complete_intersection",
-    "completeness_verdict", "delta", "dualizing_cohomology", "graded_dim",
-    "hilbert_check", "hilbert_function", "hyperplane_section_verdict",
-    "ideal_pushforward_cohomology", "is_prime", "load_custom_table",
+    "complete_intersection", "delta", "graded_dim", "hilbert_check",
+    "hilbert_function", "is_prime", "load_custom_table",
     "load_endomorphism", "multiplication_matrix", "parse_endomorphism",
     "parse_form", "parse_table", "plane_in_p4", "power_map",
-    "projective_space", "pullback_degree", "pushforward_cohomology",
-    "random_endomorphism", "rank_mod", "rank_rational", "rank_verified",
-    "splitting_from_endo", "splitting_universal", "surface_adjunction",
-    "validate_finite",
+    "projective_space", "pullback_degree", "random_endomorphism",
+    "rank_mod", "rank_rational", "rank_verified", "splitting_from_endo",
+    "splitting_universal", "surface_adjunction", "validate_finite",
 ]

@@ -4,7 +4,10 @@ For a subcanonical model (omega_X = O_X(eH)) the dualizing sheaf of the
 inverse image is again a twist of the hyperplane class; for a surface S
 in P^4 the twist is e' = ke + 5k - 5, which packages omega_{S'} =
 pi^*(omega_S(3H)) (x) O_{S'}((2k-5)H').  All numeric invariants (K.H',
-K^2, sectional genus) follow from e' and deg S' = k^2 deg S.
+K^2, sectional genus) follow from e' and deg S' = k^2 deg S
+(``pullback_degree``).  h^0(O_S), h^0(omega_{S'}) and h^0(omega_{S'}(-H'))
+are read from one ``pullback._Sums``, which the canonical-birationality
+verdict shares, so each dualizing twist is summed from one splitting.
 
 The one exception in scope: the inverse image of a 2-plane under a
 degree-2 covering is a quartic Del Pezzo surface (e' = -1); every other
@@ -18,8 +21,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import InputError, IntegrityError
-from .pullback import K_GE_2_REASON, NOT_APPLICABLE, Verdict, \
-    _base_assumptions, dualizing_cohomology
+from .pullback import K_GE_2_REASON, NOT_APPLICABLE, Verdict, _Sums, \
+    _base_assumptions, pullback_degree
 from .splitting import delta
 from .varieties import ModelVariety
 
@@ -32,26 +35,17 @@ def _is_plane(m: ModelVariety) -> bool:
     return m.dim == 2 and m.is_linear_pm
 
 
-def canonical_birationality_verdict(m: ModelVariety, k: int) -> Verdict:
+def _canonical_birational(sums: _Sums, assumptions: dict) -> Verdict:
     """Birationality of the canonical map of X' via a section of omega_{X'}(-H').
 
     Applicable when delta_1 >= dim X and (X, O(1)) is not a linearly
     embedded projective space; then h^0(omega_{X'}(-H')) must be positive
     and the canonical map of X' is birational.  A computed zero where the
-    criterion promises positivity raises IntegrityError.
+    criterion promises positivity raises IntegrityError.  The caller has
+    already required k >= 2, the general-position assertion and dualizing
+    data.
     """
-    assumptions = _base_assumptions(m, k, m.h(0, 0))
-    if k < 2:
-        return Verdict("canonical_birational", NOT_APPLICABLE, None,
-                       K_GE_2_REASON, assumptions=assumptions)
-    if not m.smooth_general_position:
-        return Verdict("canonical_birational", NOT_APPLICABLE, None,
-                       "general position not asserted",
-                       assumptions=assumptions)
-    if not m.has_dualizing:
-        return Verdict("canonical_birational", NOT_APPLICABLE, None,
-                       "model has no dualizing data",
-                       assumptions=assumptions)
+    m, k = sums.m, sums.k
     if m.is_linear_pm:
         return Verdict("canonical_birational", NOT_APPLICABLE, None,
                        "(P^m, O(1)) is the excluded pair for the "
@@ -61,7 +55,7 @@ def canonical_birationality_verdict(m: ModelVariety, k: int) -> Verdict:
         return Verdict("canonical_birational", NOT_APPLICABLE, None,
                        f"requires delta_1 >= dim X, got delta_1 = {delta_1} "
                        f"< {m.dim}", assumptions=assumptions)
-    h0 = dualizing_cohomology(m, k, 1, 0)
+    h0 = sums.total("h_omega", 0, 1)
     if h0 <= 0:
         raise IntegrityError(
             "canonical-birationality criterion promises "
@@ -127,7 +121,7 @@ def surface_adjunction(m: ModelVariety, k: int) -> AdjunctionReport:
             "on the model")
     e = m.subcanonical_twist
     e_prime = k * e + 5 * k - 5
-    degree_prime = m.degree * k * k
+    degree_prime = pullback_degree(m, k)
     k_dot_h = e_prime * degree_prime
     k_squared = e_prime * e_prime * degree_prime
     twice_g_minus_2 = (e_prime + 1) * degree_prime
@@ -138,7 +132,8 @@ def surface_adjunction(m: ModelVariety, k: int) -> AdjunctionReport:
             expected="even", actual=twice_g_minus_2)
     genus = twice_g_minus_2 // 2 + 1
     exception = _is_plane(m) and k == 2
-    assumptions = _base_assumptions(m, k, m.h(0, 0))
+    sums = _Sums(m, k)
+    assumptions = _base_assumptions(m, k, sums.value("h", 0, 0))
     very_ample = Verdict(
         name="canonical_very_ample",
         status=DEL_PEZZO if exception else VERY_AMPLE,
@@ -157,8 +152,8 @@ def surface_adjunction(m: ModelVariety, k: int) -> AdjunctionReport:
         witness={"e_prime": e_prime, "degree_prime": degree_prime},
         assumptions=assumptions)
     # these sums refuse an oversized k before k delta_l pairs are built
-    h0_omega = dualizing_cohomology(m, k, 0, 0)
-    h0_omega_minus_h = dualizing_cohomology(m, k, 1, 0)
+    h0_omega = sums.total("h_omega", 0, 0)
+    h0_omega_minus_h = sums.total("h_omega", 0, 1)
     return AdjunctionReport(
         model=m.name, n=m.n, k=k,
         delta_l=tuple((l, delta(m.n, k, l)) for l in range(k)),
@@ -169,5 +164,5 @@ def surface_adjunction(m: ModelVariety, k: int) -> AdjunctionReport:
         general_type=e_prime > 0,
         canonical_very_ample=very_ample,
         del_pezzo_exception=del_pezzo,
-        canonical_birational=canonical_birationality_verdict(m, k),
+        canonical_birational=_canonical_birational(sums, assumptions),
         assumptions=assumptions)

@@ -8,11 +8,12 @@ of X' = pi^{-1}(X) is a direct sum over the splitting type:
 and likewise with I_X (flat pullback of the ideal sheaf) and, for
 0 <= l < k, with the dualizing sheaf where the d-th summand is twisted by
 +d.  Everything here is a finite exact integer sum against the model's
-table; no geometry is recomputed.  The sum is written once (``_Sums``):
-a report builds one for its model and k, so it looks up each twist's
-splitting once and reads each table value once, and the single-value
-functions below build one per call.  Splitting types come from
-``splitting_universal``, which computes each (n, k, l) once per process.
+table; no geometry is recomputed.  The sum is written once (``_Sums``),
+and only the two reports build one: ``build_pullback_report`` here and
+``adjunction.surface_adjunction``.  Each hands it to its verdicts, so a
+report looks up each twist's splitting once and reads each table value
+once.  Splitting types come from ``splitting_universal``, which computes
+each (n, k, l) once per process.
 
 Verdicts are records with provenance: they echo the hypotheses they
 consumed (k >= 2, the user-asserted general-position flag, the
@@ -95,32 +96,6 @@ class _Sums:
         return totals
 
 
-def pushforward_cohomology(m: ModelVariety, k: int, l: int, i: int) -> int:
-    """h^i(O_{X'}(l)) = sum_d m_{l,d} * h^i(O_X(-d))."""
-    return _Sums(m, k).total("h", i, l)
-
-
-def ideal_pushforward_cohomology(m: ModelVariety, k: int, l: int, i: int) -> int:
-    """h^i(I_{X'}(l)) = sum_d m_{l,d} * h^i(I_X(-d))."""
-    return _Sums(m, k).total("hI", i, l)
-
-
-def dualizing_cohomology(m: ModelVariety, k: int, l: int, i: int) -> int:
-    """h^i(omega_{X'}(-l)) = sum_{d=0}^{delta_l} m_{l,d} * h^i(omega_X(d)).
-
-    Stated for 0 <= l < k only (an InputError otherwise); the d-th dual
-    summand is omega_X(dH), with multiplicity m_{l,d}.
-    """
-    if not m.has_dualizing:
-        raise MissingDataError(
-            f"model {m.name} has no dualizing data; "
-            "dualizing cohomology unavailable")
-    if not 0 <= l < k:
-        raise InputError(
-            f"dualizing decomposition requires 0 <= l < k, got l={l}, k={k}")
-    return _Sums(m, k).total("h_omega", i, l)
-
-
 @dataclass(frozen=True)
 class Verdict:
     """A named outcome plus the evidence and hypotheses behind it.
@@ -191,7 +166,7 @@ def _detect_s(sums: _Sums) -> tuple[str, int | None, tuple[int, int] | None]:
     return "finite", first, (lo, hi)
 
 
-def completeness_verdict(m: ModelVariety, k: int) -> CompletenessVerdict:
+def _completeness(sums: _Sums, assumptions: dict) -> CompletenessVerdict:
     """Nondegeneracy, linear completeness, and the ideal-h^1 vanishing bound.
 
     X' is nondegenerate for every k >= 2; it is linearly complete exactly
@@ -204,12 +179,7 @@ def completeness_verdict(m: ModelVariety, k: int) -> CompletenessVerdict:
     h^1(I_{X'}(l)) is 0 and the table answers every twist: the witness
     is the range 0..3k with no nonzero value, without summing it.
     """
-    return _completeness(_Sums(m, k))
-
-
-def _completeness(sums: _Sums) -> CompletenessVerdict:
     m, k = sums.m, sums.k
-    assumptions = _base_assumptions(m, k, sums.value("h", 0, 0))
     if k < 2:
         return CompletenessVerdict(
             nondegenerate=Verdict("nondegenerate", NOT_APPLICABLE, None,
@@ -296,19 +266,14 @@ def _completeness(sums: _Sums) -> CompletenessVerdict:
     return CompletenessVerdict(nondegenerate, linearly_complete, h1)
 
 
-def hyperplane_section_verdict(m: ModelVariety, k: int) -> Verdict:
+def _hyperplane_section(sums: _Sums, assumptions: dict) -> Verdict:
     """Linear completeness of the section Y' = X' and a hyperplane.
 
     Needs dim X >= 2, the general-position assertion, and k >= 2.  The
     numeric consequence is h^0(O_{Y'}(1)) = h^0(O_{X'}(1)) - h^0(O_{X'});
     the verdict covers every hyperplane meeting X' properly.
     """
-    return _hyperplane_section(_Sums(m, k))
-
-
-def _hyperplane_section(sums: _Sums) -> Verdict:
     m, k = sums.m, sums.k
-    assumptions = _base_assumptions(m, k, sums.value("h", 0, 0))
     if k < 2:
         return Verdict("hyperplane_section", NOT_APPLICABLE, None,
                        K_GE_2_REASON, assumptions=assumptions)
@@ -428,14 +393,15 @@ def build_pullback_report(m: ModelVariety, k: int,
         dualizing_rows = _by_row(
             {l: sums.totals("h_omega", l, columns) for l in range(0, k)},
             columns)
+    assumptions = _base_assumptions(m, k, sums.value("h", 0, 0))
     return PullbackReport(
         model=m.name, n=m.n, k=k, dim=m.dim, degree=m.degree,
         degree_prime=pullback_degree(m, k), lrange=(lo, hi),
-        assumptions=_base_assumptions(m, k, sums.value("h", 0, 0)),
+        assumptions=assumptions,
         h_rows=_by_row(h_by_twist, columns),
         euler={l: sum((-1) ** i * value for i, value in enumerate(row))
                for l, row in h_by_twist.items()},
-        completeness=_completeness(sums),
-        hyperplane=_hyperplane_section(sums),
+        completeness=_completeness(sums, assumptions),
+        hyperplane=_hyperplane_section(sums, assumptions),
         ideal_rows=_by_row(ideal_by_twist, declared or ()) or None,
         dualizing_rows=dualizing_rows)

@@ -256,15 +256,6 @@ class ModelVariety:
     def has_dualizing(self) -> bool:
         return self.table.omega_twist is not None
 
-    def h(self, i: int, t: int) -> int:
-        return self.table.h(i, t)
-
-    def hI(self, i: int, t: int) -> int:
-        return self.table.hI(i, t)
-
-    def h_omega(self, i: int, t: int) -> int:
-        return self.table.h_omega(i, t)
-
 
 def projective_space(n: int, smooth_general_position: bool = True) -> ModelVariety:
     return ModelVariety(f"p{n}", KoszulTable(n, ()), smooth_general_position)

@@ -12,12 +12,7 @@ import sys
 
 from oracles import splitting_by_ranks
 from pushsplit.endomorphism import power_map, random_endomorphism
-from pushsplit.pullback import (
-    completeness_verdict,
-    dualizing_cohomology,
-    hyperplane_section_verdict,
-    pushforward_cohomology,
-)
+from pushsplit.pullback import build_pullback_report
 from pushsplit.adjunction import surface_adjunction
 from pushsplit.splitting import (
     delta,
@@ -83,12 +78,14 @@ def test_criterion_3_oracle_equivalence():
     for n, degrees in cases:
         model = complete_intersection(n, degrees)
         oracle = KoszulTable(n, tuple(2 * d for d in degrees))
+        rows = build_pullback_report(model, 2, (-6, 8)).h_rows
         for l in range(-6, 9):
             for i in range(model.dim + 1):
-                assert pushforward_cohomology(model, 2, l, i) == \
-                    oracle.h(i, l), (n, degrees, i, l)
+                assert rows[(i, l)] == oracle.h(i, l), (n, degrees, i, l)
                 compared += 1
-    assert pushforward_cohomology(complete_intersection(4, (2, 2)), 2, 0, 2) == 35
+        assert len(rows) == 15 * (model.dim + 1)
+    rows = build_pullback_report(complete_intersection(4, (2, 2)), 2).h_rows
+    assert rows[(2, 0)] == 35
     print(f"PASS criterion 3: decomposition sums match Koszul tables on "
           f"{compared} entries (h^2 = 35 included)")
 
@@ -98,13 +95,15 @@ def test_criterion_4_completeness_verdicts():
     for n, degrees in cases:
         model = complete_intersection(n, degrees)
         for k in (2, 3):
-            verdicts = completeness_verdict(model, k)
+            report = build_pullback_report(model, k, (0, 1))
+            verdicts = report.completeness
             assert verdicts.linearly_complete.holds is True
             assert verdicts.linearly_complete.witness["h0_Xprime_1"] == n + 1
             for i in range(model.dim):
-                assert pushforward_cohomology(model, k, 0, i) == model.h(i, 0)
+                assert report.h_rows[(i, 0)] == model.table.h(i, 0)
     lines = load_custom_table("tests/fixtures/two_lines_p3.table")
-    split_verdict = completeness_verdict(lines, 2).linearly_complete
+    split_verdict = build_pullback_report(
+        lines, 2, (0, 1)).completeness.linearly_complete
     assert split_verdict.holds is False
     assert split_verdict.witness["h0_Xprime_1"] == 2 * (lines.n + 1)
     print("PASS criterion 4: linear completeness verdicts with witnesses "
@@ -112,9 +111,11 @@ def test_criterion_4_completeness_verdicts():
 
 
 def test_criterion_5_hyperplane_section():
-    verdict = hyperplane_section_verdict(complete_intersection(4, (2, 2)), 2)
+    report = build_pullback_report(complete_intersection(4, (2, 2)), 2)
+    verdict = report.hyperplane
     assert verdict.holds is True
     assert verdict.witness["h0_Yprime_1"] == 4
+    assert report.h_rows[(0, 1)] - report.h_rows[(0, 0)] == 4
     # independent table of the section curve
     assert KoszulTable(3, (4, 4)).h(0, 1) == 4
     print("PASS criterion 5: hyperplane section is linearly complete with "
@@ -124,8 +125,11 @@ def test_criterion_5_hyperplane_section():
 def test_criterion_6_dualizing_numbers_and_bound():
     model = complete_intersection(4, (2, 2))
     oracle = KoszulTable(4, (4, 4))
-    assert dualizing_cohomology(model, 2, 1, 0) == 15
-    assert dualizing_cohomology(model, 2, 0, 0) == 35
+    dualizing = build_pullback_report(model, 2).dualizing_rows
+    assert dualizing[(0, 1)] == 15
+    assert dualizing[(0, 0)] == 35
+    adjoint = surface_adjunction(model, 2)
+    assert (adjoint.h0_omega_minus_h, adjoint.h0_omega) == (15, 35)
     assert oracle.h_omega(0, -1) == 15
     assert oracle.h_omega(0, 0) == 35
     # 0 < delta_l < n+1 for l in [0, k), with 0 <= delta_l when n = 1

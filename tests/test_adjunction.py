@@ -8,16 +8,22 @@ k in range.
 
 import pytest
 
-from pushsplit import adjunction
+from pushsplit import adjunction, pullback
 from pushsplit.adjunction import (
     CANONICAL_BIRATIONAL,
     DEL_PEZZO,
     VERY_AMPLE,
-    canonical_birationality_verdict,
+    _canonical_birational,
     surface_adjunction,
 )
+from pushsplit.cli import main
 from pushsplit.errors import InputError, IntegrityError
-from pushsplit.pullback import NOT_APPLICABLE, dualizing_cohomology
+from pushsplit.pullback import (
+    NOT_APPLICABLE,
+    _base_assumptions,
+    _Sums,
+    build_pullback_report,
+)
 from pushsplit.splitting import delta
 from pushsplit.varieties import (
     ExplicitTable,
@@ -105,7 +111,7 @@ def test_known_surface_report():
     assert report.delta_l == ((0, 2), (1, 2))
 
 
-def test_adjunction_preconditions():
+def test_adjunction_preconditions(tmp_path, capsys):
     with pytest.raises(InputError):
         surface_adjunction(complete_intersection(3, (2,)), 2)  # wrong ambient
     with pytest.raises(InputError):
@@ -118,6 +124,18 @@ def test_adjunction_preconditions():
     two_lines = load_custom_table("tests/fixtures/two_lines_p3.table")
     with pytest.raises(InputError):
         surface_adjunction(two_lines, 2)
+    # a surface in P^4 whose table gives no dualizing twist
+    reference = KoszulTable(4, (2, 2))
+    table = tmp_path / "surface.table"
+    table.write_text("".join(
+        ["n=4\ndim=2\ndegree=4\nomega_twist=none\ntrange=-8..8\n"
+         "general_position=true\n"]
+        + [f"h {i} {t} {reference.h(i, t)}\n"
+           for i in range(3) for t in range(-8, 9)]))
+    with pytest.raises(InputError, match="is not subcanonical"):
+        surface_adjunction(load_custom_table(str(table)), 2)
+    assert main(["adjoint", "--model", f"table:{table}", "--k", "2"]) == 2
+    assert "is not subcanonical" in capsys.readouterr().err
 
 
 def test_oversized_k_is_refused_before_the_delta_l_pairs(monkeypatch):
@@ -146,23 +164,28 @@ def test_genus_parity_guard():
     assert report.sectional_genus == 5
 
 
+def birational(model, k):
+    """The canonical-birationality verdict on one ``_Sums``, as
+    ``surface_adjunction`` builds it."""
+    sums = _Sums(model, k)
+    return _canonical_birational(
+        sums, _base_assumptions(model, k, sums.value("h", 0, 0)))
+
+
 def test_birationality_not_applicable_cases():
-    assert canonical_birationality_verdict(plane_in_p4(), 2).status == \
-        NOT_APPLICABLE  # excluded pair
-    assert canonical_birationality_verdict(projective_space(4), 2).status == \
-        NOT_APPLICABLE  # linear subspace, excluded
-    assert canonical_birationality_verdict(
-        complete_intersection(4, (2, 2)), 1).status == NOT_APPLICABLE
-    quartic = load_custom_table("tests/fixtures/rational_quartic_p3.table")
-    assert canonical_birationality_verdict(quartic, 2).status == NOT_APPLICABLE
-    no_gp = complete_intersection(4, (2, 2), smooth_general_position=False)
-    assert canonical_birationality_verdict(no_gp, 2).status == NOT_APPLICABLE
+    verdict = surface_adjunction(plane_in_p4(), 3).canonical_birational
+    assert verdict.status == NOT_APPLICABLE  # excluded pair
+    assert "P^m" in verdict.reason
+    # delta_1(3, 2) = 1 is below the dimension of a quadric surface
+    verdict = birational(complete_intersection(3, (2,)), 2)
+    assert verdict.status == NOT_APPLICABLE
+    assert "delta_1 = 1 < 2" in verdict.reason
 
 
 def test_birationality_on_curves_uses_delta_one():
     # delta_1(2,2) = 1 >= dim 1, so a plane curve qualifies
     cubic = complete_intersection(2, (3,))
-    verdict = canonical_birationality_verdict(cubic, 2)
+    verdict = birational(cubic, 2)
     assert verdict.status == CANONICAL_BIRATIONAL
     assert verdict.witness["h0_omega_Xprime_minus_H"] > 0
 
@@ -177,8 +200,8 @@ def test_birationality_integrity_guard():
             rows[(i, t)] = reference.h(i, t)
     table = ExplicitTable(4, 2, 4, (-60, 10), rows, omega_twist=-50)
     fake = ModelVariety("fake-promise", table, smooth_general_position=True)
-    with pytest.raises(IntegrityError):
-        canonical_birationality_verdict(fake, 2)
+    with pytest.raises(IntegrityError, match="promises"):
+        surface_adjunction(fake, 2)
 
 
 def test_canonical_system_dimensions():
@@ -187,7 +210,19 @@ def test_canonical_system_dimensions():
     assert delta(4, 2, 0) == 2
     surface = complete_intersection(4, (2, 2))
     # h^0(omega_S(2)) = h^0(O_S(-1+2)) = h^0(O_S(1))
-    assert (dualizing_cohomology(surface, 2, 0, 0), surface.h_omega(0, 2)) \
-        == (35, 5)
+    assert (surface_adjunction(surface, 2).h0_omega,
+            surface.table.h_omega(0, 2)) == (35, 5)
     p4 = projective_space(4)
-    assert (dualizing_cohomology(p4, 2, 0, 0), p4.h_omega(0, 2)) == (0, 0)
+    assert (build_pullback_report(p4, 2).dualizing_rows[(0, 0)],
+            p4.table.h_omega(0, 2)) == (0, 0)
+
+
+def test_adjoint_sums_each_dualizing_twist_once(monkeypatch):
+    lookups = []
+    real = pullback.splitting_universal
+    monkeypatch.setattr(pullback, "splitting_universal", lambda n, k, l: (
+        lookups.append(l) or real(n, k, l)))
+    report = surface_adjunction(complete_intersection(4, (2, 3)), 3)
+    assert sorted(lookups) == [0, 1]
+    assert report.h0_omega_minus_h == \
+        report.canonical_birational.witness["h0_omega_Xprime_minus_H"]

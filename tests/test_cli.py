@@ -550,7 +550,7 @@ def test_table_contradicting_its_degree_is_refused(capsys, tmp_path):
     plane = plane_in_p4()
     text = "".join(["n=4\ndim=2\ndegree=1\nomega_twist=-3\ntrange=-5..5\n"
                     "linear_pm=true\ngeneral_position=true\n"]
-                   + [f"h {i} {t} {plane.h(i, t)}\n"
+                   + [f"h {i} {t} {plane.table.h(i, t)}\n"
                       for i in range(3) for t in range(-5, 6)])
     table = tmp_path / "plane.table"
     table.write_text(text)

@@ -1,8 +1,11 @@
 """Package-wide rules: runtime checks survive -O, the exports resolve,
-every public definition has a caller, numpy is imported only where the
-linear algebra runs, and malformed input files raise only InputError."""
+every public definition has a caller, README names only what exists,
+numpy is imported only where the linear algebra runs, and malformed input
+files raise only InputError."""
 
 import ast
+import dataclasses
+import importlib
 import re
 import sys
 from pathlib import Path
@@ -94,6 +97,59 @@ def test_every_public_definition_has_a_caller():
               and not any(node.name in names for other, names in uses
                           if other is not node)]
     assert unused == []
+
+
+# the backticked words of README section Python API that are flags,
+# commands or environment variables rather than Python names
+README_NOT_PYTHON = {"--exact", "verify-endo", "split --endo", "COLUMNS"}
+
+
+def test_readme_python_api_names_only_what_exists():
+    # the other direction of the test above: each name the section's code
+    # imports is exported, and each Python name its prose backticks is a
+    # pushsplit module, a module's attribute, or an attribute or field of
+    # an exported class; a call's arguments are not read
+    readme = (PACKAGE.parents[1] / "README.md").read_text()
+    api = readme.split("\n## Python API\n", 1)[1].split("\n## ", 1)[0]
+    code = "".join(re.findall(r"```python\n(.*?)```", api, re.S))
+    imported = [alias.name for node in ast.walk(ast.parse(code))
+                if isinstance(node, ast.ImportFrom)
+                and node.module == "pushsplit" for alias in node.names]
+    assert imported
+    assert [name for name in imported if not hasattr(pushsplit, name)] == []
+
+    modules = {path.stem: importlib.import_module(f"pushsplit.{path.stem}")
+               for path in PACKAGE.glob("*.py")
+               if path.stem not in ("__init__", "__main__")}
+    classes = [value for value in vars(pushsplit).values()
+               if isinstance(value, type)]
+
+    def members(owner):
+        names = set(dir(owner))
+        if dataclasses.is_dataclass(owner):
+            names |= {f.name for f in dataclasses.fields(owner)}
+        return names
+
+    def resolves(text):
+        head, *rest = re.sub(r"\(\w*\)$", "", text).split(".")
+        if head in modules:
+            owner = modules[head]
+        else:
+            owners = [owner for owner in [*modules.values(), *classes]
+                      if head in members(owner)]
+            if not owners:
+                return False
+            owner = getattr(owners[0], head, None)
+        for name in rest:
+            if name not in members(owner):
+                return False
+            owner = getattr(owner, name)
+        return True
+
+    prose = re.sub(r"```.*?```", "", api, flags=re.S)
+    named = set(re.findall(r"`([^`]+)`", prose)) - README_NOT_PYTHON
+    assert {"cli.main(argv)", "smooth_general_position", "n"} <= named
+    assert sorted(text for text in named if not resolves(text)) == []
 
 
 # Pieces of the three file grammars, with numbers that are empty, signed,

@@ -14,18 +14,13 @@ import pytest
 from pushsplit import pullback, splitting, varieties
 from pushsplit.adjunction import surface_adjunction
 from pushsplit.cli import main
-from pushsplit.errors import InputError, MissingDataError
+from pushsplit.errors import InputError
 from pushsplit.pullback import (
     MAX_TWISTS,
     NOT_APPLICABLE,
     VERIFIED,
     build_pullback_report,
-    completeness_verdict,
-    dualizing_cohomology,
-    hyperplane_section_verdict,
-    ideal_pushforward_cohomology,
     pullback_degree,
-    pushforward_cohomology,
 )
 from pushsplit.splitting import delta
 from pushsplit.varieties import (
@@ -59,10 +54,9 @@ def test_pushforward_matches_independent_koszul_table():
     for n, degrees in EQUIVALENCE_CASES:
         model = complete_intersection(n, degrees)
         prime = KoszulTable(n, tuple(k * d for d in degrees))
-        for l in range(-6, 9):
-            for i in range(model.dim + 1):
-                assert pushforward_cohomology(model, k, l, i) == prime.h(i, l), \
-                    (n, degrees, i, l)
+        rows = build_pullback_report(model, k, (-6, 8)).h_rows
+        assert rows == {(i, l): prime.h(i, l) for i in range(model.dim + 1)
+                        for l in range(-6, 9)}, (n, degrees)
 
 
 def test_ideal_pushforward_matches_independent_koszul_table():
@@ -70,39 +64,40 @@ def test_ideal_pushforward_matches_independent_koszul_table():
     for n, degrees in EQUIVALENCE_CASES:
         model = complete_intersection(n, degrees)
         prime = KoszulTable(n, tuple(k * d for d in degrees))
-        for l in range(-6, 9):
-            for i in range(n + 1):
-                assert ideal_pushforward_cohomology(model, k, l, i) == \
-                    prime.hI(i, l), (n, degrees, i, l)
+        rows = build_pullback_report(model, k, (-6, 8)).ideal_rows
+        assert rows == {(i, l): prime.hI(i, l) for i in range(n + 1)
+                        for l in range(-6, 9)}, (n, degrees)
 
 
 def test_known_surface_values():
     model = complete_intersection(4, (2, 2))
-    assert pushforward_cohomology(model, 2, 0, 2) == 35
-    assert pushforward_cohomology(model, 2, 0, 0) == 1
-    assert pushforward_cohomology(model, 2, 0, 1) == 0
-    assert build_pullback_report(model, 2, (0, 0)).euler == {0: 36}
+    report = build_pullback_report(model, 2, (0, 0))
+    assert [report.h_rows[(i, 0)] for i in range(3)] == [1, 0, 35]
+    assert report.euler == {0: 36}
 
 
 def test_low_cohomology_is_preserved():
     for n, degrees in EQUIVALENCE_CASES:
         model = complete_intersection(n, degrees)
         for k in (2, 3):
+            rows = build_pullback_report(model, k, (0, 0)).h_rows
             for i in range(model.dim):
-                assert pushforward_cohomology(model, k, 0, i) == model.h(i, 0)
+                assert rows[(i, 0)] == model.table.h(i, 0)
 
 
 def test_negative_twists_have_no_sections():
     model = complete_intersection(4, (2, 2))
+    rows = build_pullback_report(model, 2, (-3, -1)).h_rows
     for l in (-1, -2, -3):
-        assert pushforward_cohomology(model, 2, l, 0) == 0
+        assert rows[(0, l)] == 0
 
 
 def test_plane_curve_genus():
     model = complete_intersection(2, (3,))
     # the inverse image is a sextic plane curve of genus 10
-    assert pushforward_cohomology(model, 2, 0, 1) == 10
-    assert build_pullback_report(model, 2, (0, 0)).euler == {0: -9}
+    report = build_pullback_report(model, 2, (0, 0))
+    assert report.h_rows[(1, 0)] == 10
+    assert report.euler == {0: -9}
 
 
 def test_euler_growth_matches_pullback_degree():
@@ -115,26 +110,23 @@ def test_dualizing_route_is_serre_dual():
     for n, degrees in ((4, (2, 2)), (4, (2, 3)), (3, (2,))):
         model = complete_intersection(n, degrees)
         for k in (2, 3):
+            report = build_pullback_report(model, k, (0, k - 1))
             for l in range(0, k):
                 for i in range(model.dim + 1):
-                    assert dualizing_cohomology(model, k, l, i) == \
-                        pushforward_cohomology(model, k, l, model.dim - i)
+                    assert report.dualizing_rows[(i, l)] == \
+                        report.h_rows[(model.dim - i, l)]
 
 
 def test_dualizing_known_values():
     model = complete_intersection(4, (2, 2))
-    assert dualizing_cohomology(model, 2, 0, 0) == 35
-    assert dualizing_cohomology(model, 2, 1, 0) == 15
-
-
-def test_dualizing_needs_subcanonical_data():
-    quartic = load_custom_table("tests/fixtures/rational_quartic_p3.table")
-    with pytest.raises(MissingDataError):
-        dualizing_cohomology(quartic, 2, 0, 0)
+    rows = build_pullback_report(model, 2).dualizing_rows
+    assert rows[(0, 0)] == 35
+    assert rows[(0, 1)] == 15
 
 
 def test_completeness_on_complete_intersection():
-    verdicts = completeness_verdict(complete_intersection(4, (2, 2)), 2)
+    verdicts = build_pullback_report(
+        complete_intersection(4, (2, 2)), 2).completeness
     assert verdicts.nondegenerate.holds
     assert verdicts.nondegenerate.witness["consistent"]
     assert verdicts.linearly_complete.holds
@@ -145,7 +137,8 @@ def test_completeness_on_complete_intersection():
 
 
 def test_completeness_rejects_k_one():
-    verdicts = completeness_verdict(complete_intersection(4, (2, 2)), 1)
+    verdicts = build_pullback_report(
+        complete_intersection(4, (2, 2)), 1).completeness
     for verdict in (verdicts.nondegenerate, verdicts.linearly_complete,
                     verdicts.h1_vanishing):
         assert verdict.status == NOT_APPLICABLE
@@ -155,7 +148,7 @@ def test_completeness_rejects_k_one():
 
 def test_disconnected_model_is_not_linearly_complete():
     lines = load_custom_table("tests/fixtures/two_lines_p3.table")
-    verdicts = completeness_verdict(lines, 2)
+    verdicts = build_pullback_report(lines, 2, (0, 1)).completeness
     assert verdicts.nondegenerate.holds
     assert verdicts.linearly_complete.holds is False
     # two components double the section count: 2*(n+1) instead of n+1
@@ -165,48 +158,54 @@ def test_disconnected_model_is_not_linearly_complete():
 
 def test_deficient_ideal_bound_is_sharp():
     quartic = load_custom_table("tests/fixtures/rational_quartic_p3.table")
-    verdicts = completeness_verdict(quartic, 2)
-    h1 = verdicts.h1_vanishing
+    report = build_pullback_report(quartic, 2, (0, 2))
+    h1 = report.completeness.h1_vanishing
     assert h1.holds
     assert h1.status == VERIFIED
     assert h1.witness["s"] == 1
     assert h1.witness["vanishing_bound_sk"] == 2
     assert h1.witness["verified_l_range"] == [0, 1]
     assert h1.witness["value_at_sk"] == 1
-    assert ideal_pushforward_cohomology(quartic, 2, 2, 1) == 1
+    assert report.ideal_rows[(1, 2)] == 1
 
 
 def test_koszul_completeness_is_decided_without_summing(monkeypatch):
     # every h^1(I_X(d)) of P^n or of a complete intersection of dim >= 1
-    # is 0, so the witness 0..3k is filled without reading the ideal rows
+    # is 0, so the witness 0..3k is filled without reading the ideal rows:
+    # a report on the twist 0 reads only the values its own rows need
     reads = []
     real = KoszulTable.hI
     monkeypatch.setattr(KoszulTable, "hI", lambda table, i, t: reads.append(
         (i, t)) or real(table, i, t))
     model = complete_intersection(4, (2, 2))
-    h1 = completeness_verdict(model, 3).h1_vanishing
-    assert reads == []
+    h1 = build_pullback_report(model, 3, (0, 0)).completeness.h1_vanishing
+    assert sorted(reads) == sorted((i, -d) for i in range(5)
+                                   for d in range(delta(4, 3, 0) + 1))
     # the verdict the summing loop gave
     assert (h1.status, h1.holds, h1.witness) == (
         VERIFIED, True,
         {"s_kind": "infinite", "s": "infinity", "verified_l_range": [0, 9]})
     assert h1.reason == ("h^1(I_X(d)) = 0 for d < s forces "
                          "h^1(I_{X'}(l)) = 0 for l < s*k")
-    assert all(ideal_pushforward_cohomology(model, 3, l, 1) == 0
-               for l in range(10))
-    assert completeness_verdict(projective_space(3), 2).h1_vanishing.witness \
-        == {"s_kind": "infinite", "s": "infinity", "verified_l_range": [0, 6]}
+    rows = build_pullback_report(model, 3, (0, 9)).ideal_rows
+    assert all(rows[(1, l)] == 0 for l in range(10))
+    assert build_pullback_report(projective_space(3), 2).completeness \
+        .h1_vanishing.witness == {"s_kind": "infinite", "s": "infinity",
+                                  "verified_l_range": [0, 6]}
 
 
 def test_explicit_completeness_still_sums_the_ideal_rows(monkeypatch):
-    # an explicit table is checked twist by twist, up to its range
+    # an explicit table is checked twist by twist, up to its range: the
+    # witness at l = sk = 2 reads h^1(I_X(1)), which the rows at l = 0
+    # do not need
     quartic = load_custom_table("tests/fixtures/rational_quartic_p3.table")
     reads = Counter()
     real = quartic.table.hI
     monkeypatch.setattr(quartic.table, "hI", lambda i, t: reads.update(
         [(i, t)]) or real(i, t))
-    assert completeness_verdict(quartic, 2).h1_vanishing.holds
-    assert reads and max(reads.values()) == 1
+    report = build_pullback_report(quartic, 2, (0, 0))
+    assert report.completeness.h1_vanishing.holds
+    assert (1, 1) in reads and max(reads.values()) == 1
 
 
 @pytest.mark.parametrize("model", (
@@ -241,18 +240,20 @@ def test_a_report_reads_each_splitting_and_table_value_once(monkeypatch,
 
 
 def test_hyperplane_section_verdict():
-    verdict = hyperplane_section_verdict(complete_intersection(4, (2, 2)), 2)
+    verdict = build_pullback_report(
+        complete_intersection(4, (2, 2)), 2).hyperplane
     assert verdict.holds
     assert verdict.witness["h0_Yprime_1"] == 4
 
-    curve = hyperplane_section_verdict(complete_intersection(2, (3,)), 2)
+    curve = build_pullback_report(complete_intersection(2, (3,)), 2).hyperplane
     assert curve.status == NOT_APPLICABLE and "dim" in curve.reason
 
-    k1 = hyperplane_section_verdict(complete_intersection(4, (2, 2)), 1)
+    k1 = build_pullback_report(complete_intersection(4, (2, 2)), 1).hyperplane
     assert k1.status == NOT_APPLICABLE
 
-    no_gp = hyperplane_section_verdict(
-        complete_intersection(4, (2, 2), smooth_general_position=False), 2)
+    no_gp = build_pullback_report(
+        complete_intersection(4, (2, 2), smooth_general_position=False),
+        2).hyperplane
     assert no_gp.status == NOT_APPLICABLE and "position" in no_gp.reason
 
 
@@ -262,14 +263,15 @@ def test_injectivity_hypothesis():
     assert delta(4, 2, 0) == 2
     for model, j in ((complete_intersection(4, (2, 2)), 2),
                      (projective_space(4), 4)):
-        assert all(model.h(i, -d) == 0 for i in range(j) for d in (1, 2))
+        assert all(model.table.h(i, -d) == 0
+                   for i in range(j) for d in (1, 2))
 
     rows = {(0, t): (1 if t >= 0 else 0) for t in range(-5, 6)}
     rows.update({(1, t): (1 if t == -1 else 0) for t in range(-5, 6)})
     witness_table = ExplicitTable(3, 1, 2, (-5, 5), rows)
     counter = ModelVariety("counterwitness", witness_table)
     failures = [(i, d) for i in range(2) for d in range(1, delta(3, 2, 0) + 1)
-                if counter.h(i, -d) != 0]
+                if counter.table.h(i, -d) != 0]
     assert failures[0] == (1, 1)
 
 

@@ -33,7 +33,6 @@ from pushsplit.endomorphism import (
     validate_finite,
 )
 from pushsplit.polyring import graded_dim, parse_form
-from pushsplit.pullback import dualizing_cohomology
 from pushsplit.splitting import (
     BOX_CACHE_SIZE,
     MAX_BOX_COEFFS,
@@ -47,7 +46,6 @@ from pushsplit.splitting import (
     splitting_from_endo,
     splitting_universal,
 )
-from pushsplit.varieties import complete_intersection
 
 
 def oracle_multiplicities(n, k, l):
@@ -320,14 +318,6 @@ def test_splitting_type_validation():
         SplittingType(1, 2, 0, ((0, 0),))
     with pytest.raises(InputError):
         SplittingType(1, 2, 0, ((0, 1), (0, 1)))
-
-
-def test_dual_multiplicities():
-    model = complete_intersection(4, (2, 2))
-    with pytest.raises(InputError):
-        dualizing_cohomology(model, 2, 2, 0)
-    with pytest.raises(InputError):
-        dualizing_cohomology(model, 2, -1, 0)
 
 
 def from_endo_and_by_ranks(e, l):

@@ -194,10 +194,10 @@ def test_plane_model_matches_linear_ci():
     assert plane.is_linear_pm
     for t in range(-12, 13):
         for i in range(3):
-            assert plane.h(i, t) == reference.h(i, t)
+            assert plane.table.h(i, t) == reference.h(i, t)
         for i in range(5):
-            assert plane.hI(i, t) == reference.hI(i, t)
-    assert plane.h_omega(0, 3) == reference.h(0, 0)
+            assert plane.table.hI(i, t) == reference.hI(i, t)
+    assert plane.table.h_omega(0, 3) == reference.h(0, 0)
 
 
 def test_plane_table_is_built_once_and_shared(monkeypatch):
@@ -241,22 +241,23 @@ def test_fixture_tables_are_consistent():
     assert lines.n == 3 and lines.dim == 1 and lines.degree == 2
     assert lines.subcanonical_twist == -2
     assert lines.smooth_general_position and not lines.is_linear_pm
-    assert lines.h(0, 0) == 2  # two connected components
+    assert lines.table.h(0, 0) == 2  # two connected components
     for t in range(-6, 7):
-        assert lines.h(0, t) == (2 * (t + 1) if t >= 0 else 0)
-        assert lines.h(1, t) == lines.h(0, -2 - t)  # componentwise duality
-        assert lines.hI(1, t) == (1 if t == 0 else 0)
+        assert lines.table.h(0, t) == (2 * (t + 1) if t >= 0 else 0)
+        # componentwise duality
+        assert lines.table.h(1, t) == lines.table.h(0, -2 - t)
+        assert lines.table.hI(1, t) == (1 if t == 0 else 0)
 
     quartic = load_custom_table("tests/fixtures/rational_quartic_p3.table")
     assert quartic.subcanonical_twist is None
     assert not quartic.has_dualizing
     with pytest.raises(MissingDataError):
-        quartic.h_omega(0, 0)
+        quartic.table.h_omega(0, 0)
     for t in range(-6, 7):
-        assert quartic.h(0, t) == (4 * t + 1 if t >= 0 else 0)
-        assert quartic.hI(1, t) == (1 if t == 1 else 0)
+        assert quartic.table.h(0, t) == (4 * t + 1 if t >= 0 else 0)
+        assert quartic.table.hI(1, t) == (1 if t == 1 else 0)
         # chi of a degree-4 rational curve is 4t+1 at every twist
-        assert quartic.h(0, t) - quartic.h(1, t) == 4 * t + 1
+        assert quartic.table.h(0, t) - quartic.table.h(1, t) == 4 * t + 1
 
     # every row of the file reads back, no twist past trange does, and an
     # hI index the file does not declare is missing data, not zero
@@ -266,13 +267,13 @@ def test_fixture_tables_are_consistent():
             kind, *numbers = row.split("#")[0].split() or ("",)
             if kind in ("h", "hI"):
                 i, t, value = map(int, numbers)
-                assert getattr(model, kind)(i, t) == value
+                assert getattr(model.table, kind)(i, t) == value
         with pytest.raises(TableRangeError):
-            model.h(0, 9)
+            model.table.h(0, 9)
         with pytest.raises(TableRangeError):
-            model.hI(1, -9)
+            model.table.hI(1, -9)
     with pytest.raises(MissingDataError):
-        quartic.hI(0, 0)
+        quartic.table.hI(0, 0)
 
 
 @pytest.mark.parametrize("model, expected", [
