@@ -12,8 +12,8 @@ verdict shares, so each dualizing twist is summed from one splitting.
 The one exception in scope: the inverse image of a 2-plane under a
 degree-2 covering is a quartic Del Pezzo surface (e' = -1); every other
 surface model here has very ample canonical bundle.  Plane detection is
-numeric (dim 2, degree 1), so it also catches the plane entered as the
-intersection of two hyperplanes.
+numeric (degree 1, on a model already required to be a surface), so it
+also catches the plane entered as the intersection of two hyperplanes.
 """
 
 from __future__ import annotations
@@ -31,10 +31,6 @@ VERY_AMPLE = "VERY_AMPLE"
 DEL_PEZZO = "DEL_PEZZO_EXCEPTION"
 
 
-def _is_plane(m: ModelVariety) -> bool:
-    return m.dim == 2 and m.is_linear_pm
-
-
 def _canonical_birational(sums: _Sums, assumptions: dict) -> Verdict:
     """Birationality of the canonical map of X' via a section of omega_{X'}(-H').
 
@@ -42,8 +38,9 @@ def _canonical_birational(sums: _Sums, assumptions: dict) -> Verdict:
     embedded projective space; then h^0(omega_{X'}(-H')) must be positive
     and the canonical map of X' is birational.  A computed zero where the
     criterion promises positivity raises IntegrityError.  The caller has
-    already required k >= 2, the general-position assertion and dualizing
-    data.
+    already required a surface in P^4, k >= 2, the general-position
+    assertion and dualizing data.  So delta_1 >= dim X always holds:
+    delta(4, k, 1) = 5 + floor(-6/k) >= 2 for every k >= 2.
     """
     m, k = sums.m, sums.k
     if m.is_linear_pm:
@@ -51,10 +48,6 @@ def _canonical_birational(sums: _Sums, assumptions: dict) -> Verdict:
                        "(P^m, O(1)) is the excluded pair for the "
                        "generated-by-sections step", assumptions=assumptions)
     delta_1 = delta(m.n, k, 1)
-    if delta_1 < m.dim:
-        return Verdict("canonical_birational", NOT_APPLICABLE, None,
-                       f"requires delta_1 >= dim X, got delta_1 = {delta_1} "
-                       f"< {m.dim}", assumptions=assumptions)
     h0 = sums.total("h_omega", 0, 1)
     if h0 <= 0:
         raise IntegrityError(
@@ -131,7 +124,7 @@ def surface_adjunction(m: ModelVariety, k: int) -> AdjunctionReport:
             f"(e'+1)*deg' = {twice_g_minus_2} is odd",
             expected="even", actual=twice_g_minus_2)
     genus = twice_g_minus_2 // 2 + 1
-    exception = _is_plane(m) and k == 2
+    exception = m.is_linear_pm and k == 2
     sums = _Sums(m, k)
     assumptions = _base_assumptions(m, k, sums.value("h", 0, 0))
     very_ample = Verdict(
@@ -140,7 +133,7 @@ def surface_adjunction(m: ModelVariety, k: int) -> AdjunctionReport:
         holds=not exception,
         reason="the canonical bundle of S' is very ample unless S is a "
                "plane and k = 2",
-        witness={"e_prime": e_prime, "plane": _is_plane(m)},
+        witness={"e_prime": e_prime, "plane": m.is_linear_pm},
         assumptions=assumptions)
     del_pezzo = Verdict(
         name="del_pezzo_exception",

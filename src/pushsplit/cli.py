@@ -333,27 +333,26 @@ def _parse_model(spec: str, general_position: bool | None) -> varieties.ModelVar
 
 
 def _cmd_split(args: argparse.Namespace) -> tuple[dict, int]:
-    endo_path, l, e_max, n, k = args.endo, args.l, args.emax, args.n, args.k
+    endo_path, l, n, k = args.endo, args.l, args.n, args.k
     if l is None:
         raise InputError("--l is required")
     if endo_path is not None:
         if n is not None or k is not None:
             raise InputError("give either --endo or --n/--k, not both")
         endo = load_endomorphism(endo_path)
-        st = splitting.splitting_from_endo(
-            endo, l, _resolve_primes(args.primes), bool(args.exact))
+        st = splitting.splitting_from_endo(endo, l,
+                                           _resolve_primes(args.primes))
         source = f"endomorphism:{endo_path}"
         n, k = endo.n, endo.k
     else:
-        if args.primes is not None or args.exact is not None:
-            raise InputError("--primes and --exact apply only with --endo; "
+        if args.primes is not None:
+            raise InputError("--primes applies only with --endo; "
                              "the closed form uses no prime")
         if n is None or k is None:
             raise InputError("--n and --k are required without --endo")
         st = splitting.splitting_universal(n, k, l)
         source = "closed-form"
-    check = splitting.hilbert_check(
-        st, max(10, -(l // k)) if e_max is None else e_max)
+    check = splitting.hilbert_check(st)
     payload = {
         "report_version": REPORT_VERSION,
         "command": "split",
@@ -382,8 +381,7 @@ def _cmd_verify_endo(args: argparse.Namespace) -> tuple[dict, int]:
         if n is None or k is None:
             raise InputError("--random needs --n and --k")
         seed = 0 if seed is None else seed
-        endo = random_endomorphism(n, k, random.Random(seed),
-                                   primes=primes, exact=exact)
+        endo = random_endomorphism(n, k, random.Random(seed), primes=primes)
         source = f"random(n={n}, k={k}, seed={seed})"
     elif (n, k, seed) != (None, None, None):
         raise InputError("--n, --k and --seed apply only with --random")
@@ -504,13 +502,7 @@ def _split_arguments(sub: argparse.ArgumentParser):
     sub.add_argument("--k", type=int)
     sub.add_argument("--l", type=int)
     sub.add_argument("--endo", help="endomorphism file instead of --n/--k")
-    sub.add_argument("--emax", type=int,
-                     help="upper twist for the Hilbert identity check")
     sub.add_argument("--primes", help="comma-separated modular primes")
-    sub.add_argument("--exact", action="store_const", const=True,
-                     help="confirm over Q every rank that no prime brings "
-                          "to its known bound (kernel vectors checked over "
-                          "the integers)")
 
 
 def _verify_endo_arguments(sub: argparse.ArgumentParser):

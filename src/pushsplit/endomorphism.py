@@ -184,13 +184,14 @@ _RANDOM_DRAWS = 25
 
 
 def random_endomorphism(n: int, k: int, rng: random.Random,
-                        primes=DEFAULT_PRIMES,
-                        exact: bool = False) -> Endomorphism:
+                        primes=DEFAULT_PRIMES) -> Endomorphism:
     """A validated finite endomorphism: power map plus a small perturbation.
 
     Each form is y_i^k plus a sparse random degree-k form with coefficients
-    in [-2, 2]; finiteness holds with high probability and is validated,
-    drawing up to 25 times.
+    in [-2, 2]; finiteness holds with high probability and is validated
+    modulo ``primes``, drawing up to 25 times.  Only a FINITE draw is
+    kept, and a full modular rank certifies that alone, so a rank over Q
+    would only be spent on draws that are thrown away.
     """
     monos = [tuple(mono) for mono in monomial_array(n + 1, k).tolist()]
     for _ in range(_RANDOM_DRAWS):
@@ -207,7 +208,7 @@ def random_endomorphism(n: int, k: int, rng: random.Random,
                          else HomogPoly.monomial(
                              tuple(k if j == i else 0 for j in range(n + 1))))
         e = Endomorphism(n, k, tuple(forms))
-        if validate_finite(e, primes=primes, exact=exact).is_finite:
+        if validate_finite(e, primes=primes).is_finite:
             return e
     raise InputError(
         f"no finite endomorphism found in {_RANDOM_DRAWS} random draws")

@@ -26,14 +26,17 @@ an entry takes at most one update below p**2 per pivot of its panel.
 The modular rank is a lower bound for the rational rank, with equality
 for all primes outside a finite bad set.
 
-Given a known upper bound on the rank, a modular rank lets that many
-first columns S lead: S is eliminated alone, and the other columns R
-are scattered only when the rank of S falls short of the bound.  They
-then get S's row operations, replayed in order, and what is left of
-them is eliminated: rank [S | R] = rank S + rank K R, where the rows of
-K span the left kernel of S.  S is first pruned of the rows
-holding one entry of S, whose pivots clear their columns of S alone,
-and the change they make to R is kept for that replay.
+A modular rank has one route (``_rank_lead``): given a known upper
+bound on the rank, that many first columns S lead.  S is eliminated
+alone, and the other columns R are scattered only when the rank of S
+falls short of the bound.  They then get S's row operations, replayed
+in order, and what is left of them is eliminated: rank [S | R] =
+rank S + rank K R, where the rows of K span the left kernel of S.  S is
+first pruned of the rows holding one entry of S, whose pivots clear
+their columns of S alone, and the change they make to R is kept for
+that replay.  Without a bound, or when S would be every column, no
+column leads: S is empty, every column is deferred, and R is scattered
+whole and eliminated with nothing to replay.
 
 Rank over Q is certified rather than eliminated: after pruning,
 left-kernel vectors of what is left are read, modulo a few primes, from
@@ -195,8 +198,9 @@ def rank_rational(m: ExactMatrix) -> int:
     best = None
     budget = _prime_budget(rows, cols, values, n, c)
     for p in itertools.islice(_certificate_primes(), budget):
-        r, pivots, a = _echelon(cols, rows, _residues(values, p), c, n, p,
-                                reduced=True)
+        a = np.zeros((c, n), dtype=np.int32)
+        a[cols, rows] = _residues(values, p)
+        r, pivots = _rank_panels(a, p, _panel_width(p), True)
         # the pivot coordinates of the kernel vectors, one per free column
         block = -a[:r, np.setdiff1d(np.arange(n), pivots)] % p
         key = (-r, pivots)
@@ -222,14 +226,16 @@ def rank_mod(m: ExactMatrix, p: int, bound: int | None = None) -> int:
     of the rest, which ``_rank_panels`` eliminates.
 
     ``bound`` is a known upper bound on the rank over Q, so also on the
-    rank modulo p; a wrong one can make the result too low.  With it the
-    first ``bound`` columns lead: when some of them, and some others,
-    survive pruning, the lead ones are eliminated first, and the others
-    only when the rank is still below the bound (``_rank_lead``).  A
-    rank that reaches the bound on the lead columns is the rank.  The
-    rank is the same for every ``bound``: it does not depend on the order
-    of the columns, the other columns get exactly the products, in the
-    same order, that the lead's elimination applied, and every entry
+    rank modulo p; a wrong one can make the result too low.  The rest
+    always goes through ``_rank_lead``, with the surviving columns among
+    the first ``bound`` leading: they are eliminated first, and the
+    others only when the rank is still below the bound.  A rank that
+    reaches the bound on the lead columns is the rank.  Without a bound,
+    or when every surviving column is among the first ``bound``, no
+    column leads, and the whole rest is eliminated at once.  The rank
+    is the same for every correct ``bound``: it does not depend on the
+    order of the columns, the other columns get exactly the products, in
+    the same order, that the lead's elimination applied, and every entry
     keeps the bound below 2**59 of ``_eliminate``.
     """
     if not is_prime(p):
@@ -243,10 +249,11 @@ def rank_mod(m: ExactMatrix, p: int, bound: int | None = None) -> int:
         bound or 0)
     if rows.size == 0:
         return count
-    if 0 < lead < c:
-        return count + _rank_lead(rows, cols, residues, n, c, p, lead,
-                                  bound - count)
-    return count + _echelon(rows, cols, residues, n, c, p)[0]
+    # when every column would lead, nothing is deferred and _prune_lead
+    # finds no row that pruning left with one entry: none leads
+    return count + _rank_lead(rows, cols, residues, n, c, p,
+                              lead if lead < c else 0,
+                              n if bound is None else bound - count)
 
 
 @dataclass(frozen=True)
@@ -486,18 +493,6 @@ def _panel_width(p: int) -> int:
     return min(_PANEL_CAP, ((1 << 53) - p) // (p - 1) ** 2)
 
 
-def _echelon(rows, cols, residues, n: int, c: int, p: int,
-             reduced: bool = False) -> tuple[int, tuple[int, ...], np.ndarray]:
-    """``_rank_panels`` on residues modulo p in n x c COO arrays, scattered
-    into a dense int32 array; returns the rank, the pivot columns and the
-    array.  Panels are ``_panel_width(p)`` wide."""
-    import numpy as np
-
-    a = np.zeros((n, c), dtype=np.int32)
-    a[rows, cols] = residues
-    return (*_rank_panels(a, p, _panel_width(p), reduced), a)
-
-
 def _rank_lead(rows, cols, residues, n: int, c: int, p: int, lead: int,
                bound: int) -> int:
     """Rank modulo p of [S | R], residues in n x c COO arrays left by
@@ -507,7 +502,8 @@ def _rank_lead(rows, cols, residues, n: int, c: int, p: int, lead: int,
     What ``_prune_lead`` leaves of S is scattered and eliminated by
     ``_rank_panels``; R is scattered only when that leaves the rank below
     the bound, and then gets the pruning's row operations before the
-    panels'.
+    panels'.  With ``lead`` 0, S is empty and R, the whole matrix, is
+    eliminated with no row operations to replay.
     """
     import numpy as np
 
@@ -689,7 +685,8 @@ def _rank_panels(a: np.ndarray, p: int, width: int, reduced: bool = False,
         r += t
     if log is not None and r < goal:
         b = rest()
-        _replay(b, a, log, p)
+        if log:
+            _replay(b, a, log, p)
         more, found = _rank_panels(b[r:], p, width)
         r, pivots = r + more, pivots + [ncols + j for j in found]
     return r, tuple(pivots)

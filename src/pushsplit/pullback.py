@@ -138,17 +138,15 @@ def _detect_s(sums: _Sums) -> tuple[str, int | None, tuple[int, int] | None]:
     to the bottom of what is known, so no vanishing range exists), or
     'unknown' (the table declares no h^1 ideal rows).
 
-    A KoszulTable is decided by its type: for P^n the ideal sheaf is 0,
-    and for a complete intersection of dim >= 1 the table's h^0(O_X(d))
-    is the truncated Koszul sum, the dimension of the image of
-    H^0(O_P(d)), so h^1(I_X(d)) = 0 for every d (``KoszulTable.hI``
-    computes exactly this 0).  A zero-dimensional one has
-    h^0(O_X(d)) = degree, and h^1(I_X(d)) > 0 for every d < 0.
+    A KoszulTable is decided by its dimension: P^n, of dimension n >= 1,
+    has ideal sheaf 0, and for a complete intersection of dim >= 1 the
+    table's h^0(O_X(d)) is the truncated Koszul sum, the dimension of the
+    image of H^0(O_P(d)), so h^1(I_X(d)) = 0 for every d
+    (``KoszulTable.hI`` computes exactly this 0).  A zero-dimensional
+    one has h^0(O_X(d)) = degree, and h^1(I_X(d)) > 0 for every d < 0.
     """
     m, table = sums.m, sums.m.table
     if isinstance(table, KoszulTable):
-        if not table.degrees:
-            return "infinite", None, None
         if m.dim >= 1:
             return "infinite", None, None
         return "none", None, None

@@ -180,23 +180,34 @@ def _splitting(n: int, k: int, l: int) -> SplittingType:
     return SplittingType(n, k, l, tuple(pairs))
 
 
-def splitting_from_endo(e: Endomorphism, l: int, primes=DEFAULT_PRIMES,
-                        exact: bool = False) -> SplittingType:
+def splitting_from_endo(e: Endomorphism, l: int,
+                        primes=DEFAULT_PRIMES) -> SplittingType:
     """Multiplicities m_{l,d} of a finite map: splitting_universal(n, k, l).
 
-    A map that ``validate_finite`` does not show finite is an InputError.
-    A FINITE certificate shows that the forms have no common zero, so
-    they are a regular sequence and HF(t) = box(t) in every degree: the
-    splitting is the closed form's, with no further rank.
+    A map that ``validate_finite`` does not show finite under ``primes``
+    is an InputError, which names what that verdict rests on: the rank
+    over Q when the primes disagreed, else the primes, which agree and
+    can only under-report the rank (``verify-endo --exact`` certifies it
+    over Q).  A FINITE certificate shows that the forms have no common
+    zero, so they are a regular sequence and HF(t) = box(t) in every
+    degree: the splitting is the closed form's, with no further rank, and
+    a rank over Q could change no answer.
     """
     # endomorphism reads the box counts from here, so it is imported late
     from .endomorphism import validate_finite
 
-    report = validate_finite(e, primes, exact)
+    report = validate_finite(e, primes)
     if not report.is_finite:
+        rank = report.rank
+        if rank.rational is not None:
+            where, hint = "over Q", ""
+        else:
+            where = "modulo " + ", ".join(str(p) for p, _ in rank.modular)
+            hint = " (verify-endo --exact certifies it over Q)"
         raise InputError(
             f"endomorphism is not finite: the socle-degree test has rank "
-            f"{report.rank.value}, below the required {report.required_rank}")
+            f"{rank.value} {where}, below the required "
+            f"{report.required_rank}{hint}")
     return splitting_universal(e.n, e.k, l)
 
 
@@ -209,31 +220,27 @@ class HilbertCheckReport:
     rhs: int | None = None
 
 
-def hilbert_check(st: SplittingType, e_max: int) -> HilbertCheckReport:
+def hilbert_check(st: SplittingType) -> HilbertCheckReport:
     """Verify sum_d m_{l,d} * graded_dim(n+1, e-d) = graded_dim(n+1, l+ke).
 
-    Checked for every e from -floor(l/k) to e_max; these all have
-    l + ke >= 0, where the identity is asserted.  An e_max below
-    -floor(l/k) would check nothing and is an InputError.
+    Checked for every e from -floor(l/k) to max(10, -floor(l/k)); these
+    all have l + ke >= 0, where the identity is asserted.
 
     graded_dim(n+1, t) = C(t+n, n) is a polynomial of degree n in t for
     t >= -n.  So from e0 = max(-floor(l/k), support_max - n,
     -floor((n+l)/k)) on, both sides are polynomials of degree n in e,
     and n+1 agreeing values from e0 make them equal everywhere beyond:
-    e up to min(e_max, e0 + n) decides the whole range, and gives the
-    same first failure, whatever e_max is.
+    e up to e0 + n decides the rest of the range, and gives the same
+    first failure as the whole range.
     """
     n, k, l = st.n, st.k, st.l
     lower = -(l // k)
-    if e_max < lower:
-        raise InputError(
-            f"hilbert check range is empty: e_max = {e_max} is below "
-            f"-floor(l/k) = {lower}")
+    upper = max(10, lower)
     e0 = max(lower, -((n + l) // k), *(d - n for d, _ in st.multiplicities))
-    for e in range(lower, min(e_max, e0 + n) + 1):
+    for e in range(lower, min(upper, e0 + n) + 1):
         lhs = sum(m * graded_dim(n + 1, e - d)
                   for d, m in st.multiplicities)
         rhs = graded_dim(n + 1, l + k * e)
         if lhs != rhs:
-            return HilbertCheckReport(False, (lower, e_max), e, lhs, rhs)
-    return HilbertCheckReport(True, (lower, e_max))
+            return HilbertCheckReport(False, (lower, upper), e, lhs, rhs)
+    return HilbertCheckReport(True, (lower, upper))

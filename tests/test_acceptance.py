@@ -38,7 +38,7 @@ def test_criterion_1_support_law():
                 assert st.support_max == delta(n, k, l), (n, k, l)
                 assert all(m > 0 for m in st.as_dict().values())
                 assert st.rank == k ** n, (n, k, l)
-                assert hilbert_check(st, e_max=10).passed, (n, k, l)
+                assert hilbert_check(st).passed, (n, k, l)
                 cases += 1
     assert cases == 120
     print(f"PASS criterion 1: support law and Hilbert identity on {cases} cases")

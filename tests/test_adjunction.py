@@ -176,10 +176,13 @@ def test_birationality_not_applicable_cases():
     verdict = surface_adjunction(plane_in_p4(), 3).canonical_birational
     assert verdict.status == NOT_APPLICABLE  # excluded pair
     assert "P^m" in verdict.reason
-    # delta_1(3, 2) = 1 is below the dimension of a quadric surface
-    verdict = birational(complete_intersection(3, (2,)), 2)
-    assert verdict.status == NOT_APPLICABLE
-    assert "delta_1 = 1 < 2" in verdict.reason
+
+
+def test_surfaces_in_p4_always_have_delta_1_at_least_2():
+    # so the birationality criterion's delta_1 >= dim X holds for every
+    # model surface_adjunction admits: delta(4, k, 1) = 5 + floor(-6/k)
+    assert all(delta(4, k, 1) >= 2 for k in range(2, 2001))
+    assert [delta(4, k, 1) for k in (2, 3, 6, 7)] == [2, 3, 4, 4]
 
 
 def test_birationality_on_curves_uses_delta_one():

@@ -8,7 +8,9 @@ import errno
 import io
 import json
 import os
+import re
 import runpy
+import shlex
 import shutil
 import subprocess
 import sys
@@ -90,11 +92,30 @@ def test_split_from_endomorphism(capsys):
     assert payload["matches_closed_form"] is True
 
 
-def test_split_rejects_nonfinite_endomorphism(capsys):
+def test_split_rejects_nonfinite_endomorphism(capsys, tmp_path):
     code, _, err = run(capsys, "split", "--endo",
                        "tests/fixtures/nonfinite12.endo", "--l", "0")
     assert code == 2
     assert "not finite" in err
+    # a refusal names what it rests on: primes that agree, which
+    # verify-endo --exact can confirm over Q ...
+    assert "modulo 1048583, 1048589," in err
+    assert "verify-endo --exact" in err
+    code, _, err = run(capsys, "split", "--endo",
+                       "tests/fixtures/nonfinite12.endo", "--l", "0",
+                       "--primes", "101")
+    assert code == 2
+    assert "modulo 101," in err and "1048583" not in err
+    # ... or the rank over Q, computed because the primes disagreed:
+    # (y0^2, 2*y0*y1) has rank 2 modulo 2, and 3 modulo 3 and over Q
+    endo = tmp_path / "zero_at_0_1.endo"
+    endo.write_text("n = 1\nk = 2\nf0 = y0^2\nf1 = 2*y0*y1\n")
+    code, _, err = run(capsys, "split", "--endo", str(endo), "--l", "0",
+                       "--primes", "2,3")
+    assert code == 2
+    assert "not finite" in err
+    assert "rank 3 over Q, below the required 4" in err
+    assert "modulo" not in err and "--exact" not in err
 
 
 def test_split_csv(capsys):
@@ -128,21 +149,34 @@ def test_closed_form_split_uses_no_primes(capsys, tmp_path):
     config.write_text("primes = 15\n")
     assert run(capsys, "split", "--endo", "tests/fixtures/power42.endo",
                "--l", "0", "--config", str(config))[0] == 2
-    # but asking for primes or --exact beside --n/--k is refused
-    for extra in (["--primes", "101"], ["--exact"],
-                  ["--config", str(config)]):
+    # but asking for primes beside --n/--k is refused
+    for extra in (["--primes", "101"], ["--config", str(config)]):
         code, out, err = run(capsys, *closed_form, *extra)
         assert (code, out) == (2, "") and "only with --endo" in err
 
 
 def test_split_hilbert_range_is_never_empty(capsys):
-    # the default e_max reaches -floor(l/k) = 50, so some twist is checked
+    # the check runs to max(10, -floor(l/k)), so some twist is checked
     code, out, _ = run(capsys, "split", "--n", "2", "--k", "2", "--l", "-100")
     assert code == 0
     assert "hilbert check: pass (e in [50, 50])" in out
-    code, out, err = run(capsys, "split", "--n", "2", "--k", "2",
-                         "--l", "-100", "--emax", "10")
-    assert (code, out) == (2, "") and "range is empty" in err
+
+
+def test_split_refuses_the_removed_exact_and_emax(capsys, tmp_path):
+    # neither can change a split's answer, so split no longer takes them,
+    # from flags or from a config file; verify-endo keeps --exact
+    endo = ["split", "--endo", "tests/fixtures/perturbed22.endo", "--l", "1"]
+    closed_form = ["split", "--n", "2", "--k", "2", "--l", "0"]
+    config = tmp_path / "split.cfg"
+    for argv in (endo, closed_form):
+        for extra in (["--exact"], ["--emax", "5"]):
+            code, out, _ = run_any(capsys, [*argv, *extra])
+            assert (code, out) == (2, b""), extra
+        for line in ("exact = true\n", "emax = 12\n"):
+            config.write_text(line)
+            code, out, err = run(capsys, *argv, "--config", str(config))
+            assert (code, out) == (2, ""), line
+            assert "not accepted by this subcommand" in err
 
 
 def test_oversized_closed_forms_exit_2_without_a_traceback():
@@ -293,15 +327,6 @@ def test_missing_rank_certificate_is_an_integrity_error(capsys, tmp_path,
     code, out, err = run(capsys, "verify-endo", "--endo", str(endo), "--exact")
     assert (code, out) == (3, "")
     assert err.startswith("integrity error: no rank certificate")
-
-
-def test_split_endo_exact_matches_default(capsys):
-    for l in range(-2, 5):
-        argv = ["split", "--endo", "tests/fixtures/perturbed22.endo",
-                "--l", str(l), "--json"]
-        default = run(capsys, *argv)
-        assert default[0] == 0
-        assert run(capsys, *argv, "--exact") == default
 
 
 # verify-endo --json on every fixture, without and with --exact: the
@@ -1199,11 +1224,12 @@ def test_reused_parser_carries_nothing_between_calls(capsys, monkeypatch,
                                                      tmp_path):
     monkeypatch.setenv("COLUMNS", "80")
     cfg = tmp_path / "run.cfg"
-    cfg.write_text("emax = 12\nexact = true\n")
+    # a value carried into the next call would make ``plain`` exit 2
+    cfg.write_text("primes = 101,103\nformat = csv\n")
     plain = ["split", "--n", "4", "--k", "2", "--l", "0"]
     calls = [
         ["split", "--endo", "tests/fixtures/power42.endo", "--l", "1",
-         "--json", "--primes", "101,103", "--config", str(cfg)],
+         "--config", str(cfg)],
         plain,
         ["split", "--bogus"],
         plain,
@@ -1247,7 +1273,7 @@ def test_parser_is_built_once_per_process(capsys):
 
 
 # Argv and config files built from each subcommand's own flags, with small
-# integers (so n, k, --emax and --lrange stay cheap), model-spec pieces and
+# integers (so n, k and --lrange stay cheap), model-spec pieces and
 # the fixture files.  --out writes only into the example's temporary
 # directory, never over a fixture.
 FIXTURES = Path(__file__).resolve().parent / "fixtures"
@@ -1322,3 +1348,32 @@ def test_cli_exits_with_a_known_code(call):
         except SystemExit as exc:
             code = exc.code
     assert code in range(5)
+
+
+README = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+
+
+def readme_section(title):
+    return README.split(f"\n## {title}\n", 1)[1].split("\n## ", 1)[0]
+
+
+def test_readme_command_examples_print_what_they_show(capsys, tmp_path):
+    # each `$ pushsplit ...` block of section Command line, run where the
+    # first map of section File formats is map.endo; a block shows its
+    # output whole, or up to a line "...", however indented
+    map_text = re.search(r"```text\n(.*?)```", readme_section("File formats"),
+                         re.S).group(1)
+    (tmp_path / "map.endo").write_text(map_text)
+    blocks = re.findall(r"```text\n\$ pushsplit (.*?)\n(.*?)```",
+                        readme_section("Command line"), re.S)
+    assert [argv.split()[0] for argv, _ in blocks] == \
+        ["split", "verify-endo", "pullback", "adjoint"]
+    with contextlib.chdir(tmp_path):
+        for argv, shown in blocks:
+            code, out, err = run_any(capsys, shlex.split(argv))
+            assert code in (0, 1) and err == b"", argv
+            shown = shown.splitlines()
+            cut = next((i for i, line in enumerate(shown)
+                        if line.strip() == "..."), None)
+            printed = out.decode().splitlines()
+            assert printed[:cut] == shown[:cut], argv

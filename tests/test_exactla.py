@@ -246,6 +246,19 @@ def test_rank_mod_matches_reference_across_panels(shape, density):
         assert exactla._rank_panels(a, p, width)[0] == reference_rank_mod(rows, p)
 
 
+def test_rank_mod_without_a_lead_replays_nothing(monkeypatch):
+    # with no bound, or one that every surviving column is under, no
+    # column leads: the whole matrix is eliminated at once, and no logged
+    # row operation is replayed onto it
+    replayed = []
+    monkeypatch.setattr(exactla, "_replay", lambda *args: replayed.append(args))
+    rows = random_rows(random.Random(5), 40, 30, 0.5, -5, 6)
+    for bound in (None, 30, 40):
+        assert rank_mod(matrix(rows), 101, bound) == \
+            reference_rank_mod(rows, 101), bound
+    assert replayed == []
+
+
 def test_rank_mod_with_zero_columns():
     rng = random.Random(11)
     rows = random_rows(rng, 70, 200, 0.5, -5, 6)
@@ -659,12 +672,11 @@ def test_both_panel_modes_match_the_references(name):
     a_rows = [list(col) for col in zip(*b_rows)]
     m = matrix(b_rows)
     for p in (2, 3, 7, DEFAULT_PRIMES[0], FIRST_PRIME, TOP_PRIME):
-        residues = exactla._residues(m.values, p)
-        r, _, _ = exactla._echelon(m.row_index, m.col_index, residues,
-                                   m.rows, m.cols, p)
+        width = exactla._panel_width(p)
+        a = (np.array(b_rows, dtype=np.int64) % p).astype(np.int32)
+        r, _ = exactla._rank_panels(a.copy(), p, width)
         assert r == reference_rank_mod(b_rows, p), p
-        r, found, a = exactla._echelon(m.row_index, m.col_index, residues,
-                                       m.rows, m.cols, p, reduced=True)
+        r, found = exactla._rank_panels(a, p, width, reduced=True)
         pivots, kernel = reference_left_kernel(a_rows, p)
         free = [j for j in range(m.cols) if j not in pivots]
         assert (r, found) == (len(pivots), pivots), p

@@ -246,27 +246,32 @@ def test_hilbert_identity():
     for n in (1, 2, 4):
         for k in (2, 3):
             for l in (-3, 0, 1, 4):
-                report = hilbert_check(splitting_universal(n, k, l), e_max=6)
+                report = hilbert_check(splitting_universal(n, k, l))
                 assert report.passed, (n, k, l, report)
+                assert report.e_range == (-(l // k), 10)
+    # from -floor(l/k) = 50 on; the range always holds that twist
+    report = hilbert_check(splitting_universal(2, 2, -100))
+    assert report.passed and report.e_range == (50, 50)
 
 
 def test_hilbert_check_catches_tampering():
     tampered = SplittingType(1, 2, 0, ((0, 2), (1, 1)))
-    report = hilbert_check(tampered, e_max=4)
+    report = hilbert_check(tampered)
     assert not report.passed
     assert report.first_failure == 0
     assert report.lhs == 2 and report.rhs == 1
 
 
-def full_hilbert_check(st, e_max):
-    """hilbert_check as a walk over every e in [-floor(l/k), e_max]."""
+def full_hilbert_check(st):
+    """hilbert_check as a walk over every e in [-floor(l/k), max(10, -floor(l/k))]."""
     lower = -(st.l // st.k)
-    for e in range(lower, e_max + 1):
+    upper = max(10, lower)
+    for e in range(lower, upper + 1):
         lhs = sum(m * graded_dim(st.n + 1, e - d) for d, m in st.multiplicities)
         rhs = graded_dim(st.n + 1, st.l + st.k * e)
         if lhs != rhs:
-            return HilbertCheckReport(False, (lower, e_max), e, lhs, rhs)
-    return HilbertCheckReport(True, (lower, e_max))
+            return HilbertCheckReport(False, (lower, upper), e, lhs, rhs)
+    return HilbertCheckReport(True, (lower, upper))
 
 
 def test_bounded_hilbert_check_matches_the_full_walk():
@@ -280,14 +285,13 @@ def test_bounded_hilbert_check_matches_the_full_walk():
             d = rng.randint(st.support_min - 2, st.support_max + 3)
             pairs[d] = max(1, pairs.get(d, 0) + rng.choice((-1, 1, 2)))
             st = SplittingType(n, k, l, tuple(sorted(pairs.items())))
-        e_max = -(l // k) + rng.randint(0, 30)
-        report = hilbert_check(st, e_max)
-        assert report == full_hilbert_check(st, e_max), (st, e_max)
+        report = hilbert_check(st)
+        assert report == full_hilbert_check(st), st
         failures += not report.passed
     assert 1000 < failures < 1500
 
 
-def test_hilbert_check_work_does_not_grow_with_e_max(monkeypatch):
+def test_hilbert_check_work_does_not_grow_with_the_range(monkeypatch):
     calls = []
     real = graded_dim
 
@@ -296,21 +300,12 @@ def test_hilbert_check_work_does_not_grow_with_e_max(monkeypatch):
         return real(num_vars, degree)
 
     monkeypatch.setattr("pushsplit.splitting.graded_dim", counting)
-    st = splitting_universal(200, 20, 3)
-    report = hilbert_check(st, e_max=2000)
-    assert report.passed and report.e_range == (0, 2000)
-    # n + 1 = 201 twists of len(multiplicities) + 1 binomials each
-    assert len(calls) <= 201 * (len(st.multiplicities) + 1)
-
-
-def test_hilbert_check_refuses_an_empty_range():
-    # the check starts at e = -floor(l/k) = 50; below that it checks nothing
-    st = splitting_universal(2, 2, -100)
-    with pytest.raises(InputError) as err:
-        hilbert_check(st, e_max=49)
-    assert "-floor(l/k) = 50" in str(err.value)
-    report = hilbert_check(st, e_max=50)
-    assert report.passed and report.e_range == (50, 50)
+    st = splitting_universal(50, 2, 1000)
+    report = hilbert_check(st)
+    # 511 twists in the range, of which n + 1 = 51 decide it
+    assert report.passed and report.e_range == (-500, 10)
+    # n + 1 = 51 twists of len(multiplicities) + 1 binomials each
+    assert len(calls) <= 51 * (len(st.multiplicities) + 1)
 
 
 def test_splitting_type_validation():
