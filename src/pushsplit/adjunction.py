@@ -7,7 +7,7 @@ pi^*(omega_S(3H)) (x) O_{S'}((2k-5)H').  All numeric invariants (K.H',
 K^2, sectional genus) follow from e' and deg S' = k^2 deg S
 (``pullback_degree``).  h^0(O_S), h^0(omega_{S'}) and h^0(omega_{S'}(-H'))
 are read from one ``pullback._Sums``, which the canonical-birationality
-verdict shares, so each dualizing twist is summed from one splitting.
+verdict shares, so the closed-form table is fetched once.
 
 The one exception in scope: the inverse image of a 2-plane under a
 degree-2 covering is a quartic Del Pezzo surface (e' = -1); every other

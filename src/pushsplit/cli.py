@@ -383,6 +383,8 @@ def _cmd_verify_endo(args: argparse.Namespace) -> tuple[dict, int]:
         seed = 0 if seed is None else seed
         endo = random_endomorphism(n, k, random.Random(seed), primes=primes)
         source = f"random(n={n}, k={k}, seed={seed})"
+        # a kept draw is FINITE, which --exact cannot change
+        exact = False
     elif (n, k, seed) != (None, None, None):
         raise InputError("--n, --k and --seed apply only with --random")
     elif args.endo is not None:
@@ -417,8 +419,6 @@ def _cmd_pullback(args: argparse.Namespace) -> tuple[dict, int]:
     spec, k = args.model, args.k
     if spec is None or k is None:
         raise InputError("--model and --k are required")
-    if k < 1:
-        raise InputError(f"k must be >= 1, got {k}")
     model = _parse_model(spec, args.general_position)
     report = pullback.build_pullback_report(model, k, args.lrange)
     verdicts = {
@@ -443,8 +443,7 @@ def _cmd_pullback(args: argparse.Namespace) -> tuple[dict, int]:
         payload["ideal_cohomology"] = _rows_payload(report.ideal_rows)
     if report.dualizing_rows is not None:
         payload["dualizing"] = _rows_payload(report.dualizing_rows)
-    negative = (report.completeness.linearly_complete.holds is False
-                or report.completeness.h1_vanishing.holds is False)
+    negative = report.completeness.linearly_complete.holds is False
     return payload, EXIT_NEGATIVE if negative else EXIT_OK
 
 

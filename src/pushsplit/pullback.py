@@ -11,9 +11,8 @@ and likewise with I_X (flat pullback of the ideal sheaf) and, for
 table; no geometry is recomputed.  The sum is written once (``_Sums``),
 and only the two reports build one: ``build_pullback_report`` here and
 ``adjunction.surface_adjunction``.  Each hands it to its verdicts, so a
-report looks up each twist's splitting once and reads each table value
-once.  Splitting types come from ``splitting_universal``, which computes
-each (n, k, l) once per process.
+report fetches the closed-form table once, reads m_{l,d} off it, and
+reads each model table value once.
 
 Verdicts are records with provenance: they echo the hypotheses they
 consumed (k >= 2, the user-asserted general-position flag, the
@@ -23,19 +22,18 @@ implement are conditional.
 
 from __future__ import annotations
 
+import math
 from collections import defaultdict
 from dataclasses import dataclass, field
 
-from .errors import InputError, IntegrityError, MissingDataError, \
-    TableRangeError
-from .splitting import splitting_universal
+from .errors import InputError, IntegrityError, TableRangeError
+from .splitting import _closed_form_box, delta
 from .varieties import KoszulTable, ModelVariety
 
 NOT_APPLICABLE = "NOT_APPLICABLE"
 LINEARLY_COMPLETE = "LINEARLY_COMPLETE"
 NOT_LINEARLY_COMPLETE = "NOT_LINEARLY_COMPLETE"
 NONDEGENERATE = "NONDEGENERATE"
-HYPOTHESIS_FAILS = "HYPOTHESIS_FAILS"
 VERIFIED = "VERIFIED"
 K_GE_2_REASON = "requires k >= 2 (the covering must not be an automorphism)"
 MAX_TWISTS = 2 ** 16  # most twists in one report, the default -k..3k too
@@ -51,17 +49,18 @@ class _Sums:
 
     ``row`` names the query of the model's table: ``h`` and ``hI`` are
     read at -d, ``h_omega`` at +d.  ``totals`` gives the sums at one
-    twist l for several i, ``total`` the sum for one.  Each twist's
-    multiplicities are looked up once, and each table value is read once,
-    when a sum first needs it.  A read that raises keeps nothing, so the
-    sums raise the same first error, in the same order, as reading the
-    table every time.
+    twist l for several i, ``total`` the sum for one.  The first sum
+    fetches the closed-form table (``splitting._closed_form_box``, which
+    refuses an oversized (n, k)), and every sum reads m_{l,d} = box[l+kd]
+    off it.  Each table value is read once, when a sum first needs it.
+    A read that raises keeps nothing, so the sums raise the same first
+    error, in the same order, as reading the table every time.
     """
 
     def __init__(self, m: ModelVariety, k: int):
         self.m = m
         self.k = k
-        self._splittings: dict[int, tuple[tuple[int, int], ...]] = {}
+        self._box: tuple[int, ...] | None = None
         self._rows: defaultdict[tuple[str, int], dict[int, int]] = \
             defaultdict(dict)
 
@@ -77,21 +76,21 @@ class _Sums:
 
     def totals(self, row: str, l: int, indices) -> list[int]:
         """The sum at twist l for each i of ``indices``, in that order."""
-        multiplicities = self._splittings.get(l)
-        if multiplicities is None:
-            multiplicities = self._splittings[l] = splitting_universal(
-                self.m.n, self.k, l).multiplicities
+        box, k = self._box, self.k
+        if box is None:
+            box = self._box = _closed_form_box(self.m.n, k)
+        support = range(-(l // k), (len(box) - 1 - l) // k + 1)
         sign = 1 if row == "h_omega" else -1
         read = getattr(self.m.table, row)
         totals = []
         for i in indices:
             values = self._rows[row, i]
             total = 0
-            for d, mult in multiplicities:
+            for d in support:
                 value = values.get(sign * d)
                 if value is None:
                     value = values[sign * d] = read(i, sign * d)
-                total += mult * value
+                total += box[l + k * d] * value
             totals.append(total)
         return totals
 
@@ -136,26 +135,24 @@ def _detect_s(sums: _Sums) -> tuple[str, int | None, tuple[int, int] | None]:
     anywhere the table answers), 'finite' (first failure at d = value,
     zeros below it within the scanned range), 'none' (failures extend
     to the bottom of what is known, so no vanishing range exists), or
-    'unknown' (the table declares no h^1 ideal rows).
+    'unknown' (the table declares no h^1 ideal row).
 
-    A KoszulTable is decided by its dimension: P^n, of dimension n >= 1,
-    has ideal sheaf 0, and for a complete intersection of dim >= 1 the
-    table's h^0(O_X(d)) is the truncated Koszul sum, the dimension of the
-    image of H^0(O_P(d)), so h^1(I_X(d)) = 0 for every d
-    (``KoszulTable.hI`` computes exactly this 0).  A zero-dimensional
-    one has h^0(O_X(d)) = degree, and h^1(I_X(d)) > 0 for every d < 0.
+    A KoszulTable answers every twist (its trange is unbounded) and is
+    decided by its dimension: P^n, of dimension n >= 1, has ideal sheaf
+    0, and for a complete intersection of dim >= 1 the table's
+    h^0(O_X(d)) is the truncated Koszul sum, the dimension of the image
+    of H^0(O_P(d)), so h^1(I_X(d)) = 0 for every d (``KoszulTable.hI``
+    computes exactly this 0).  A zero-dimensional one has
+    h^0(O_X(d)) = degree, and h^1(I_X(d)) > 0 for every d < 0.
     """
     m, table = sums.m, sums.m.table
-    if isinstance(table, KoszulTable):
-        if m.dim >= 1:
-            return "infinite", None, None
-        return "none", None, None
-    lo, hi = table.trange
-    try:
-        failures = [d for d in range(lo, hi + 1)
-                    if sums.value("hI", 1, d) != 0]
-    except MissingDataError:
+    if 1 not in table.ideal_indices:
         return "unknown", None, None
+    lo, hi = table.trange
+    if lo == -math.inf:
+        return ("infinite" if m.dim >= 1 else "none"), None, None
+    failures = [d for d in range(lo, hi + 1)
+                if sums.value("hI", 1, d) != 0]
     if not failures:
         return "infinite", None, (lo, hi)
     first = failures[0]
@@ -170,12 +167,14 @@ def _completeness(sums: _Sums, assumptions: dict) -> CompletenessVerdict:
     X' is nondegenerate for every k >= 2; it is linearly complete exactly
     when h^0(O_X) = 1, witnessed by h^0(O_{X'}(1)) = n+1.  If the model
     shows h^1(I_X(d)) = 0 for all d < s, then h^1(I_{X'}(l)) = 0 for all
-    l < sk.  On an explicit table the claim is re-verified numerically on
-    the range the table supports, and the value at l = sk is reported
-    when reachable.  On a KoszulTable (P^n or a complete intersection of
-    dim >= 1) every h^1(I_X(d)) is 0 (``_detect_s``), so every sum
-    h^1(I_{X'}(l)) is 0 and the table answers every twist: the witness
-    is the range 0..3k with no nonzero value, without summing it.
+    l < sk.  The witness ``verified_l_range`` is the twists 0..top,
+    top = sk - 1 (3k when s is infinite), whose sums the table answers:
+    the sum at l reads h^1(I_X(t)) for -delta(n, k, l) <= t <= floor(l/k)
+    < s, every one 0 by ``_detect_s``, so each such sum is 0 and none is
+    summed.  -delta(n, k, l) grows with l, so the range ends where
+    floor(l/k) leaves the table, and is empty when l = 0 already reads
+    below it.  A KoszulTable answers every twist and gets 0..top.  The
+    value at l = sk is summed and reported when the table reaches it.
     """
     m, k = sums.m, sums.k
     if k < 2:
@@ -230,25 +229,10 @@ def _completeness(sums: _Sums, assumptions: dict) -> CompletenessVerdict:
     else:
         witness["s"] = "infinity"
         l_top = 3 * k
-    all_zero = True
-    if isinstance(m.table, KoszulTable):
-        witness["verified_l_range"] = [0, l_top]
-    else:
-        checked = []
-        first_nonzero = None
-        for l in range(0, l_top + 1):
-            try:
-                value = sums.total("hI", 1, l)
-            except TableRangeError:
-                break
-            checked.append(l)
-            if value != 0:
-                all_zero = False
-                if first_nonzero is None:
-                    first_nonzero = (l, value)
-        witness["verified_l_range"] = [0, checked[-1]] if checked else []
-        if first_nonzero is not None:
-            witness["first_nonzero"] = list(first_nonzero)
+    lo, hi = m.table.trange
+    top = min(l_top, (hi + 1) * k - 1)
+    witness["verified_l_range"] = \
+        [0, top] if top >= 0 and -delta(m.n, k, 0) >= lo else []
     if kind == "finite":
         try:
             witness["value_at_sk"] = sums.total("hI", 1, s_value * k)
@@ -256,8 +240,7 @@ def _completeness(sums: _Sums, assumptions: dict) -> CompletenessVerdict:
             pass
     h1 = Verdict(
         name="h1_vanishing",
-        status=VERIFIED if all_zero else HYPOTHESIS_FAILS,
-        holds=all_zero,
+        status=VERIFIED, holds=True,
         reason="h^1(I_X(d)) = 0 for d < s forces h^1(I_{X'}(l)) = 0 "
                "for l < s*k",
         witness=witness, assumptions=assumptions)
@@ -339,14 +322,6 @@ def _check_against_pulled_back_ci(table: KoszulTable, k: int,
                     actual=value)
 
 
-def _has_ideal_row(sums: _Sums, i: int, l: int) -> bool:
-    try:
-        sums.total("hI", i, l)
-    except MissingDataError:
-        return False
-    return True
-
-
 def _by_row(by_twist: dict, indices) -> dict:
     """{(i, l): value} from each twist's values over ``indices``, row by
     row: the order in which a report prints them."""
@@ -359,30 +334,30 @@ def build_pullback_report(m: ModelVariety, k: int,
     """Assemble the full report.
 
     For a complete-intersection model every cohomology row is checked
-    against the Koszul table of X' (IntegrityError on a mismatch).  More
-    than MAX_TWISTS twists are an InputError, raised before any sum.
-    Every row and verdict is summed by one ``_Sums``, so each twist's
-    splitting is looked up once and each table value read once.  Twist by
-    twist, the h rows come first and then the ideal rows; an ideal row the
-    model lacks raises MissingDataError on its first read, at the first
-    twist, and is left out.
+    against the Koszul table of X' (IntegrityError on a mismatch).  A
+    k < 1, an empty twist range or more than MAX_TWISTS twists is an
+    InputError, raised before any sum.  Every row and verdict is summed
+    by one ``_Sums``, so the closed-form table is fetched once and each
+    model table value read once.  Twist by twist, the h rows come first
+    and then the ideal rows the table declares (``ideal_indices``).
     """
+    if k < 1:
+        raise InputError(f"k must be >= 1, got {k}")
     if lrange is None:
         lrange = (-k, 3 * k)
     lo, hi = lrange
+    if lo > hi:
+        raise InputError(f"empty twist range {lo}..{hi}")
     if hi - lo + 1 > MAX_TWISTS:
         raise InputError(
             f"twist range {lo}..{hi} has {hi - lo + 1} twists, above the "
             f"limit 2**16 = {MAX_TWISTS}; choose a narrower --lrange")
     sums = _Sums(m, k)
     columns = range(m.dim + 1)
+    declared = m.table.ideal_indices
     h_by_twist, ideal_by_twist = {}, {}
-    declared = None
     for l in range(lo, hi + 1):
         h_by_twist[l] = sums.totals("h", l, columns)
-        if declared is None:
-            declared = [i for i in range(m.n + 1)
-                        if _has_ideal_row(sums, i, l)]
         ideal_by_twist[l] = sums.totals("hI", l, declared)
     if isinstance(m.table, KoszulTable):
         _check_against_pulled_back_ci(m.table, k, h_by_twist)
@@ -401,5 +376,5 @@ def build_pullback_report(m: ModelVariety, k: int,
                for l, row in h_by_twist.items()},
         completeness=_completeness(sums, assumptions),
         hyperplane=_hyperplane_section(sums, assumptions),
-        ideal_rows=_by_row(ideal_by_twist, declared or ()) or None,
+        ideal_rows=_by_row(ideal_by_twist, declared) or None,
         dualizing_rows=dualizing_rows)

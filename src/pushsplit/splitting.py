@@ -144,40 +144,34 @@ def _refuse_oversized(n: int, k: int) -> None:
             f"{MAX_BOX_BYTES // 2 ** 20} MB")
 
 
-def splitting_universal(n: int, k: int, l: int) -> SplittingType:
-    """Closed-form multiplicities: m_{l,d} = #{a in {0..k-1}^(n+1), |a| = l+kd}.
+def _closed_form_box(n: int, k: int) -> tuple[int, ...]:
+    """The table _box_counts(n+1, k) that every m_{l,d} of (n, k) is read
+    from: m_{l,d} = box[l + kd], positive exactly for
+    -floor(l/k) <= d <= (len(box) - 1 - l) // k = delta(n, k, l).
 
     A table above MAX_BOX_COEFFS coefficients or MAX_BOX_BYTES bytes, or
     a rank k^n with more digits than the interpreter prints, is an
     InputError raised before any work.  These checks run on every call,
-    since the digit limit is process state; the splittings themselves are
-    computed once per process and shared, the SPLITTING_CACHE_SIZE most
-    recently used kept.
+    since the digit limit is process state.
     """
     if n < 1:
         raise InputError(f"n must be >= 1, got {n}")
     if k < 1:
         raise InputError(f"k must be >= 1, got {k}")
     _refuse_oversized(n, k)
-    return _splitting(n, k, l)
+    return _box_counts(n + 1, k)
 
 
-# Splittings kept by _splitting; one at (n, k) = (2000, 50) holds 176 KiB.
-SPLITTING_CACHE_SIZE = 256
+def splitting_universal(n: int, k: int, l: int) -> SplittingType:
+    """Closed-form multiplicities: m_{l,d} = #{a in {0..k-1}^(n+1), |a| = l+kd}.
 
-
-@lru_cache(maxsize=SPLITTING_CACHE_SIZE)
-def _splitting(n: int, k: int, l: int) -> SplittingType:
-    counts = _box_counts(n + 1, k)
-    top = (k - 1) * (n + 1)
-    pairs = []
-    d = -(l // k)
-    while l + k * d <= top:
-        m = counts[l + k * d]
-        if m:
-            pairs.append((d, m))
-        d += 1
-    return SplittingType(n, k, l, tuple(pairs))
+    Read off the table of ``_closed_form_box``, which refuses an
+    oversized (n, k) first.
+    """
+    box = _closed_form_box(n, k)
+    return SplittingType(n, k, l, tuple(
+        (d, box[l + k * d])
+        for d in range(-(l // k), (len(box) - 1 - l) // k + 1)))
 
 
 def splitting_from_endo(e: Endomorphism, l: int,

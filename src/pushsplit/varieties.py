@@ -20,6 +20,7 @@ cached, and name the source they were given.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -70,8 +71,11 @@ class KoszulTable:
     gives the graded dimensions used by the ideal rows.
 
     Ideal cohomology comes from 0 -> I_X -> O_P -> O_X -> 0; for X = P^n
-    the ideal sheaf is zero and every ideal row is 0.
+    the ideal sheaf is zero and every ideal row is 0.  Every row answers
+    every twist: ``trange`` is unbounded and ``ideal_indices`` is 0..n.
     """
+
+    trange = (-math.inf, math.inf)
 
     def __init__(self, n: int, degrees=()):
         degrees = tuple(degrees)
@@ -89,6 +93,7 @@ class KoszulTable:
         for d in degrees:
             self.degree *= d
         self.omega_twist = sum(degrees) - n - 1
+        self.ideal_indices = tuple(range(n + 1))
         self._terms = _koszul_terms(degrees)
         self._truncated_at: dict[int, int] = {}
 
@@ -134,7 +139,8 @@ class ExplicitTable:
 
     ``rows`` maps (i, t) -> h^i(O_X(t)) and must cover every i in
     [0, dim], t in [lo, hi].  ``ideal_rows`` maps (i, t) -> h^i(I_X(t))
-    for whichever i the table declares (full t coverage per declared i).
+    for whichever i the table declares (full t coverage per declared i);
+    ``ideal_indices`` lists those i in ascending order.
     ``omega_twist`` set means the model is subcanonical with
     omega_X = O_X(omega_twist).
     """
@@ -180,7 +186,7 @@ class ExplicitTable:
         self.omega_twist = omega_twist
         self._rows = dict(rows)
         self._ideal_rows = ideal_rows
-        self._ideal_is = declared
+        self.ideal_indices = tuple(sorted(declared))
 
     def _check_range(self, t: int, what: str):
         lo, hi = self.trange
@@ -197,9 +203,9 @@ class ExplicitTable:
     def hI(self, i: int, t: int) -> int:
         if i < 0 or i > self.n:
             return 0
-        if not self._ideal_rows:
+        if not self.ideal_indices:
             raise MissingDataError("table declares no ideal cohomology rows")
-        if i not in self._ideal_is:
+        if i not in self.ideal_indices:
             raise MissingDataError(
                 f"table declares no ideal cohomology rows for i={i}")
         self._check_range(t, f"h^{i}(I)")

@@ -10,9 +10,11 @@ reads a form one character at a time, as ``parse_form`` must agree with,
 ``exactla._prune_lead`` must agree with, pivot for pivot,
 ``ci_h0_by_subsets`` walks every subset of the defining degrees, as
 the grouped Koszul terms of ``KoszulTable`` must agree with,
-and ``splitting_by_ranks`` reads a map's splitting off its Hilbert
+``splitting_by_ranks`` reads a map's splitting off its Hilbert
 function degree by degree, as the closed form must agree with on every
-finite map.
+finite map, and ``h1_witness_by_sums`` sums h^1(I_{X'}(l)) twist by
+twist, as the ``h1_vanishing`` witness derived in ``pullback`` must
+agree with.
 """
 
 import sys
@@ -21,10 +23,10 @@ from itertools import combinations
 import numpy as np
 
 from pushsplit.endomorphism import hilbert_function
-from pushsplit.errors import FormSyntaxError, InputError
+from pushsplit.errors import FormSyntaxError, InputError, TableRangeError
 from pushsplit.exactla import ExactMatrix, value_array
 from pushsplit.polyring import HomogPoly, Monomial, graded_dim
-from pushsplit.splitting import delta
+from pushsplit.splitting import delta, splitting_universal
 
 
 def rank_bareiss(rows: list[list[int]]) -> int:
@@ -242,3 +244,21 @@ def parse_form_by_scanner(text: str, num_vars: int) -> HomogPoly:
     if poly.is_zero():
         raise InputError("form cancels to zero")
     return poly
+
+
+def h1_witness_by_sums(m, k: int, l_top: int):
+    """The twists 0..l_top whose sum h^1(I_{X'}(l)) = sum_d m_{l,d} *
+    h^1(I_X(-d)) the table of model ``m`` answers, summed twist by twist
+    until the first that leaves its range, as [0, last] or [], and the
+    (l, value) of every nonzero sum among them."""
+    checked, nonzero = [], []
+    for l in range(l_top + 1):
+        try:
+            value = sum(mult * m.table.hI(1, -d) for d, mult
+                        in splitting_universal(m.n, k, l).multiplicities)
+        except TableRangeError:
+            break
+        checked.append(l)
+        if value:
+            nonzero.append((l, value))
+    return ([0, checked[-1]] if checked else []), nonzero

@@ -221,11 +221,12 @@ def test_canonical_system_dimensions():
 
 
 def test_adjoint_sums_each_dualizing_twist_once(monkeypatch):
-    lookups = []
-    real = pullback.splitting_universal
-    monkeypatch.setattr(pullback, "splitting_universal", lambda n, k, l: (
-        lookups.append(l) or real(n, k, l)))
+    # the dualizing twists 0 and 1 are summed off one closed-form table
+    fetches = []
+    real = pullback._closed_form_box
+    monkeypatch.setattr(pullback, "_closed_form_box", lambda n, k: (
+        fetches.append((n, k)) or real(n, k)))
     report = surface_adjunction(complete_intersection(4, (2, 3)), 3)
-    assert sorted(lookups) == [0, 1]
+    assert fetches == [(4, 3)]
     assert report.h0_omega_minus_h == \
         report.canonical_birational.witness["h0_omega_Xprime_minus_H"]

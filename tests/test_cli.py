@@ -15,7 +15,6 @@ import shutil
 import subprocess
 import sys
 import tempfile
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -241,23 +240,25 @@ def test_split_integrity_exit_code(capsys, monkeypatch):
 
 
 def test_pullback_rows_checked_against_the_pulled_back_ci(capsys, monkeypatch):
-    # the report reads each twist's splitting once; one more O(0) summand
-    # at l = 1 adds h^0(O_X) = 1 to h^0(O_X'(1)) and to no other h row
-    real = pullback.splitting_universal
+    # the report reads every m_{l,d} off the closed-form table, where
+    # box[1] = m_{1,0} = 5; over the twists 0..2 only l = 1 reads it, so
+    # one more O(0) summand adds h^0(O_X) = 1 to h^0(O_X'(1)) and to no
+    # other h row
+    real = pullback._closed_form_box
 
-    def off_by_one(n, k, l):
-        st = real(n, k, l)
-        if l != 1:
-            return st
-        (d, mult), *rest = st.multiplicities
-        assert d == 0
-        return replace(st, multiplicities=((0, mult + 1), *rest))
+    def off_by_one(n, k):
+        box = list(real(n, k))
+        assert box[1] == 5
+        box[1] += 1
+        return tuple(box)
 
-    monkeypatch.setattr(pullback, "splitting_universal", off_by_one)
+    monkeypatch.setattr(pullback, "_closed_form_box", off_by_one)
     with pytest.raises(IntegrityError) as exc:
-        pullback.build_pullback_report(cli._parse_model("ci:2,2@4", None), 2)
+        pullback.build_pullback_report(cli._parse_model("ci:2,2@4", None), 2,
+                                       (0, 2))
     assert (exc.value.expected, exc.value.actual) == (5, 6)
-    code, out, err = run(capsys, "pullback", "--model", "ci:2,2@4", "--k", "2")
+    code, out, err = run(capsys, "pullback", "--model", "ci:2,2@4", "--k", "2",
+                         "--lrange", "0..2")
     assert code == 3 and out == ""
     assert "h^0(O_X'(1)) is 6" in err and "but 5" in err
 
@@ -859,6 +860,19 @@ def test_not_finite_verdict_is_one_elimination_per_prime(capsys, monkeypatch):
     calls.clear()
     assert run(capsys, "verify-endo", "--endo", endo, "--exact")[0] == 1
     assert calls == ["rank_mod"] * 2 + ["rank_rational"]
+
+
+def test_random_exact_ranks_the_kept_draw_once(capsys, monkeypatch):
+    # a kept draw is FINITE, which --exact cannot change, so its report is
+    # read back under the key the draw was validated with
+    calls = spy_ranks(monkeypatch)
+    argv = ("verify-endo", "--random", "--n", "2", "--k", "2")
+    plain = run(capsys, *argv)
+    assert plain[0] == 0 and calls == ["rank_mod"]
+    endomorphism._finiteness_report.cache_clear()
+    calls.clear()
+    assert run(capsys, *argv, "--exact") == plain
+    assert calls == ["rank_mod"]
 
 
 def test_finiteness_is_decided_once_per_map_and_policy(capsys, monkeypatch):

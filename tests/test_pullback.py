@@ -10,15 +10,19 @@ alike, and the dualizing route must be Serre-dual to the direct route.
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pushsplit import pullback, splitting, varieties
 from pushsplit.adjunction import surface_adjunction
 from pushsplit.cli import main
-from pushsplit.errors import InputError
+from pushsplit.errors import InputError, TableRangeError
 from pushsplit.pullback import (
     MAX_TWISTS,
     NOT_APPLICABLE,
     VERIFIED,
+    _completeness,
+    _Sums,
     build_pullback_report,
     pullback_degree,
 )
@@ -32,6 +36,8 @@ from pushsplit.varieties import (
     plane_in_p4,
     projective_space,
 )
+
+from oracles import h1_witness_by_sums
 
 EQUIVALENCE_CASES = (
     (2, (2,)),
@@ -194,18 +200,89 @@ def test_koszul_completeness_is_decided_without_summing(monkeypatch):
                                   "verified_l_range": [0, 6]}
 
 
-def test_explicit_completeness_still_sums_the_ideal_rows(monkeypatch):
-    # an explicit table is checked twist by twist, up to its range: the
-    # witness at l = sk = 2 reads h^1(I_X(1)), which the rows at l = 0
-    # do not need
+def test_explicit_completeness_sums_only_the_value_at_sk(monkeypatch):
+    # the witness 0..sk-1 is derived, not summed: the ideal sums of a
+    # report on the twist 0 are its own rows at l = 0 and the value at
+    # l = sk = 2, which reads h^1(I_X(1)), a value the rows do not need
     quartic = load_custom_table("tests/fixtures/rational_quartic_p3.table")
-    reads = Counter()
-    real = quartic.table.hI
+    summed, reads = [], Counter()
+    real_totals, real_hI = pullback._Sums.totals, quartic.table.hI
+    monkeypatch.setattr(pullback._Sums, "totals", lambda sums, row, l, ix: (
+        summed.append((row, l)) or real_totals(sums, row, l, ix)))
     monkeypatch.setattr(quartic.table, "hI", lambda i, t: reads.update(
-        [(i, t)]) or real(i, t))
-    report = build_pullback_report(quartic, 2, (0, 0))
-    assert report.completeness.h1_vanishing.holds
+        [(i, t)]) or real_hI(i, t))
+    h1 = build_pullback_report(quartic, 2, (0, 0)).completeness.h1_vanishing
+    assert h1.holds and h1.witness["verified_l_range"] == [0, 1]
+    assert h1.witness["value_at_sk"] == 1
+    assert sorted(set(call for call in summed if call[0] == "hI")) == \
+        [("hI", 0), ("hI", 2)]
     assert (1, 1) in reads and max(reads.values()) == 1
+
+
+def explicit_model(n: int, trange, h1_ideal=None) -> ModelVariety:
+    """A curve in P^n with h^0(O_X(t)) = max(0, t + 1), h^1(O_X(t)) = 0,
+    and h^1(I_X(t)) = h1_ideal[t - lo] when given, its only ideal row."""
+    lo, hi = trange
+    rows = {(i, t): max(0, t + 1) if i == 0 else 0
+            for i in (0, 1) for t in range(lo, hi + 1)}
+    ideal = None if h1_ideal is None else \
+        {(1, t): h1_ideal[t - lo] for t in range(lo, hi + 1)}
+    return ModelVariety("curve", ExplicitTable(n, 1, 2, trange, rows, ideal))
+
+
+def test_explicit_completeness_without_an_h1_ideal_row():
+    report = build_pullback_report(explicit_model(3, (-6, 6)), 2, (0, 0))
+    h1 = report.completeness.h1_vanishing
+    assert (h1.status, h1.holds, h1.witness) == (
+        NOT_APPLICABLE, None, {"s_kind": "unknown"})
+    assert h1.reason == "model table declares no h^1 ideal rows"
+    assert report.ideal_rows is None
+
+
+def test_explicit_completeness_failing_at_the_bottom_of_the_table():
+    model = explicit_model(3, (-6, 6), [1] + [0] * 12)
+    h1 = build_pullback_report(model, 2, (0, 0)).completeness.h1_vanishing
+    assert (h1.status, h1.holds, h1.witness) == (
+        NOT_APPLICABLE, None, {"s_kind": "none", "scanned_trange": [-6, 6]})
+
+
+def test_explicit_completeness_leaves_out_a_value_at_sk_past_the_table():
+    # s = 0: the sum at l = sk = 0 reads h^1(I_X(-delta(2, 3, 0))) =
+    # h^1(I_X(-2)), below the table, and no twist 0 <= l < sk exists
+    model = explicit_model(2, (-1, 4), [0, 1, 0, 0, 0, 0])
+    with pytest.raises(TableRangeError):
+        model.table.h(0, -delta(2, 3, 0))
+    h1 = build_pullback_report(model, 3, (1, 1)).completeness.h1_vanishing
+    assert (h1.status, h1.holds, h1.witness) == (VERIFIED, True, {
+        "s_kind": "finite", "scanned_trange": [-1, 4], "s": 0,
+        "vanishing_bound_sk": 0, "verified_l_range": []})
+
+
+@st.composite
+def h1_cases(draw):
+    n = draw(st.integers(1, 4))
+    k = draw(st.integers(2, 5))
+    # the completeness verdict reads h^0(O_X) and h^0(O_{X'}(1)), so the
+    # table holds the twists -delta(n, k, 1)..0
+    lo = draw(st.integers(-n - 6, -delta(n, k, 1)))
+    hi = draw(st.integers(0, 6))
+    h1_ideal = draw(st.lists(st.sampled_from((0, 0, 0, 1, 2)),
+                             min_size=hi - lo + 1, max_size=hi - lo + 1))
+    return explicit_model(n, (lo, hi), h1_ideal), k
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(h1_cases())
+def test_derived_h1_witness_matches_the_twist_by_twist_sums(case):
+    model, k = case
+    h1 = _completeness(_Sums(model, k), {}).h1_vanishing
+    if h1.status == NOT_APPLICABLE:
+        assert h1.witness["s_kind"] == "none"
+        return
+    s = h1.witness["s"]
+    l_top = 3 * k if s == "infinity" else s * k - 1
+    assert h1_witness_by_sums(model, k, l_top) == \
+        (h1.witness["verified_l_range"], [])
 
 
 @pytest.mark.parametrize("model", (
@@ -213,12 +290,13 @@ def test_explicit_completeness_still_sums_the_ideal_rows(monkeypatch):
     ids=("ci23", "plane", "p3"))
 def test_a_report_reads_each_splitting_and_table_value_once(monkeypatch,
                                                             model):
-    # reads of the model's table; a query made inside another (h_omega
-    # reads h) is not a read, nor are the cross-check's own table's values
-    lookups, reads, depth = Counter(), Counter(), [0]
-    real_splitting = pullback.splitting_universal
-    monkeypatch.setattr(pullback, "splitting_universal", lambda n, k, l: (
-        lookups.update([l]) or real_splitting(n, k, l)))
+    # every m_{l,d} is read off one closed-form table, fetched once; reads
+    # of the model's table: a query made inside another (h_omega reads h)
+    # is not a read, nor are the cross-check's own table's values
+    fetches, reads, depth = [], Counter(), [0]
+    real_box = pullback._closed_form_box
+    monkeypatch.setattr(pullback, "_closed_form_box", lambda n, k: (
+        fetches.append((n, k)) or real_box(n, k)))
 
     def spy(row, real):
         def read(table, i, t):
@@ -235,7 +313,7 @@ def test_a_report_reads_each_splitting_and_table_value_once(monkeypatch,
         cls = type(model.table)
         monkeypatch.setattr(cls, row, spy(row, getattr(cls, row)))
     build_pullback_report(model, 3)
-    assert set(lookups) == set(range(-3, 10)) and max(lookups.values()) == 1
+    assert fetches == [(model.n, 3)]
     assert max(reads.values()) == 1
 
 
@@ -311,13 +389,14 @@ class SumReached(Exception):
     pass
 
 
+def no_sums(*args):
+    raise SumReached(args)
+
+
 def test_oversized_twist_ranges_are_refused_before_any_sum(monkeypatch,
                                                            capsys):
-    def no_sums(*args):
-        raise SumReached(args)
-
-    # every sum starts by looking up its twist's splitting
-    monkeypatch.setattr(pullback, "splitting_universal", no_sums)
+    # the first sum fetches the closed-form table
+    monkeypatch.setattr(pullback, "_closed_form_box", no_sums)
     p4 = projective_space(4)
     with pytest.raises(InputError, match=f"{MAX_TWISTS + 1} twists"):
         build_pullback_report(p4, 2, lrange=(-3, MAX_TWISTS - 3))
@@ -332,12 +411,29 @@ def test_oversized_twist_ranges_are_refused_before_any_sum(monkeypatch,
     assert "100000001 twists" in capsys.readouterr().err
 
 
+def test_reports_refuse_what_the_cli_refuses(monkeypatch, capsys):
+    # k < 1 and an empty twist range are refused before any sum
+    monkeypatch.setattr(pullback, "_closed_form_box", no_sums)
+    p4 = projective_space(4)
+    with pytest.raises(InputError, match="k must be >= 1, got -1"):
+        build_pullback_report(p4, -1)
+    with pytest.raises(InputError, match="k must be >= 1, got 0"):
+        build_pullback_report(p4, 0, (0, 1))
+    with pytest.raises(InputError, match="empty twist range 2..1"):
+        build_pullback_report(p4, 2, (2, 1))
+    assert main(["pullback", "--model", "p4", "--k", "0"]) == 2
+    assert capsys.readouterr() == ("", "error: k must be >= 1, got 0\n")
+    # the model is parsed first, so a bad spec is the error reported
+    assert main(["pullback", "--model", "p-1", "--k", "0"]) == 2
+    assert "bad model spec 'p-1'" in capsys.readouterr().err
+
+
 @pytest.fixture
 def counted(monkeypatch):
-    """Splittings computed and grouped Koszul sums evaluated, by argument.
+    """SplittingTypes built and grouped Koszul sums evaluated, by argument.
 
-    A splitting is counted where ``splitting._splitting`` builds its
-    SplittingType, so calls answered from the cache are not counted.
+    A report reads its multiplicities off the closed-form table, so it
+    builds no SplittingType: any built is counted under "splitting".
     No two tables in the reports below share their degrees, so the
     Koszul terms in a sum's arguments name the table it was asked on.
     Every cache starts empty (``tests/conftest.py``), so each case counts
@@ -375,5 +471,5 @@ def pullback_then_adjoint():
         "pullback_then_adjoint_ci23"))
 def test_each_splitting_and_koszul_value_is_computed_once(counted, build):
     build()
-    assert {key[0] for key in counted} == {"splitting", "koszul"}
+    assert {key[0] for key in counted} == {"koszul"}
     assert max(counted.values()) == 1

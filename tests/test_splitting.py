@@ -36,11 +36,9 @@ from pushsplit.polyring import graded_dim, parse_form
 from pushsplit.splitting import (
     BOX_CACHE_SIZE,
     MAX_BOX_COEFFS,
-    SPLITTING_CACHE_SIZE,
     HilbertCheckReport,
     SplittingType,
     _box_counts,
-    _splitting,
     delta,
     hilbert_check,
     splitting_from_endo,
@@ -137,26 +135,16 @@ def test_digit_limit_follows_the_interpreter(monkeypatch):
         splitting_universal(3, 10, 0)
 
 
-def test_splitting_cache_is_bounded():
-    for l in [*range(-300, 301)] * 2:
-        assert splitting_universal(4, 3, l).as_dict() == \
-            oracle_multiplicities(4, 3, l), l
-        assert _splitting.cache_info().currsize <= SPLITTING_CACHE_SIZE
-    assert _splitting.cache_info().currsize == SPLITTING_CACHE_SIZE
-
-
 def test_refusals_are_checked_on_every_call():
-    # the digit limit is process state, so a cached splitting is no answer
+    # the digit limit is process state, so a cached table is no answer
     limit = sys.get_int_max_str_digits()
     assert splitting_universal(700, 10, 0).rank == 10 ** 700
-    cached = _splitting.cache_info()
     try:
         sys.set_int_max_str_digits(640)
         with pytest.raises(InputError):
             splitting_universal(700, 10, 0)
     finally:
         sys.set_int_max_str_digits(limit)
-    assert _splitting.cache_info() == cached
 
 
 def test_splitting_cache_is_not_behind_a_traced_name():
@@ -173,7 +161,7 @@ def test_splitting_cache_is_not_behind_a_traced_name():
               for attr, value in vars(module).items()
               if callable(getattr(value, "cache_clear", None))}
     assert caches & traced == set()
-    assert {("splitting", "_splitting"),
+    assert {("splitting", "_box_counts"),
             ("endomorphism", "_finiteness_report"),
             ("endomorphism", "_parse"), ("varieties", "_parse_table")} <= caches
     assert endomorphism._finiteness_report.cache_info().maxsize == \
@@ -211,6 +199,9 @@ def test_universal_matches_counting_oracle():
             for l in range(-5, 9):
                 st = splitting_universal(n, k, l)
                 assert st.as_dict() == oracle_multiplicities(n, k, l), (n, k, l)
+    for l in range(-300, 301):
+        assert splitting_universal(4, 3, l).as_dict() == \
+            oracle_multiplicities(4, 3, l), l
 
 
 def test_support_is_exact_interval():
