@@ -9,7 +9,7 @@ linear-completeness and adjunction verdicts, all in integer arithmetic.
 """
 
 from .adjunction import AdjunctionReport, surface_adjunction
-from .endomorphism import Endomorphism, FinitenessReport, hilbert_function, \
+from .endomorphism import Endomorphism, FinitenessReport, \
     load_endomorphism, parse_endomorphism, power_map, random_endomorphism, \
     validate_finite
 from .errors import FormSyntaxError, InputError, IntegrityError, \
@@ -36,7 +36,7 @@ __all__ = [
     "PullbackReport", "PushsplitError", "RankResult", "SplittingType",
     "TableRangeError", "Verdict", "build_pullback_report",
     "complete_intersection", "delta", "graded_dim", "hilbert_check",
-    "hilbert_function", "is_prime", "load_custom_table",
+    "is_prime", "load_custom_table",
     "load_endomorphism", "multiplication_matrix", "parse_endomorphism",
     "parse_form", "parse_table", "plane_in_p4", "power_map",
     "projective_space", "pullback_degree", "random_endomorphism",

@@ -6,8 +6,9 @@ in P^4 the twist is e' = ke + 5k - 5, which packages omega_{S'} =
 pi^*(omega_S(3H)) (x) O_{S'}((2k-5)H').  All numeric invariants (K.H',
 K^2, sectional genus) follow from e' and deg S' = k^2 deg S
 (``pullback_degree``).  h^0(O_S), h^0(omega_{S'}) and h^0(omega_{S'}(-H'))
-are read from one ``pullback._Sums``, which the canonical-birationality
-verdict shares, so the closed-form table is fetched once.
+are read from one ``pullback._Sums``, each summed once, so the
+closed-form table is fetched once; the canonical-birationality verdict
+is handed h^0(omega_{S'}(-H')).
 
 The one exception in scope: the inverse image of a 2-plane under a
 degree-2 covering is a quartic Del Pezzo surface (e' = -1); every other
@@ -31,24 +32,24 @@ VERY_AMPLE = "VERY_AMPLE"
 DEL_PEZZO = "DEL_PEZZO_EXCEPTION"
 
 
-def _canonical_birational(sums: _Sums, assumptions: dict) -> Verdict:
+def _canonical_birational(m: ModelVariety, k: int, h0: int,
+                          assumptions: dict) -> Verdict:
     """Birationality of the canonical map of X' via a section of omega_{X'}(-H').
 
     Applicable when delta_1 >= dim X and (X, O(1)) is not a linearly
-    embedded projective space; then h^0(omega_{X'}(-H')) must be positive
-    and the canonical map of X' is birational.  A computed zero where the
-    criterion promises positivity raises IntegrityError.  The caller has
+    embedded projective space; then ``h0`` = h^0(omega_{X'}(-H')) must be
+    positive and the canonical map of X' is birational.  A computed zero
+    where the criterion promises positivity raises IntegrityError.  The
+    caller sums ``h0`` before the verdict, and has
     already required a surface in P^4, k >= 2, the general-position
     assertion and dualizing data.  So delta_1 >= dim X always holds:
     delta(4, k, 1) = 5 + floor(-6/k) >= 2 for every k >= 2.
     """
-    m, k = sums.m, sums.k
     if m.is_linear_pm:
         return Verdict("canonical_birational", NOT_APPLICABLE, None,
                        "(P^m, O(1)) is the excluded pair for the "
                        "generated-by-sections step", assumptions=assumptions)
     delta_1 = delta(m.n, k, 1)
-    h0 = sums.total("h_omega", 0, 1)
     if h0 <= 0:
         raise IntegrityError(
             "canonical-birationality criterion promises "
@@ -157,5 +158,6 @@ def surface_adjunction(m: ModelVariety, k: int) -> AdjunctionReport:
         general_type=e_prime > 0,
         canonical_very_ample=very_ample,
         del_pezzo_exception=del_pezzo,
-        canonical_birational=_canonical_birational(sums, assumptions),
+        canonical_birational=_canonical_birational(
+            m, k, h0_omega_minus_h, assumptions),
         assumptions=assumptions)

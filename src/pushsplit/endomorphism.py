@@ -1,22 +1,22 @@
 """Finite endomorphisms of projective space given by n+1 degree-k forms.
 
-The linear algebra on a map computes one function, the Hilbert function
-HF(t) of S/(f_0, ..., f_n) (``hilbert_function``).  HF(t) is never below
-box(t), the Hilbert function of the power map (``splitting._box_counts``),
-so each rank has the known upper bound dim S_t - box(t).  Each rank is
-one elimination modulo each prime tried (``exactla.rank_verified``), led
-by Macaulay's columns, one per degree-t monomial divisible by some
-y_i^k; the other columns are brought in only when those fall short of
-the bound.  The forms have no common projective zero (are a
-regular sequence) exactly when HF vanishes past the socle degree
-(n+1)(k-1), so the map is finite iff HF(D) = 0 at D = (n+1)(k-1)+1
-(``validate_finite``).  That verdict depends only on the map's value and
-the rank policy (the primes and ``exact``), so each process decides it
-once per key, in one bounded cache (``_finiteness_report``,
-FINITENESS_CACHE_SIZE kept).  Likewise each process parses a map's text
-once (``_parse``, MAP_CACHE_SIZE kept, keyed by the text alone): a file
-is read again on every load, so an edited file is seen, but the same
-text returns the same Endomorphism, which that cache then finds.
+The linear algebra on a map is one rank.  The forms have no common
+projective zero (are a regular sequence) exactly when the Hilbert
+function of S/(f_0, ..., f_n) vanishes past the socle degree
+(n+1)(k-1), so the map is finite iff HF(D) = 0 at D = (n+1)(k-1)+1, that
+is, iff the multiplication map (g_i)_i |-> sum f_i g_i from
+(+)_i S_{D-k} onto S_D has full row rank (``validate_finite``).  That
+rank is one elimination modulo each prime tried
+(``exactla.rank_verified``), led by Macaulay's columns, one per degree-D
+monomial, all of which are divisible by some y_i^k; the other columns
+are brought in only when those fall short of the row count.  The
+verdict depends only on the map's value and the rank policy (the primes
+and ``exact``), so each process decides it once per key, in one bounded
+cache (``_finiteness_report``, FINITENESS_CACHE_SIZE kept).  Likewise
+each process parses a map's text once (``_parse``, MAP_CACHE_SIZE kept,
+keyed by the text alone): a file is read again on every load, so an
+edited file is seen, but the same text returns the same Endomorphism,
+which that cache then finds.
 """
 
 from __future__ import annotations
@@ -28,9 +28,8 @@ from typing import TYPE_CHECKING
 
 from .errors import InputError, read_input_file
 from .exactla import DEFAULT_PRIMES, ExactMatrix, RankResult, rank_verified
-from .polyring import HomogPoly, graded_dim, monomial_array, \
-    multiplication_matrix, parse_form
-from .splitting import _box_counts
+from .polyring import HomogPoly, monomial_array, multiplication_matrix, \
+    parse_form
 
 # Each function that uses numpy imports it, so that commands which never
 # build a matrix (the closed-form ones) never load it.
@@ -102,39 +101,6 @@ def power_map(n: int, k: int) -> Endomorphism:
     return Endomorphism(n, k, forms)
 
 
-def hilbert_function(e: Endomorphism, t: int, primes=DEFAULT_PRIMES,
-                     exact: bool = False) -> tuple[int, RankResult]:
-    """HF(t) = dim S_t - rank of (g_i)_i |-> sum f_i g_i from (+)_i S_{t-k},
-    the Hilbert function of S/(f_0, ..., f_n), and the RankResult it rests
-    on.
-
-    Over Q the rank is at most bound = dim S_t - box(t): rank is lower
-    semicontinuous in the coefficients, so no map exceeds the generic
-    rank, which the power map attains (Froeberg, Math. Scand. 56, 1985).
-    A modular rank never exceeds the rational one, so a modular rank that
-    reaches the bound is certified.  The matrix is ranked once modulo
-    each prime, by ``exactla.rank_verified`` with that bound, its columns
-    renumbered so that Macaulay's (``_macaulay_columns``), as many as the
-    bound, come first and lead the elimination: the other columns are
-    brought in only when Macaulay's fall short of the bound.  The
-    (prime, rank) pairs are the whole matrix's.
-    """
-    import numpy as np
-
-    v, k = e.n + 1, e.k
-    dim = graded_dim(v, t)
-    box = _box_counts(v, k)
-    bound = dim - (box[t] if 0 <= t < len(box) else 0)
-    m = multiplication_matrix(e.forms, t - k)
-    if bound > 0:
-        keep = _macaulay_columns(v, k, t)
-        number = np.where(keep, np.cumsum(keep), bound + np.cumsum(~keep)) - 1
-        m = ExactMatrix(m.rows, m.cols, m.row_index, number[m.col_index],
-                        m.values)
-    rank = rank_verified(m, primes, exact, bound)
-    return dim - rank.value, rank
-
-
 def _macaulay_columns(num_vars: int, k: int, t: int) -> np.ndarray:
     """The mask of Macaulay's columns in multiplication_matrix(forms, t-k).
 
@@ -157,11 +123,16 @@ def validate_finite(e: Endomorphism, primes=DEFAULT_PRIMES,
                     exact: bool = False) -> FinitenessReport:
     """FINITE iff HF(D) = 0 at the test degree D = (n+1)(k-1)+1.
 
-    FINITE as soon as one prime shows full row rank (that alone is a
-    certificate).  When no prime does, the rank is computed in rational
-    arithmetic if ``exact`` is set or the primes disagree, and decides the
-    verdict.  Otherwise the verdict is NOT_FINITE, resting on primes that
-    agree and can only err by under-reporting rank.
+    HF(D) = dim S_D - the rank of (g_i)_i |-> sum f_i g_i from
+    (+)_i S_{D-k}, so the map is FINITE iff that matrix has full row
+    rank.  It is ranked by ``exactla.rank_verified``, its columns
+    renumbered so that Macaulay's (``_macaulay_columns``), one per row,
+    come first and lead each modular elimination.  FINITE as soon as one
+    prime shows full row rank (that alone is a certificate).  When no
+    prime does, the rank is computed in rational arithmetic if ``exact``
+    is set or the primes disagree, and decides the verdict.  Otherwise
+    the verdict is NOT_FINITE, resting on primes that agree and can only
+    err by under-reporting rank.
 
     The report is computed once per process for each key: the map's
     value (n, k and its forms) with the whole rank policy (the primes, in
@@ -175,9 +146,16 @@ def validate_finite(e: Endomorphism, primes=DEFAULT_PRIMES,
 @lru_cache(maxsize=FINITENESS_CACHE_SIZE)
 def _finiteness_report(e: Endomorphism, primes: tuple[int, ...],
                        exact: bool) -> FinitenessReport:
-    degree = (e.n + 1) * (e.k - 1) + 1
-    return FinitenessReport(degree, graded_dim(e.n + 1, degree),
-                            hilbert_function(e, degree, primes, exact)[1])
+    import numpy as np
+
+    v, k = e.n + 1, e.k
+    degree = v * (k - 1) + 1
+    m = multiplication_matrix(e.forms, degree - k)
+    keep = _macaulay_columns(v, k, degree)
+    number = np.where(keep, np.cumsum(keep), m.rows + np.cumsum(~keep)) - 1
+    m = ExactMatrix(m.rows, m.cols, m.row_index, number[m.col_index],
+                    m.values)
+    return FinitenessReport(degree, m.rows, rank_verified(m, primes, exact))
 
 
 _RANDOM_DRAWS = 25

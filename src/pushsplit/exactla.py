@@ -26,17 +26,17 @@ an entry takes at most one update below p**2 per pivot of its panel.
 The modular rank is a lower bound for the rational rank, with equality
 for all primes outside a finite bad set.
 
-A modular rank has one route (``_rank_lead``): given a known upper
-bound on the rank, that many first columns S lead.  S is eliminated
-alone, and the other columns R are scattered only when the rank of S
-falls short of the bound.  They then get S's row operations, replayed
-in order, and what is left of them is eliminated: rank [S | R] =
+A modular rank has one route (``_rank_lead``): a matrix wider than it
+is tall has its first ``rows`` columns S lead.  S is eliminated alone,
+and the other columns R are scattered only when the rank of S falls
+short of the row count.  They then get S's row operations, replayed in
+order, and what is left of them is eliminated: rank [S | R] =
 rank S + rank K R, where the rows of K span the left kernel of S.  S is
 first pruned of the rows holding one entry of S, whose pivots clear
 their columns of S alone, and the change they make to R is kept for
-that replay.  Without a bound, or when S would be every column, no
-column leads: S is empty, every column is deferred, and R is scattered
-whole and eliminated with nothing to replay.
+that replay.  When S would be every column, no column leads: S is
+empty, every column is deferred, and R is scattered whole and
+eliminated with nothing to replay.
 
 Rank over Q is certified rather than eliminated: after pruning,
 left-kernel vectors of what is left are read, modulo a few primes, from
@@ -50,14 +50,14 @@ no other route: a budget spent without one is a broken proof and raises
 IntegrityError.
 
 ``rank_verified`` decides every rank the package reports: modular ranks
-first, stopping at the first that reaches a known upper bound on the
-rank over Q (full rank unless the caller knows a lower one), and the
-rank over Q when asked for or when the primes disagree.  It returns the
-rank together with the ranks it rests on (``RankResult``), and hands
-its bound to each modular rank.  ``endomorphism.hilbert_function``
-numbers Macaulay's columns first, as many as its bound, so each modular
-rank is one elimination of them, and the other columns are touched only
-when Macaulay's fall short of the bound.
+first, stopping at the first that reaches full rank, min(rows, cols),
+and the rank over Q when asked for or when the primes disagree.  It
+returns the rank together with the ranks it rests on (``RankResult``).
+The package ranks one kind of matrix, the socle test of
+``endomorphism.validate_finite``, whose full rank is its row count:
+Macaulay's columns come first there, exactly as many as the rows, so
+each modular rank is one elimination of them, and the other columns are
+touched only when Macaulay's fall short.
 """
 
 from __future__ import annotations
@@ -217,26 +217,22 @@ def rank_rational(m: ExactMatrix) -> int:
                          f"within the prime budget of {budget}")
 
 
-def rank_mod(m: ExactMatrix, p: int, bound: int | None = None) -> int:
+def rank_mod(m: ExactMatrix, p: int) -> int:
     """Rank over Z/p; never more than the rank over Q.
 
     ``p`` must be a prime below ``PRIME_LIMIT`` (2**26), else ValueError.
     Residues are pruned of zeros and of singleton rows and columns
     (``_prune_singletons``); the rank is the pruned count plus the rank
-    of the rest, which ``_rank_panels`` eliminates.
-
-    ``bound`` is a known upper bound on the rank over Q, so also on the
-    rank modulo p; a wrong one can make the result too low.  The rest
-    always goes through ``_rank_lead``, with the surviving columns among
-    the first ``bound`` leading: they are eliminated first, and the
-    others only when the rank is still below the bound.  A rank that
-    reaches the bound on the lead columns is the rank.  Without a bound,
-    or when every surviving column is among the first ``bound``, no
-    column leads, and the whole rest is eliminated at once.  The rank
-    is the same for every correct ``bound``: it does not depend on the
-    order of the columns, the other columns get exactly the products, in
-    the same order, that the lead's elimination applied, and every entry
-    keeps the bound below 2**59 of ``_eliminate``.
+    of the rest, which ``_rank_lead`` eliminates.  When ``m`` is wider
+    than it is tall, the surviving columns among its first ``rows`` lead:
+    they are eliminated first, and the others only when the rank is still
+    below the row count.  Otherwise, or when every surviving column is
+    among the first ``rows``, no column leads, and the whole rest is
+    eliminated at once.  The lead changes the work, never the rank: the
+    rank does not depend on the order of the columns, the other columns
+    get exactly the products, in the same order, that the lead's
+    elimination applied, and every entry keeps the bound below 2**59 of
+    ``_eliminate``.
     """
     if not is_prime(p):
         raise ValueError(f"modulus {p} is not prime")
@@ -246,14 +242,13 @@ def rank_mod(m: ExactMatrix, p: int, bound: int | None = None) -> int:
         return 0
     count, rows, cols, residues, n, c, lead = _prune_singletons(
         m.row_index, m.col_index, _residues(m.values, p), m.rows, m.cols,
-        bound or 0)
+        m.rows)
     if rows.size == 0:
         return count
     # when every column would lead, nothing is deferred and _prune_lead
     # finds no row that pruning left with one entry: none leads
     return count + _rank_lead(rows, cols, residues, n, c, p,
-                              lead if lead < c else 0,
-                              n if bound is None else bound - count)
+                              lead if lead < c else 0)
 
 
 @dataclass(frozen=True)
@@ -270,40 +265,34 @@ class RankResult:
     @property
     def value(self) -> int:
         """The rational rank when computed, else the last modular rank:
-        one that reached its bound, or the one on which every prime agreed."""
+        one that reached full rank, or the one on which every prime agreed."""
         return self.rational if self.rational is not None else self.modular[-1][1]
 
 
-def rank_verified(m: ExactMatrix, primes=DEFAULT_PRIMES, exact: bool = False,
-                  bound: int | None = None) -> RankResult:
+def rank_verified(m: ExactMatrix, primes=DEFAULT_PRIMES,
+                  exact: bool = False) -> RankResult:
     """The rank of ``m`` over Q, decided by the package's one rank policy.
 
-    ``bound`` is a known upper bound on the rank over Q, by default
-    min(rows, cols).  Ranks modulo ``primes`` are computed in turn,
-    stopping at the first that reaches ``bound``: a modular rank never
-    exceeds the rank over Q, so one that reaches an upper bound is the
-    rank.  Below the bound, the certified rank over Q
-    (``rank_rational``) decides when ``exact`` is set or the primes
-    disagree.  Otherwise the rank on which the primes agree is returned;
-    it is too low only if every prime divides every nonzero minor of the
-    size of the rank over Q.  Raises ValueError on an empty prime list
-    and on a repeated prime, whose second rank would pass for agreement.
-
-    ``bound`` is handed to each ``rank_mod``, so the first ``bound``
-    columns lead its elimination: that changes the work, never the rank,
-    so a caller puts first the columns likely to reach the bound.
+    Ranks modulo ``primes`` are computed in turn, stopping at the first
+    that reaches full rank, min(rows, cols): a modular rank never exceeds
+    the rank over Q, so one that reaches full rank is the rank.  Below
+    it, the certified rank over Q (``rank_rational``) decides when
+    ``exact`` is set or the primes disagree.  Otherwise the rank on which
+    the primes agree is returned; it is too low only if every prime
+    divides every nonzero minor of the size of the rank over Q.  Raises
+    ValueError on an empty prime list and on a repeated prime, whose
+    second rank would pass for agreement.
     """
     if not primes:
         raise ValueError("at least one prime required")
     if len(set(primes)) < len(primes):
         raise ValueError(f"repeated prime in {tuple(primes)}")
-    if bound is None:
-        bound = min(m.rows, m.cols)
+    full = min(m.rows, m.cols)
     modular = []
     for p in primes:
-        r = rank_mod(m, p, bound)
+        r = rank_mod(m, p)
         modular.append((p, r))
-        if r == bound:
+        if r == full:
             return RankResult(tuple(modular))
     if exact or len({r for _, r in modular}) > 1:
         return RankResult(tuple(modular), rank_rational(m))
@@ -493,15 +482,14 @@ def _panel_width(p: int) -> int:
     return min(_PANEL_CAP, ((1 << 53) - p) // (p - 1) ** 2)
 
 
-def _rank_lead(rows, cols, residues, n: int, c: int, p: int, lead: int,
-               bound: int) -> int:
+def _rank_lead(rows, cols, residues, n: int, c: int, p: int,
+               lead: int) -> int:
     """Rank modulo p of [S | R], residues in n x c COO arrays left by
-    ``_prune_singletons``, whose first ``lead`` columns S lead; ``bound``
-    is an upper bound on that rank.
+    ``_prune_singletons``, whose first ``lead`` columns S lead.
 
     What ``_prune_lead`` leaves of S is scattered and eliminated by
     ``_rank_panels``; R is scattered only when that leaves the rank below
-    the bound, and then gets the pruning's row operations before the
+    the row count, and then gets the pruning's row operations before the
     panels'.  With ``lead`` 0, S is empty and R, the whole matrix, is
     eliminated with no row operations to replay.
     """
@@ -532,8 +520,7 @@ def _rank_lead(rows, cols, residues, n: int, c: int, p: int, lead: int,
                         b[place[pivots[s:s + width]]], 0, p)
         return b[:len(a)]
 
-    return count + _rank_panels(a, p, width, rest=rest,
-                                bound=bound - count)[0]
+    return count + _rank_panels(a, p, width, rest=rest)[0]
 
 
 def _prune_lead(rows, cols, residues, n: int, lead: int):
@@ -592,8 +579,8 @@ def _prune_lead(rows, cols, residues, n: int, lead: int):
 
 
 def _rank_panels(a: np.ndarray, p: int, width: int, reduced: bool = False,
-                 rest: Callable[[], np.ndarray] | None = None,
-                 bound: int | None = None) -> tuple[int, tuple[int, ...]]:
+                 rest: Callable[[], np.ndarray] | None = None
+                 ) -> tuple[int, tuple[int, ...]]:
     """Row echelon form modulo p of the residues in ``a``, in place.
 
     Returns the rank and the pivot columns.  ``a`` holds residues in
@@ -615,12 +602,11 @@ def _rank_panels(a: np.ndarray, p: int, width: int, reduced: bool = False,
     echelon form, and the rows below it as zero.
 
     Rank mode can defer columns: ``rest`` is a function returning them,
-    as many rows as ``a``, which then holds only the lead ones, and
-    ``bound`` an upper bound on the rank of both, by default the row
-    count.  Each panel stores its coefficients in place, in the columns
-    left of the step below its pivots, which rank mode never reads again,
-    and is logged.  Only when the lead columns leave the rank r below the
-    bound is ``rest`` called; its columns get the logged steps and row
+    as many rows as ``a``, which then holds only the lead ones.  Each
+    panel stores its coefficients in place, in the columns left of the
+    step below its pivots, which rank mode never reads again, and is
+    logged.  Only when the lead columns leave the rank r below the row
+    count is ``rest`` called; its columns get the logged steps and row
     moves, in order (``_replay``), and their rows ``[r:]`` are
     eliminated in turn.  Those rows are K R,
     where the rows of K span the left kernel of the lead columns S, so
@@ -629,20 +615,19 @@ def _rank_panels(a: np.ndarray, p: int, width: int, reduced: bool = False,
     same width, so they are exact for the same primes, and ``_eliminate``
     keeps its bound of 2**59.  The last lead panel is first eliminated
     in one call, as without deferred columns, and again with tracking
-    only when it leaves the rank below the bound.
+    only when it leaves the rank below the row count.
     """
     import numpy as np
 
     log = None if reduced or rest is None else []
     nrows, ncols = a.shape
-    goal = nrows if bound is None else min(bound, nrows)
     r, pivots = 0, []
     for c0 in range(0, ncols, width):
-        if r == goal:
+        if r == nrows:
             break
         if ncols - c0 <= width and not reduced:
             last = _eliminate(a[r:, c0:].astype(np.int64), p)
-            if log is None or r + len(last) == goal:
+            if log is None or r + len(last) == nrows:
                 return r + len(last), tuple(pivots + [c0 + j for j in last])
         c1 = min(c0 + width, ncols)
         w = c1 - c0
@@ -683,7 +668,7 @@ def _rank_panels(a: np.ndarray, p: int, width: int, reduced: bool = False,
         a[into, start:] = a[moved, start:]
         pivots += [c0 + j for j in local]
         r += t
-    if log is not None and r < goal:
+    if log is not None and r < nrows:
         b = rest()
         if log:
             _replay(b, a, log, p)

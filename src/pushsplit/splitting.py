@@ -13,13 +13,13 @@ formula or from a map:
   three-term recurrence, about (n+1)(k-1)/2 big-int steps per table.
 
 * ``splitting_from_endo``: a concrete endomorphism.  m_{l,d} = HF(l+kd),
-  where HF is the Hilbert function of S/(f_0, ..., f_n)
-  (``endomorphism.hilbert_function``).  At run time the map is
+  where HF is the Hilbert function of S/(f_0, ..., f_n).  The map is
   certified finite by one rank at the socle degree
-  (``endomorphism.validate_finite``); then the forms are a regular
-  sequence, HF(t) = box(t) in every degree (Koszul; Stanley 1978), and
-  the multiplicities are the closed form's.  The per-degree ranks that
-  compare HF(l+kd) with the closed form run in the test suite.
+  (``endomorphism.validate_finite``), the package's only rank; then the
+  forms are a regular sequence, HF(t) = box(t) in every degree (Koszul;
+  Stanley 1978), and the multiplicities are the closed form's.  The
+  per-degree ranks that compare HF(l+kd) with the closed form run in the
+  test suite.
 """
 
 from __future__ import annotations
@@ -28,14 +28,11 @@ import math
 import sys
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import TYPE_CHECKING
 
+from .endomorphism import Endomorphism, validate_finite
 from .errors import InputError
 from .exactla import DEFAULT_PRIMES
 from .polyring import graded_dim
-
-if TYPE_CHECKING:
-    from .endomorphism import Endomorphism
 
 
 def delta(n: int, k: int, l: int) -> int:
@@ -84,7 +81,8 @@ class SplittingType:
 # distinct big integers (a table is symmetric, so half of it is distinct).
 MAX_BOX_COEFFS = 2 ** 20
 MAX_BOX_BYTES = 2 ** 27
-# Tables kept by _box_counts; one at (v, k) = (2001, 50) holds 60 MiB.
+# Tables kept by _box_counts, each of at most MAX_BOX_BYTES // BOX_CACHE_SIZE
+# (2 MiB) estimated bytes; one at (v, k) = (2001, 50) would hold 60 MiB.
 BOX_CACHE_SIZE = 64
 
 
@@ -115,8 +113,9 @@ def _box_counts(num_vars: int, k: int) -> tuple[int, ...]:
     return tuple(q + q[:top - half][::-1])
 
 
-def _refuse_oversized(n: int, k: int) -> None:
-    """Refuse a closed form too large to compute, hold or print.
+def _refuse_oversized(n: int, k: int) -> float:
+    """Refuse a closed form too large to compute, hold or print, and
+    return the estimated bytes of its table.
 
     The table has (n+1)(k-1)+1 coefficients, each below k^(n+1), and
     every multiplicity it yields is at most the rank k^n, which must fit
@@ -142,6 +141,7 @@ def _refuse_oversized(n: int, k: int) -> None:
             f"closed form for n={n}, k={k} needs a table of about "
             f"{table_bytes / 2 ** 20:.0f} MB, above the limit of "
             f"{MAX_BOX_BYTES // 2 ** 20} MB")
+    return table_bytes
 
 
 def _closed_form_box(n: int, k: int) -> tuple[int, ...]:
@@ -152,13 +152,16 @@ def _closed_form_box(n: int, k: int) -> tuple[int, ...]:
     A table above MAX_BOX_COEFFS coefficients or MAX_BOX_BYTES bytes, or
     a rank k^n with more digits than the interpreter prints, is an
     InputError raised before any work.  These checks run on every call,
-    since the digit limit is process state.
+    since the digit limit is process state.  A table above
+    MAX_BOX_BYTES // BOX_CACHE_SIZE bytes is computed without the cache,
+    so the cache never holds more than MAX_BOX_BYTES.
     """
     if n < 1:
         raise InputError(f"n must be >= 1, got {n}")
     if k < 1:
         raise InputError(f"k must be >= 1, got {k}")
-    _refuse_oversized(n, k)
+    if _refuse_oversized(n, k) > MAX_BOX_BYTES // BOX_CACHE_SIZE:
+        return _box_counts.__wrapped__(n + 1, k)
     return _box_counts(n + 1, k)
 
 
@@ -187,9 +190,6 @@ def splitting_from_endo(e: Endomorphism, l: int,
     degree: the splitting is the closed form's, with no further rank, and
     a rank over Q could change no answer.
     """
-    # endomorphism reads the box counts from here, so it is imported late
-    from .endomorphism import validate_finite
-
     report = validate_finite(e, primes)
     if not report.is_finite:
         rank = report.rank

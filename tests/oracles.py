@@ -10,7 +10,9 @@ reads a form one character at a time, as ``parse_form`` must agree with,
 ``exactla._prune_lead`` must agree with, pivot for pivot,
 ``ci_h0_by_subsets`` walks every subset of the defining degrees, as
 the grouped Koszul terms of ``KoszulTable`` must agree with,
-``splitting_by_ranks`` reads a map's splitting off its Hilbert
+``hilbert_function`` ranks a map's multiplication matrix in any degree,
+not only the socle degree that ``validate_finite`` ranks,
+``splitting_by_ranks`` reads a map's splitting off that Hilbert
 function degree by degree, as the closed form must agree with on every
 finite map, and ``h1_witness_by_sums`` sums h^1(I_{X'}(l)) twist by
 twist, as the ``h1_vanishing`` witness derived in ``pullback`` must
@@ -22,10 +24,10 @@ from itertools import combinations
 
 import numpy as np
 
-from pushsplit.endomorphism import hilbert_function
 from pushsplit.errors import FormSyntaxError, InputError, TableRangeError
-from pushsplit.exactla import ExactMatrix, value_array
-from pushsplit.polyring import HomogPoly, Monomial, graded_dim
+from pushsplit.exactla import ExactMatrix, rank_verified, value_array
+from pushsplit.polyring import HomogPoly, Monomial, graded_dim, \
+    multiplication_matrix
 from pushsplit.splitting import delta, splitting_universal
 
 
@@ -134,13 +136,20 @@ def ci_h0_by_subsets(n: int, degrees, t: int) -> int:
     return total
 
 
+def hilbert_function(e, t: int) -> int:
+    """HF(t) of S/(f_0, ..., f_n): dim S_t minus the ``rank_verified``
+    rank of (g_i)_i |-> sum f_i g_i from (+)_i S_{t-k}."""
+    m = multiplication_matrix(e.forms, t - e.k)
+    return graded_dim(e.n + 1, t) - rank_verified(m).value
+
+
 def splitting_by_ranks(e, l: int) -> dict[int, int]:
     """The nonzero multiplicities m_{l,d} = HF(l+kd) of the map ``e``,
     one ``hilbert_function`` rank per twist d from -floor(l/k) to
     delta(n, k, l); no finiteness test."""
     counts = {}
     for d in range(-(l // e.k), delta(e.n, e.k, l) + 1):
-        m = hilbert_function(e, l + e.k * d)[0]
+        m = hilbert_function(e, l + e.k * d)
         if m:
             counts[d] = m
     return counts

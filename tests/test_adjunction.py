@@ -169,7 +169,8 @@ def birational(model, k):
     ``surface_adjunction`` builds it."""
     sums = _Sums(model, k)
     return _canonical_birational(
-        sums, _base_assumptions(model, k, sums.value("h", 0, 0)))
+        model, k, sums.total("h_omega", 0, 1),
+        _base_assumptions(model, k, sums.value("h", 0, 0)))
 
 
 def test_birationality_not_applicable_cases():
@@ -230,3 +231,19 @@ def test_adjoint_sums_each_dualizing_twist_once(monkeypatch):
     assert fetches == [(4, 3)]
     assert report.h0_omega_minus_h == \
         report.canonical_birational.witness["h0_omega_Xprime_minus_H"]
+
+
+def test_adjoint_report_sums_each_dualizing_total_once(monkeypatch):
+    # h^0(omega_S') and h^0(omega_S'(-H')) are one sum each: the
+    # canonical-birationality verdict is handed the second, not resumming it
+    sums = []
+    real = _Sums.totals
+
+    def totals(self, row, l, indices):
+        sums.append((row, l, tuple(indices)))
+        return real(self, row, l, indices)
+
+    monkeypatch.setattr(_Sums, "totals", totals)
+    report = surface_adjunction(complete_intersection(4, (2, 3)), 3)
+    assert sums == [("h_omega", 0, (0,)), ("h_omega", 1, (0,))]
+    assert report.canonical_birational.status == CANONICAL_BIRATIONAL

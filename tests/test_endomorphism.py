@@ -12,7 +12,8 @@ import random
 
 import pytest
 
-from oracles import monomials_by_recursion, rank_bareiss, splitting_by_ranks
+from oracles import hilbert_function, monomials_by_recursion, rank_bareiss, \
+    splitting_by_ranks
 from pushsplit import endomorphism, exactla
 from pushsplit.errors import InputError
 from pushsplit.endomorphism import (
@@ -20,7 +21,6 @@ from pushsplit.endomorphism import (
     NOT_FINITE,
     Endomorphism,
     _macaulay_columns,
-    hilbert_function,
     load_endomorphism,
     parse_endomorphism,
     power_map,
@@ -237,45 +237,47 @@ def powers_of_linear_forms(rows, k):
 
 
 def test_power_maps_reach_the_bound_on_macaulay_columns(monkeypatch):
-    calls = spy_on_eliminations(monkeypatch)
-    for n, k in ((1, 2), (2, 3), (3, 2), (3, 3), (4, 2)):
-        e = power_map(n, k)
+    sizes = ((1, 2), (2, 3), (3, 2), (3, 3), (4, 2))
+    # a power map's Hilbert function is box(t) in every degree
+    for n, k in sizes:
         for t in range((n + 1) * (k - 1) + 2):
-            value, rank = hilbert_function(e, t)
-            assert value == box(n + 1, k, t)
-            assert len(rank.modular) == 1 and rank.rational is None
-    assert calls == [[graded_dim(n + 1, t), False]
-                     for n, k in ((1, 2), (2, 3), (3, 2), (3, 3), (4, 2))
-                     for t in range((n + 1) * (k - 1) + 2)]
+            assert hilbert_function(power_map(n, k), t) == box(n + 1, k, t)
+    # at the socle degree Macaulay's columns, one per row, reach full rank
+    # modulo the first prime: one elimination of them, no replay
+    calls = spy_on_eliminations(monkeypatch)
+    for n, k in sizes:
+        rank = validate_finite(power_map(n, k)).rank
+        assert len(rank.modular) == 1 and rank.rational is None
+    assert calls == [[graded_dim(n + 1, (n + 1) * (k - 1) + 1), False]
+                     for n, k in sizes]
     # after an invertible linear change of coordinates no line of the
-    # matrix is a singleton, and Macaulay's columns still reach the bound,
-    # also below the socle degree, where it is less than the row count:
-    # one elimination of those columns, no replay
+    # matrix is a singleton, and Macaulay's columns still reach full rank
     for rows in ([[1, 1, 0], [0, 1, 1], [1, 0, 1]],
                  [[1, 2, 0, 0], [0, 1, 1, 0], [0, 0, 1, 1], [1, 0, 0, 1]]):
         n = len(rows) - 1
         e = Endomorphism(n, 3, powers_of_linear_forms(rows, 3))
         for t in range(6, (n + 1) * 2 + 2):
-            calls.clear()
-            assert hilbert_function(e, t)[0] == box(n + 1, 3, t)
-            assert calls == [[graded_dim(n + 1, t), False]]
+            assert hilbert_function(e, t) == box(n + 1, 3, t)
+        calls.clear()
+        assert validate_finite(e).verdict == FINITE
+        assert calls == [[graded_dim(n + 1, (n + 1) * 2 + 1), False]]
 
 
 def test_short_macaulay_columns_fall_back_to_the_whole_matrix(monkeypatch):
     e = load_endomorphism("tests/fixtures/dense33.endo")
-    calls = spy_on_eliminations(monkeypatch)
     for t in range(10):
         m = multiplication_matrix(e.forms, t - 3)
         rows = [[0] * m.cols for _ in range(m.rows)]
         for r, c, x in zip(m.row_index.tolist(), m.col_index.tolist(),
                            m.values.tolist()):
             rows[r][c] = x
-        assert hilbert_function(e, t)[0] == \
-            graded_dim(4, t) - rank_bareiss(rows)
-    # one elimination per degree; below t = 2k = 6 every column is
-    # Macaulay's, and from there on they leave rows without a pivot
-    assert calls == [[graded_dim(4, t), t >= 6] for t in range(10)]
+        assert hilbert_function(e, t) == graded_dim(4, t) - rank_bareiss(rows)
+    # at the socle degree D = 9 Macaulay's columns leave rows without a
+    # pivot: one elimination, whose row operations are replayed onto the
+    # other columns
+    calls = spy_on_eliminations(monkeypatch)
     assert validate_finite(e).verdict == FINITE
+    assert calls == [[graded_dim(4, 9), True]]
     for l in range(7):
         expected = splitting_universal(3, 3, l)
         assert splitting_by_ranks(e, l) == expected.as_dict()

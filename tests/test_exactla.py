@@ -82,47 +82,48 @@ def test_modular_rank_can_undercount():
 P, Q = DEFAULT_PRIMES
 
 
-@pytest.mark.parametrize("rows, primes, exact, bound, expected", [
+@pytest.mark.parametrize("rows, primes, exact, expected", [
     # a full rank at the first prime is the rank, even with exact set
-    ([[2, 0], [0, 3]], DEFAULT_PRIMES, True, None, RankResult(((P, 2),))),
+    ([[2, 0], [0, 3]], DEFAULT_PRIMES, True, RankResult(((P, 2),))),
     # a full rank at a later prime ends the modular passes there
-    ([[1, 1], [1, 1 + P]], DEFAULT_PRIMES, False, None,
+    ([[1, 1], [1, 1 + P]], DEFAULT_PRIMES, False,
      RankResult(((P, 1), (Q, 2)))),
     # primes agreeing below full rank need no rational pass
-    ([[1, 2], [2, 4]], DEFAULT_PRIMES, False, None,
+    ([[1, 2], [2, 4]], DEFAULT_PRIMES, False,
      RankResult(((P, 1), (Q, 1)))),
     # primes disagreeing below full rank escalate
-    ([[1, 1, 0], [1, 1 + P, 0], [0, 0, 0]], DEFAULT_PRIMES, False, None,
+    ([[1, 1, 0], [1, 1 + P, 0], [0, 0, 0]], DEFAULT_PRIMES, False,
      RankResult(((P, 1), (Q, 2)), 2)),
     # exact escalates below full rank, after the modular passes
-    ([[1, 2], [2, 4]], DEFAULT_PRIMES, True, None,
+    ([[1, 2], [2, 4]], DEFAULT_PRIMES, True,
      RankResult(((P, 1), (Q, 1)), 1)),
-    ([[1]], (), False, None, ValueError),
-    ([[Fraction(1, 2)]], DEFAULT_PRIMES, False, None, ValueError),
-    # a known bound reached at the first prime is the rank, even with exact
-    ([[1, 2], [2, 4]], DEFAULT_PRIMES, False, 1, RankResult(((P, 1),))),
-    ([[1, 2], [2, 4]], DEFAULT_PRIMES, True, 1, RankResult(((P, 1),))),
-    # a bound reached at a later prime ends the passes there, unescalated
-    ([[1, 1, 0], [1, 1 + P, 0], [0, 0, 0]], DEFAULT_PRIMES, False, 2,
+    ([[1]], (), False, ValueError),
+    ([[Fraction(1, 2)]], DEFAULT_PRIMES, False, ValueError),
+    # the bound is full rank, min(rows, cols), on tall and wide matrices:
+    # reached at the first prime it is the rank, even with exact
+    ([[1, 2], [2, 4], [0, 1]], DEFAULT_PRIMES, False, RankResult(((P, 2),))),
+    ([[1, 2, 0], [0, 1, 5]], DEFAULT_PRIMES, True, RankResult(((P, 2),))),
+    # reached at a later prime it ends the passes there, unescalated
+    ([[1, 1, 0], [1, 1 + P, 0]], DEFAULT_PRIMES, False,
      RankResult(((P, 1), (Q, 2)))),
-    # below the bound the policy is the one for full rank
-    ([[1, 2, 0], [2, 4, 0], [0, 0, 0]], DEFAULT_PRIMES, False, 2,
+    # below the bound the policy is the one for square matrices
+    ([[1, 2, 0], [2, 4, 0]], DEFAULT_PRIMES, False,
      RankResult(((P, 1), (Q, 1)))),
-    ([[1, 2, 0], [2, 4, 0], [0, 0, 0]], DEFAULT_PRIMES, True, 2,
+    ([[1, 2], [2, 4], [0, 0]], DEFAULT_PRIMES, True,
      RankResult(((P, 1), (Q, 1)), 1)),
-    ([[1, 1, 0], [1, 1 + P, 0], [0, 0, 0]], DEFAULT_PRIMES, False, 3,
+    ([[1, 1, 0], [1, 1 + P, 0], [0, 0, 0], [0, 0, 0]], DEFAULT_PRIMES, False,
      RankResult(((P, 1), (Q, 2)), 2)),
 ], ids=["full-at-first-prime", "full-at-second-prime", "agree-below-full",
         "disagree-escalates", "exact-escalates", "no-primes",
         "fraction-entry", "bound-at-first-prime", "bound-at-first-prime-exact",
         "bound-at-second-prime", "agree-below-bound", "exact-below-bound",
         "disagree-below-bound"])
-def test_rank_verified_policy(rows, primes, exact, bound, expected):
+def test_rank_verified_policy(rows, primes, exact, expected):
     if expected is ValueError:
         with pytest.raises(ValueError):
-            rank_verified(matrix(rows), primes, exact, bound)
+            rank_verified(matrix(rows), primes, exact)
         return
-    result = rank_verified(matrix(rows), primes, exact, bound)
+    result = rank_verified(matrix(rows), primes, exact)
     assert result == expected
     assert result.value == oracle_rank(rows)
 
@@ -247,15 +248,15 @@ def test_rank_mod_matches_reference_across_panels(shape, density):
 
 
 def test_rank_mod_without_a_lead_replays_nothing(monkeypatch):
-    # with no bound, or one that every surviving column is under, no
-    # column leads: the whole matrix is eliminated at once, and no logged
-    # row operation is replayed onto it
+    # a matrix no wider than it is tall has no lead column: the whole
+    # matrix is eliminated at once, and no logged row operation is
+    # replayed onto it
     replayed = []
     monkeypatch.setattr(exactla, "_replay", lambda *args: replayed.append(args))
-    rows = random_rows(random.Random(5), 40, 30, 0.5, -5, 6)
-    for bound in (None, 30, 40):
-        assert rank_mod(matrix(rows), 101, bound) == \
-            reference_rank_mod(rows, 101), bound
+    for nrows, ncols in ((40, 30), (30, 30)):
+        rows = random_rows(random.Random(5), nrows, ncols, 0.5, -5, 6)
+        assert rank_mod(matrix(rows), 101) == \
+            reference_rank_mod(rows, 101), (nrows, ncols)
     assert replayed == []
 
 
@@ -529,24 +530,25 @@ def test_lead_columns_change_no_rank(case):
     # pruning removes the first `front` columns entirely
     assert exactla._prune_singletons(m.row_index, m.col_index, m.values,
                                      m.rows, m.cols, front)[-1] == 0
-    # every bound at or above the rank, on which the elimination may stop
+    # a wide matrix's first `rows` columns lead; every rotation of the
+    # columns, and their reversal, leaves the rank as it is, also those
+    # that put the deficient product's columns first, in the lead
+    orders = [list(range(s, m.cols)) + list(range(s)) for s in range(m.cols)]
+    orders.append(list(range(m.cols))[::-1])
     for p in (3, DEFAULT_PRIMES[0], TOP_PRIME):
-        expected = rank_mod(m, p)
-        bounds = range(expected, m.cols + 1)
-        assert [rank_mod(m, p, bound) for bound in bounds] == \
-            [expected] * len(bounds), p
+        expected = reference_rank_mod(rows, p)
+        assert [rank_mod(matrix([[row[j] for j in order] for row in rows]), p)
+                for order in orders] == [expected] * len(orders), p
     # unpruned, the lead columns and the replay run panel by panel, at
-    # every split, with no bound and with the rank as the bound
+    # every split
     for p, width in ((3, 2), (3, 5), (DEFAULT_PRIMES[0], 2),
                      (DEFAULT_PRIMES[0], 5), (TOP_PRIME, 2)):
-        expected = rank_mod(m, p)
-        for lead, bound in itertools.product(range(m.cols + 1),
-                                             (None, expected)):
+        expected = reference_rank_mod(rows, p)
+        for lead in range(m.cols + 1):
             a = (np.array(rows, dtype=np.int64) % p).astype(np.int32)
             assert exactla._rank_panels(a[:, :lead], p, width,
-                                        rest=lambda: a[:, lead:],
-                                        bound=bound)[0] == \
-                expected, (p, width, lead, bound)
+                                        rest=lambda: a[:, lead:])[0] == \
+                expected, (p, width, lead)
 
 
 def test_prune_lead_logs_the_pivots_of_a_rescan():

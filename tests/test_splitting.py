@@ -35,6 +35,7 @@ from pushsplit.endomorphism import (
 from pushsplit.polyring import graded_dim, parse_form
 from pushsplit.splitting import (
     BOX_CACHE_SIZE,
+    MAX_BOX_BYTES,
     MAX_BOX_COEFFS,
     HilbertCheckReport,
     SplittingType,
@@ -102,6 +103,20 @@ def test_box_counts_cache_is_bounded():
         assert _box_counts(v, 3) == convolved_box_counts(v, 3), v
         assert _box_counts.cache_info().currsize <= BOX_CACHE_SIZE
     assert _box_counts.cache_info().currsize == BOX_CACHE_SIZE
+
+
+def test_only_small_closed_form_tables_are_cached(capsys):
+    # a table above MAX_BOX_BYTES // BOX_CACHE_SIZE (2 MiB) is computed
+    # again on each use, so the cache never holds more than MAX_BOX_BYTES
+    assert MAX_BOX_BYTES // BOX_CACHE_SIZE == 2 ** 21
+    outputs = []
+    for _ in range(2):
+        assert main(["split", "--n", "400", "--k", "50", "--l", "0"]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+    assert _box_counts.cache_info().currsize == 0
+    assert main(["split", "--n", "300", "--k", "50", "--l", "0"]) == 0
+    assert _box_counts.cache_info().currsize == 1
 
 
 def test_large_closed_form_within_the_limits():
@@ -358,22 +373,22 @@ def test_ranks_of_a_degenerate_map_disagree_with_the_closed_form():
     assert splitting_universal(1, 2, 0).as_dict() == {0: 1, 1: 1}
 
 
-def counting_hilbert_function(monkeypatch):
-    """The degrees of the endomorphism.hilbert_function calls made from
-    now on, each call still computed."""
+def counting_ranked_degrees(monkeypatch):
+    """The target degree of each matrix that endomorphism builds from now
+    on to rank, each still built."""
     degrees = []
-    real = endomorphism.hilbert_function
+    real = endomorphism.multiplication_matrix
 
-    def counted(e, t, *args):
-        degrees.append(t)
-        return real(e, t, *args)
+    def counted(forms, source_degree):
+        degrees.append(source_degree + forms[0].degree)
+        return real(forms, source_degree)
 
-    monkeypatch.setattr(endomorphism, "hilbert_function", counted)
+    monkeypatch.setattr(endomorphism, "multiplication_matrix", counted)
     return degrees
 
 
 def test_from_endo_ranks_only_the_socle_degree(monkeypatch):
-    degrees = counting_hilbert_function(monkeypatch)
+    degrees = counting_ranked_degrees(monkeypatch)
     for path, n, k in (("perturbed22.endo", 2, 2), ("dense33.endo", 3, 3)):
         socle = (n + 1) * (k - 1) + 1
         for l in range(-1, k + 2):
@@ -392,7 +407,7 @@ def test_from_endo_ranks_only_the_socle_degree(monkeypatch):
 
 def test_split_of_a_nonfinite_map_exits_2_after_one_socle_rank(
         monkeypatch, capsys):
-    degrees = counting_hilbert_function(monkeypatch)
+    degrees = counting_ranked_degrees(monkeypatch)
     code = main(["split", "--endo", "tests/fixtures/nonfinite12.endo",
                  "--l", "0"])
     assert code == 2
